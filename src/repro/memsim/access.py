@@ -78,6 +78,18 @@ class AccessTrace:
     def total_bytes(self) -> int:
         return int(self.lengths.sum())
 
+    def _sector_span(self, sector_bytes: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Per row: the first sector index and the number of sectors."""
+        if sector_bytes <= 0:
+            raise SimulationError("sector_bytes must be positive")
+        first = self.addresses // sector_bytes
+        last = (self.addresses + np.maximum(self.lengths, 1) - 1) // sector_bytes
+        return first, last - first + 1
+
+    def sector_counts(self, sector_bytes: int) -> np.ndarray:
+        """Number of sectors each row access touches."""
+        return self._sector_span(sector_bytes)[1]
+
     def sector_addresses(self, sector_bytes: int) -> np.ndarray:
         """Expand row accesses into aligned sector addresses, in order.
 
@@ -85,21 +97,15 @@ class AccessTrace:
         cache (as hits); alignment itself models the transaction
         granularity: a 4-byte touch still moves a whole sector.
         """
-        if sector_bytes <= 0:
-            raise SimulationError("sector_bytes must be positive")
+        first, counts = self._sector_span(sector_bytes)
         if self.num_accesses == 0:
             return np.array([], dtype=np.int64)
-        first = self.addresses // sector_bytes
-        last = (self.addresses + np.maximum(self.lengths, 1) - 1) // sector_bytes
-        counts = (last - first + 1).astype(np.int64)
         total = int(counts.sum())
-        out = np.empty(total, dtype=np.int64)
         # repeat + cumulative offsets trick: sector index within each row
         row_starts = np.repeat(first, counts)
         offsets = np.arange(total) - np.repeat(
             np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-        out = (row_starts + offsets) * sector_bytes
-        return out
+        return (row_starts + offsets) * sector_bytes
 
     @staticmethod
     def concatenate(traces: List["AccessTrace"]) -> "AccessTrace":

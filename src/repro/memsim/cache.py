@@ -1,20 +1,40 @@
 """Set-associative LRU cache model (the simulated L2).
 
-Addresses are byte addresses; the cache operates on aligned lines of
-``line_bytes``.  ``access_many`` is the hot path: it walks a numpy array
-of sector addresses through per-set LRU state kept in ordinary dicts,
-which is exact and fast enough for the trace sizes the profiler feeds it
-(hundreds of thousands of sectors).
+Addresses are non-negative byte addresses; the cache operates on aligned
+lines of ``line_bytes``.  Each set keeps its resident tags beside their
+last-use stamps on a global access clock, so a set's LRU order is the
+order of its stamps.
+
+:meth:`LRUCache.access_trace` resolves a whole ordered sector stream in
+one pass — a simulated batch submits every kernel trace back to back.
+A set whose resident lines plus the stream's new distinct lines fit in
+its ways can evict nothing, so there an access hits exactly when its
+line is resident or appeared earlier in the stream; numpy decides those
+sets in bulk.  Only sets that may overflow are walked access by access
+under exact LRU (see :meth:`LRUCache._walk`).  Either way each access
+gets the outcome of walking the stream one access at a time.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
+
+#: Per-segment counters :meth:`LRUCache.access_trace` returns.
+COUNTERS = ("hits", "misses", "seq_misses", "seq_all", "repeat_all")
+
+#: Fewest sets worth one lockstep round of the eviction walk.
+_LOCKSTEP_SETS = 64
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ... within each of ``len(counts)`` consecutive groups."""
+    ends = np.cumsum(counts)
+    return np.arange(int(ends[-1]) if len(ends) else 0) \
+        - np.repeat(ends - counts, counts)
 
 
 class LRUCache:
@@ -31,83 +51,258 @@ class LRUCache:
         self.line_bytes = line_bytes
         self.associativity = associativity
         self.num_sets = max(1, num_lines // associativity)
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        # Ways fill from the left and are never emptied again, so the
+        # first ``_fill[s]`` ways of set ``s`` are its residents.
+        shape = (self.num_sets, associativity)
+        self._tags = np.full(shape, -1, dtype=np.int64)
+        self._stamps = np.full(shape, -1, dtype=np.int64)
+        self._fill = np.zeros(self.num_sets, dtype=np.int64)
+        self._clock = 0
         self.hits = 0
         self.misses = 0
 
     def access(self, address: int) -> bool:
         """Touch one byte address; returns True on hit."""
-        line = address // self.line_bytes
-        s = self._sets[line % self.num_sets]
-        if line in s:
-            s.move_to_end(line)
-            self.hits += 1
-            return True
-        self.misses += 1
-        if len(s) >= self.associativity:
-            s.popitem(last=False)
-        s[line] = True
-        return False
+        return bool(self.access_trace(np.array([address]))["hits"][0])
 
     def access_many(self, addresses: np.ndarray) -> Tuple[int, int]:
         """Touch many byte addresses; returns (hits, misses) for this batch."""
         stats = self.access_trace(addresses)
-        return stats["hits"], stats["misses"]
+        return int(stats["hits"][0]), int(stats["misses"][0])
 
-    def access_trace(self, addresses: np.ndarray) -> dict:
-        """Touch many byte addresses and gather stream statistics.
+    def access_trace(self, addresses: np.ndarray,
+                     segments: Optional[Sequence[int]] = None
+                     ) -> Dict[str, np.ndarray]:
+        """Touch an ordered stream of byte addresses and gather its statistics.
 
-        Returns a dict with:
+        ``segments`` splits the stream into consecutive runs of the given
+        lengths (one per kernel trace); ``None`` makes it one segment.
+        LRU state carries across segments exactly as across separate
+        calls.  Returns, per segment, an int64 array of each counter:
 
         * ``hits`` / ``misses`` — L2 outcomes;
         * ``seq_misses`` — misses whose line directly follows the
-          previous missed line (DRAM row-buffer streaming);
+          previous missed line of the segment (DRAM row-buffer streaming);
         * ``seq_all`` — accesses whose line follows the previous access's
           line (interconnect streaming efficiency, hits included);
         * ``repeat_all`` — accesses to the same line as the previous one
           (coalesced within a transaction, effectively free).
+
+        The stream counters never look across a segment boundary.
         """
-        addresses = np.asarray(addresses, dtype=np.int64)
-        lines = addresses // self.line_bytes
-        # Stream statistics are order-properties of the line sequence and
-        # can be computed vectorised.
-        if len(lines) > 1:
-            delta = np.diff(lines)
-            seq_all = int((delta == 1).sum())
-            repeat_all = int((delta == 0).sum())
-        else:
-            seq_all = repeat_all = 0
-        sets = lines % self.num_sets
-        hits = misses = seq_misses = 0
-        prev_miss_line = -2
-        sets_list = self._sets
+        lines = np.asarray(addresses, dtype=np.int64) // self.line_bytes
+        n = len(lines)
+        lengths = np.asarray([n] if segments is None else segments,
+                             dtype=np.int64)
+        if lengths.ndim != 1 or (lengths < 0).any() or int(lengths.sum()) != n:
+            raise SimulationError(
+                f"segments must be non-negative lengths summing to {n}")
+        if n and int(lines.min()) < 0:
+            raise SimulationError("cache addresses must be non-negative")
+        miss = self._resolve(lines)
+
+        count = len(lengths)
+        seg = np.repeat(np.arange(count), lengths)
+        inner = seg[1:] == seg[:-1]
+        step = np.diff(lines)
+        miss_seg = seg[miss]
+        miss_step = np.diff(lines[miss])
+        chained = miss_seg[1:] == miss_seg[:-1]
+        misses = np.bincount(miss_seg, minlength=count)
+        stats = {
+            "hits": lengths - misses,
+            "misses": misses,
+            "seq_misses": np.bincount(
+                miss_seg[1:][chained & (miss_step == 1)], minlength=count),
+            "seq_all": np.bincount(seg[1:][inner & (step == 1)],
+                                   minlength=count),
+            "repeat_all": np.bincount(seg[1:][inner & (step == 0)],
+                                      minlength=count),
+        }
+        self.hits += int(stats["hits"].sum())
+        self.misses += int(misses.sum())
+        return stats
+
+    def _resolve(self, lines: np.ndarray) -> np.ndarray:
+        """Run ``lines`` through the sets; returns the per-access miss mask."""
+        n = len(lines)
+        miss = np.zeros(n, dtype=bool)
+        if n == 0:
+            return miss
         assoc = self.associativity
-        for line, set_idx in zip(lines.tolist(), sets.tolist()):
-            s = sets_list[set_idx]
-            if line in s:
-                s.move_to_end(line)
-                hits += 1
-            else:
-                misses += 1
-                if line == prev_miss_line + 1:
-                    seq_misses += 1
-                prev_miss_line = line
-                if len(s) >= assoc:
-                    s.popitem(last=False)
-                s[line] = True
-        self.hits += hits
-        self.misses += misses
-        return {"hits": hits, "misses": misses, "seq_misses": seq_misses,
-                "seq_all": seq_all, "repeat_all": repeat_all}
+        # Distinct lines with their first and last position in the stream.
+        order = np.argsort(lines, kind="stable")
+        ordered = lines[order]
+        head = np.ones(n, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        uniq = ordered[starts]
+        first = order[starts]
+        last = order[np.append(starts[1:], n) - 1]
+        uset = uniq % self.num_sets
+
+        # Which distinct lines are already resident, and in which way.
+        way = np.full(len(uniq), -1, dtype=np.int64)
+        held = np.flatnonzero(self._fill[uset] > 0)
+        if held.size:
+            match = self._tags[uset[held]] == uniq[held, None]
+            found = match.any(axis=1)
+            way[held[found]] = match[found].argmax(axis=1)
+        resident = way >= 0
+        new_lines = np.bincount(uset[~resident], minlength=self.num_sets)
+        overflow = self._fill + new_lines > assoc
+
+        base = self._clock
+        self._clock += n
+        calm = ~overflow[uset]
+        # No eviction: only first touches of non-resident lines miss.
+        fresh = np.flatnonzero(calm & ~resident)
+        miss[first[fresh]] = True
+        kept = np.flatnonzero(calm & resident)
+        self._stamps[uset[kept], way[kept]] = base + last[kept]
+        by_set = fresh[np.argsort(uset[fresh], kind="stable")]
+        sets = uset[by_set]
+        rank = np.arange(len(sets)) - np.searchsorted(sets, sets)
+        slot = self._fill[sets] + rank
+        self._tags[sets, slot] = uniq[by_set]
+        self._stamps[sets, slot] = base + last[by_set]
+        self._fill += np.where(overflow, 0, new_lines)
+
+        hot = np.flatnonzero(overflow)
+        if hot.size:
+            self._walk(lines, order, ordered, base, hot, miss)
+        return miss
+
+    def _walk(self, lines: np.ndarray, order: np.ndarray,
+              ordered: np.ndarray, base: int, hot: np.ndarray,
+              miss: np.ndarray) -> None:
+        """Exact access-by-access LRU over the sets in ``hot``.
+
+        ``order`` sorts the stream by line, stably, into ``ordered``;
+        ``base`` is the clock at the stream's first access.
+
+        A reuse of a line with fewer than ``associativity`` accesses to
+        its set in between is a hit: too few lines came in to push it
+        out.  Such reuses are skipped, and the access that starts a
+        chain of them stamps the line with the chain's last use.  Until
+        then the line is never its set's least recently used, so the
+        early stamp changes no eviction.
+        """
+        n = len(lines)
+        sets = lines % self.num_sets
+        in_hot = np.zeros(self.num_sets, dtype=bool)
+        in_hot[hot] = True
+        walked = in_hot[sets]
+        # Every walked access's rank among its set's accesses.
+        by_set = np.flatnonzero(walked)
+        by_set = by_set[np.argsort(sets[by_set], kind="stable")]
+        rank = np.empty(n, dtype=np.int64)
+        rank[by_set] = _ranks(
+            np.bincount(sets[walked], minlength=self.num_sets)[hot])
+        # Reuse chains: consecutive uses of a line, close within its set.
+        on_line = walked[order]
+        by_line = order[on_line]
+        line_of = ordered[on_line]
+        rank_of = rank[by_line]
+        near = np.zeros(len(by_line), dtype=bool)
+        near[1:] = ((line_of[1:] == line_of[:-1])
+                    & (rank_of[1:] - rank_of[:-1] <= self.associativity))
+        heads = np.flatnonzero(~near)
+        stamp = np.empty(n, dtype=np.int64)
+        stamp[by_line[heads]] = base + by_line[
+            np.append(heads[1:], len(near)) - 1]
+        skip = np.zeros(n, dtype=bool)
+        skip[by_line[near]] = True
+        steps = by_set[~skip[by_set]]
+        miss[self._walk_steps(lines, stamp, steps, hot)] = True
+
+    def _walk_steps(self, lines: np.ndarray, stamp: np.ndarray,
+                    steps: np.ndarray, hot: np.ndarray) -> List[int]:
+        """Resolve ``steps`` (grouped by set, in stream order); returns misses.
+
+        The sets walk in lockstep: round ``k`` resolves the ``k``-th
+        step of every set that has one, as array operations over the
+        sets' tags and stamps.  Once fewer than ``_LOCKSTEP_SETS`` sets
+        have steps left, the rest go one at a time in Python, which then
+        costs less than a round.  ``stamp`` gives each step's LRU stamp.
+        """
+        # Columns: the hot sets, busiest first, so the sets still walking
+        # in round k are a prefix of the columns.
+        counts = np.bincount(lines[steps] % self.num_sets,
+                             minlength=self.num_sets)[hot]
+        cols = np.argsort(-counts, kind="stable")
+        column = np.empty(len(hot), dtype=np.int64)
+        column[cols] = np.arange(len(hot))
+        depth = counts[cols]
+        rounds = int(depth[_LOCKSTEP_SETS - 1]) if len(hot) >= _LOCKSTEP_SETS \
+            else 0
+        live = np.searchsorted(-depth, -np.arange(rounds))
+        offsets = np.concatenate([[0], np.cumsum(live)])
+        step_rank = _ranks(counts)
+        tags = self._tags[hot[cols]]
+        stamps = self._stamps[hot[cols]]
+
+        lockstep = step_rank < rounds
+        flat = np.empty(offsets[-1], dtype=np.int64)
+        flat[offsets[step_rank[lockstep]]
+             + np.repeat(column, counts)[lockstep]] = steps[lockstep]
+        flat_lines = lines[flat]
+        flat_stamps = stamp[flat]
+        flat_hit = np.empty(len(flat), dtype=bool)
+        rows = np.arange(len(hot))
+        for k in range(rounds):
+            lo, hi = offsets[k], offsets[k + 1]
+            now = rows[:hi - lo]
+            line = flat_lines[lo:hi]
+            match = tags[:hi - lo] == line[:, None]
+            way = match.argmax(axis=1)
+            hit = match[now, way]
+            cold = np.flatnonzero(~hit)
+            way[cold] = stamps[cold].argmin(axis=1)
+            tags[now, way] = line
+            stamps[now, way] = flat_stamps[lo:hi]
+            flat_hit[lo:hi] = hit
+        missed = flat[~flat_hit].tolist()
+
+        tail = steps[~lockstep]
+        ends = np.cumsum(np.maximum(counts - rounds, 0)).tolist()
+        start = 0
+        for c, end in zip(column.tolist(), ends):
+            if end == start:
+                continue
+            row_tags = tags[c].tolist()
+            row_stamps = stamps[c].tolist()
+            where = {line: w for w, line in enumerate(row_tags) if line >= 0}
+            for j, line, t in zip(tail[start:end].tolist(),
+                                  lines[tail[start:end]].tolist(),
+                                  stamp[tail[start:end]].tolist()):
+                w = where.get(line)
+                if w is None:
+                    missed.append(j)
+                    w = row_stamps.index(min(row_stamps))
+                    where.pop(row_tags[w], None)
+                    where[line] = w
+                    row_tags[w] = line
+                row_stamps[w] = t
+            tags[c] = row_tags
+            stamps[c] = row_stamps
+            start = end
+        # A set overflows only by taking more distinct lines than it has
+        # ways, so every walked set ends full.
+        self._tags[hot[cols]] = tags
+        self._stamps[hot[cols]] = stamps
+        self._fill[hot] = self.associativity
+        return missed
 
     @property
     def occupancy(self) -> int:
         """Number of resident lines."""
-        return sum(len(s) for s in self._sets)
+        return int(self._fill.sum())
 
     def contains(self, address: int) -> bool:
         line = address // self.line_bytes
-        return line in self._sets[line % self.num_sets]
+        s = line % self.num_sets
+        return bool((self._tags[s, :self._fill[s]] == line).any())
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses

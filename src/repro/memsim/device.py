@@ -16,12 +16,12 @@ fixed launch cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.memsim.cache import LRUCache
+from repro.memsim.cache import COUNTERS, LRUCache
 from repro.memsim.access import AccessTrace
 
 
@@ -102,6 +102,29 @@ DEVICE_PRESETS = {
 }
 
 
+@dataclass(frozen=True)
+class KernelLaunch:
+    """One kernel launch, as :meth:`GPUDevice.run_kernels` times it.
+
+    ``loads``/``stores`` are the kernel's memory traces; the other
+    fields feed the roofline (see :meth:`GPUDevice.run_kernel`).
+    """
+
+    name: str
+    flops: float
+    loads: Optional[AccessTrace] = None
+    stores: Optional[AccessTrace] = None
+    atomic_stores: bool = False
+    efficiency: Optional[float] = None
+    imbalance: float = 1.0
+    parallel_items: Optional[float] = None
+
+
+#: Priced statistics of an empty (or absent) trace.
+_IDLE = {"tx": 0, "hits": 0, "misses": 0, "useful": 0.0, "dram": 0.0,
+         "time": 0.0}
+
+
 @dataclass
 class KernelStats:
     """nvprof-like statistics for one kernel invocation."""
@@ -141,35 +164,62 @@ class GPUDevice:
                            self.spec.l2_associativity)
 
     # ------------------------------------------------------------------
-    def _trace_time(self, trace: Optional[AccessTrace],
-                    is_store: bool) -> Dict[str, float]:
-        """Run one trace through the L2 and price its DRAM traffic.
+    def _l2_pass(self, traces: Sequence[Optional[AccessTrace]]
+                 ) -> List[Optional[Tuple[int, ...]]]:
+        """Run ``traces`` through the L2, in order, as one sector stream.
 
-        Effective DRAM bandwidth follows a row-buffer model: a maximal
-        run of consecutive missed lines pays one activation (worth
+        Each non-empty trace is one segment of the stream, so the L2 is
+        called once however many traces there are.  Returns per trace
+        ``(sectors, useful bytes, hits, misses, seq_misses, seq_all,
+        repeat_all)``, or ``None`` for an empty or absent trace, which
+        skips the L2.
+        """
+        out: List[Optional[Tuple[int, ...]]] = [None] * len(traces)
+        live = [i for i, t in enumerate(traces)
+                if t is not None and t.num_accesses]
+        if not live:
+            return out
+        sector_bytes = self.spec.sector_bytes
+        whole = AccessTrace.concatenate([traces[i] for i in live])
+        rows = np.cumsum([0] + [traces[i].num_accesses for i in live[:-1]])
+        sectors = np.add.reduceat(whole.sector_counts(sector_bytes), rows)
+        useful = np.add.reduceat(whole.lengths, rows)
+        stats = self.l2.access_trace(whole.sector_addresses(sector_bytes),
+                                     sectors)
+        counts = zip(sectors.tolist(), useful.tolist(),
+                     *(stats[key].tolist() for key in COUNTERS))
+        for i, row in zip(live, counts):
+            out[i] = row
+        return out
+
+    def _price_trace(self, counts: Optional[Tuple[int, ...]],
+                     is_store: bool) -> Dict[str, float]:
+        """Price one trace's DRAM and interconnect traffic.
+
+        ``counts`` is the trace's row of :meth:`_l2_pass`.  Effective
+        DRAM bandwidth follows a row-buffer model: a maximal run of
+        consecutive missed lines pays one activation (worth
         ``row_activation_lines`` line-transfer times), so long streams
         approach peak bandwidth and isolated misses get a small fraction
         of it.
         """
+        if counts is None:
+            return _IDLE
+        sectors, useful_bytes, hits, misses, seq_misses, seq_all, \
+            repeat_all = counts
         spec = self.spec
-        if trace is None or trace.num_accesses == 0:
-            return {"tx": 0, "hits": 0, "misses": 0, "useful": 0.0,
-                    "dram": 0.0, "time": 0.0}
-        sectors = trace.sector_addresses(spec.sector_bytes)
-        stats = self.l2.access_trace(sectors)
-        hits, misses = stats["hits"], stats["misses"]
-        effective_tx = max(len(sectors) - stats["repeat_all"], 0)
-        tx_runs = max(effective_tx - stats["seq_all"], 1)
+        effective_tx = max(sectors - repeat_all, 0)
+        tx_runs = max(effective_tx - seq_all, 1)
         tx_avg_run = effective_tx / tx_runs if effective_tx else 1.0
         if is_store:
             # Every stored byte eventually reaches DRAM as writeback;
             # contiguous dirty lines stream out at row-buffer speed, so
             # the store stream's own contiguity sets the DRAM efficiency.
-            dram_bytes = len(sectors) * spec.sector_bytes
+            dram_bytes = sectors * spec.sector_bytes
             run_for_dram = tx_avg_run
         else:
             dram_bytes = misses * spec.sector_bytes
-            miss_runs = max(misses - stats["seq_misses"], 1)
+            miss_runs = max(misses - seq_misses, 1)
             run_for_dram = misses / miss_runs if misses else 1.0
         bw_scale = run_for_dram / (run_for_dram + spec.row_activation_lines)
         t_dram = dram_bytes / (spec.dram_bandwidth * max(bw_scale, 1e-3))
@@ -184,8 +234,8 @@ class GPUDevice:
         # warp scheduler can only partially overlap.  Streams have ~one
         # run and pay nothing; scattered row fetches pay per row.
         t_gap = tx_runs * spec.scatter_gap_ns * 1e-9 / spec.scatter_parallelism
-        return {"tx": len(sectors), "hits": hits, "misses": misses,
-                "useful": float(trace.total_bytes),
+        return {"tx": sectors, "hits": hits, "misses": misses,
+                "useful": float(useful_bytes),
                 "dram": float(dram_bytes),
                 "time": max(t_dram, t_latency, t_l2) + t_gap}
 
@@ -196,9 +246,34 @@ class GPUDevice:
                    efficiency: Optional[float] = None,
                    imbalance: float = 1.0,
                    parallel_items: Optional[float] = None) -> KernelStats:
-        """Time one kernel from its compute volume and memory traces.
+        """Time one kernel: the one-launch case of :meth:`run_kernels`."""
+        return self.run_kernels([KernelLaunch(
+            name, flops, loads=loads, stores=stores,
+            atomic_stores=atomic_stores, efficiency=efficiency,
+            imbalance=imbalance, parallel_items=parallel_items)])[0]
 
-        Roofline timing with refinements profiled GNN kernels need:
+    def run_kernels(self, launches: Sequence[KernelLaunch]
+                    ) -> List[KernelStats]:
+        """Time kernels launched back to back, in launch order.
+
+        Each launch's loads then stores reach the L2 in that order, as
+        one stream resolved in a single pass (see :mod:`repro.memsim
+        .cache`); the counters come out per trace, so each kernel is
+        priced exactly as if it ran alone on the warmed cache.
+        """
+        traces = [t for launch in launches
+                  for t in (launch.loads, launch.stores)]
+        counts = self._l2_pass(traces)
+        return [self._price_kernel(
+                    launch, self._price_trace(counts[2 * k], is_store=False),
+                    self._price_trace(counts[2 * k + 1], is_store=True))
+                for k, launch in enumerate(launches)]
+
+    def _price_kernel(self, launch: KernelLaunch, lstat: Dict[str, float],
+                      sstat: Dict[str, float]) -> KernelStats:
+        """Roofline timing of one kernel from its priced traces.
+
+        Refinements profiled GNN kernels need:
 
         * a DRAM row-buffer model scales effective bandwidth with the
           run length of missed lines, so scattered gathers pay for every
@@ -211,31 +286,30 @@ class GPUDevice:
           reproduces how sgemm/cub/dgl separate in nvprof.
         """
         spec = self.spec
-        lstat = self._trace_time(loads, is_store=False)
-        sstat = self._trace_time(stores, is_store=True)
+        flops = launch.flops
 
         # Occupancy: a kernel with too little parallel work cannot fill
         # the device, stretching its compute phase (small cub sorts, tiny
         # readout GEMMs).  ``parallel_items=None`` assumes saturation.
-        if parallel_items is None:
+        if launch.parallel_items is None:
             utilization = 1.0
         else:
             utilization = float(np.clip(
-                parallel_items / spec.saturation_items, 0.02, 1.0))
+                launch.parallel_items / spec.saturation_items, 0.02, 1.0))
 
-        eff = efficiency if efficiency is not None else 1.0
+        eff = launch.efficiency if launch.efficiency is not None else 1.0
         t_compute_full = flops / (spec.peak_flops * eff) if flops > 0 else 0.0
         t_compute = t_compute_full / utilization
         t_memory = lstat["time"] + sstat["time"]
-        if atomic_stores:
+        if launch.atomic_stores:
             # Atomic read-modify-writes are throughput-limited per element
             # and serialise further under destination conflicts.
             atomic_ops = sstat["useful"] / 4.0
             t_memory += atomic_ops / (spec.atomic_throughput_gops * 1e9)
             t_memory *= spec.atomic_penalty
-        busy = max(t_compute, t_memory) * max(imbalance, 1.0)
-        launch = spec.kernel_launch_us * 1e-6
-        time_s = busy + launch
+        busy = max(t_compute, t_memory) * max(launch.imbalance, 1.0)
+        launch_s = spec.kernel_launch_us * 1e-6
+        time_s = busy + launch_s
 
         useful_bytes = lstat["useful"] + sstat["useful"]
         # Ideal execution: saturated SMs, perfectly coalesced memory.
@@ -252,7 +326,7 @@ class GPUDevice:
             sm_eff = t_ideal / busy
             stall = max(0.0, busy - t_ideal) / busy
         return KernelStats(
-            name=name, time_s=time_s, flops=flops,
+            name=launch.name, time_s=time_s, flops=flops,
             load_transactions=int(lstat["tx"]), store_transactions=int(sstat["tx"]),
             l2_hits=int(lstat["hits"] + sstat["hits"]),
             l2_misses=int(lstat["misses"] + sstat["misses"]),

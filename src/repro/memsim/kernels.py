@@ -1,10 +1,12 @@
 """Kernel cost models: the GPU-side vocabulary of GNN training.
 
 Each function executes one simulated kernel on a :class:`GPUDevice` and
-returns its :class:`KernelStats`.  Kernel names follow the paper's
-profiling nomenclature: ``sgemm`` (dense linear projection), ``dgl``
-(graph gather/scatter), ``cub`` (index sorting), ``elementwise`` (neural
-pointwise ops), ``Memcpy`` — plus MEGA's ``band`` kernels.
+returns its :class:`KernelStats`; the ``*_launch`` builders describe a
+kernel as a :class:`KernelLaunch` for plans that submit many at once.
+Kernel names follow the paper's profiling nomenclature: ``sgemm``
+(dense linear projection), ``dgl`` (graph gather/scatter), ``cub``
+(index sorting), ``elementwise`` (neural pointwise ops), ``Memcpy`` —
+plus MEGA's ``band`` kernels.
 """
 
 from __future__ import annotations
@@ -19,22 +21,28 @@ from repro.memsim.access import (
     row_gather_trace,
     sequential_trace,
 )
-from repro.memsim.device import GPUDevice, KernelStats
+from repro.memsim.device import GPUDevice, KernelLaunch, KernelStats
 
 FLOAT_BYTES = 4
 
 
-def sgemm(device: GPUDevice, layout: MemoryLayout, m: int, n: int, k: int,
-          name: str = "sgemm") -> KernelStats:
+def sgemm_launch(layout: MemoryLayout, m: int, n: int, k: int,
+                 efficiency: float, name: str = "sgemm") -> KernelLaunch:
     """Dense matrix multiply (m×k)·(k×n): compute-bound, streaming access."""
     flops = 2.0 * m * n * k
     a = sequential_trace(layout.base("workspace"), m * k * FLOAT_BYTES)
     b = sequential_trace(layout.base("weights"), k * n * FLOAT_BYTES)
     out = sequential_trace(layout.base("workspace"), m * n * FLOAT_BYTES)
     loads = AccessTrace.concatenate([a, b])
-    return device.run_kernel(name, flops, loads=loads, stores=out,
-                             efficiency=device.spec.gemm_efficiency,
-                             parallel_items=m * n)
+    return KernelLaunch(name, flops, loads=loads, stores=out,
+                        efficiency=efficiency, parallel_items=m * n)
+
+
+def sgemm(device: GPUDevice, layout: MemoryLayout, m: int, n: int, k: int,
+          name: str = "sgemm") -> KernelStats:
+    """Run :func:`sgemm_launch` at the device's GEMM efficiency."""
+    return device.run_kernels([sgemm_launch(
+        layout, m, n, k, device.spec.gemm_efficiency, name)])[0]
 
 
 def gather_rows(device: GPUDevice, layout: MemoryLayout, region: str,
@@ -70,8 +78,8 @@ def scatter_add_rows(device: GPUDevice, layout: MemoryLayout, region: str,
                              parallel_items=len(row_indices) * dim)
 
 
-def cub_sort(device: GPUDevice, layout: MemoryLayout, num_keys: int,
-             name: str = "cub::sort") -> KernelStats:
+def cub_sort_launch(layout: MemoryLayout, num_keys: int,
+                    name: str = "cub::sort") -> KernelLaunch:
     """Radix sort of edge indices (DGL's neighbour-ordering step)."""
     key_bytes = 8
     passes = 4
@@ -81,8 +89,14 @@ def cub_sort(device: GPUDevice, layout: MemoryLayout, num_keys: int,
     stores = AccessTrace.concatenate(
         [sequential_trace(layout.base("workspace"), nbytes)] * passes)
     flops = float(passes * num_keys * 8)  # digit extraction + histogram
-    return device.run_kernel(name, flops, loads=loads, stores=stores,
-                             parallel_items=num_keys)
+    return KernelLaunch(name, flops, loads=loads, stores=stores,
+                        parallel_items=num_keys)
+
+
+def cub_sort(device: GPUDevice, layout: MemoryLayout, num_keys: int,
+             name: str = "cub::sort") -> KernelStats:
+    """Run :func:`cub_sort_launch`."""
+    return device.run_kernels([cub_sort_launch(layout, num_keys, name)])[0]
 
 
 def elementwise(device: GPUDevice, layout: MemoryLayout, rows: int, dim: int,

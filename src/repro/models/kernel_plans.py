@@ -3,7 +3,9 @@
 A *kernel plan* replays, on the :mod:`repro.memsim` device, the sequence
 of GPU kernels one training batch launches — with the actual index
 arrays the runtime uses, so the simulated cache/coalescing behaviour is
-produced by the real schedules, not by assumption.
+produced by the real schedules, not by assumption.  The plan builders
+describe kernels as :class:`~repro.memsim.device.KernelLaunch` records,
+and a batch submits all of them in one device call.
 
 Baseline plans model the DGL pipeline the paper profiles: per-batch
 ``cub`` index sort and H2D memcpy, per-layer dense ``sgemm`` projections,
@@ -29,12 +31,14 @@ from repro.memsim.access import (
     row_gather_trace,
     sequential_trace,
 )
-from repro.memsim.device import GPUDevice, KernelStats
-from repro.memsim.kernels import FLOAT_BYTES, cub_sort, memcpy, sgemm
+from repro.memsim.device import DeviceSpec, GPUDevice, KernelLaunch
+from repro.memsim.kernels import (FLOAT_BYTES, cub_sort_launch, memcpy,
+                                  sgemm_launch)
 from repro.memsim.profiler import Profiler
 from repro.models.runtime import AggregationRuntime, BaselineRuntime, MegaRuntime
 
-# Training-time multiplier: backward ≈ 2x forward for these models.
+# Training-step multiplier over the forward pass: forward (1x) plus a
+# backward of about twice the forward's cost.
 BACKWARD_FACTOR = 3.0
 
 
@@ -73,9 +77,8 @@ def _imbalance(msg_dst: np.ndarray, num_nodes: int) -> float:
 # ----------------------------------------------------------------------
 # Baseline (DGL-style) kernels
 # ----------------------------------------------------------------------
-def _baseline_apply_edges(device: GPUDevice, layout: MemoryLayout,
-                          rt: BaselineRuntime, dim: int,
-                          operands: int = 2) -> KernelStats:
+def _baseline_apply_edges(layout: MemoryLayout, rt: BaselineRuntime,
+                          dim: int, operands: int = 2) -> KernelLaunch:
     """apply_edges: read ``operands`` scattered node rows per message.
 
     Edge-feature rows are reached through the edge-id indirection left
@@ -93,24 +96,23 @@ def _baseline_apply_edges(device: GPUDevice, layout: MemoryLayout,
     ])
     stores = sequential_trace(layout.base("edges"), rt.num_messages * row)
     flops = float(rt.num_messages * dim * (operands + 1))
-    return device.run_kernel("dgl::scatter", flops, loads=loads, stores=stores,
-                             parallel_items=rt.num_messages * dim)
+    return KernelLaunch("dgl::scatter", flops, loads=loads, stores=stores,
+                        parallel_items=rt.num_messages * dim)
 
 
-def _baseline_edge_op(device: GPUDevice, layout: MemoryLayout,
-                      rt: BaselineRuntime, dim: int) -> KernelStats:
+def _baseline_edge_op(layout: MemoryLayout, rt: BaselineRuntime,
+                      dim: int) -> KernelLaunch:
     """Edge-only apply_edges: per-message op through the id indirection."""
     row = dim * FLOAT_BYTES
     loads = row_gather_trace(layout.base("edges"), rt.msg_edge, row)
     stores = sequential_trace(layout.base("edges"), rt.num_messages * row)
     flops = float(rt.num_messages * dim * 2)
-    return device.run_kernel("dgl::scatter", flops, loads=loads, stores=stores,
-                             parallel_items=rt.num_messages * dim)
+    return KernelLaunch("dgl::scatter", flops, loads=loads, stores=stores,
+                        parallel_items=rt.num_messages * dim)
 
 
-def _baseline_update_all(device: GPUDevice, layout: MemoryLayout,
-                         rt: BaselineRuntime, dim: int,
-                         with_src: bool) -> KernelStats:
+def _baseline_update_all(layout: MemoryLayout, rt: BaselineRuntime,
+                         dim: int, with_src: bool) -> KernelLaunch:
     """update_all: edge values (× source rows) reduced onto dst nodes."""
     row = dim * FLOAT_BYTES
     parts = [sequential_trace(layout.base("edges"), rt.num_messages * row)]
@@ -119,23 +121,21 @@ def _baseline_update_all(device: GPUDevice, layout: MemoryLayout,
     loads = AccessTrace.concatenate(parts)
     stores = row_gather_trace(layout.base("nodes"), rt.msg_dst, row)
     flops = float(rt.num_messages * dim * (3 if with_src else 2))
-    return device.run_kernel(
+    return KernelLaunch(
         "dgl::gather", flops, loads=loads, stores=stores,
         atomic_stores=True,
         imbalance=_imbalance(rt.msg_dst, rt.num_nodes),
         parallel_items=rt.num_messages * dim)
 
 
-def _elementwise(device: GPUDevice, layout: MemoryLayout, region: str,
-                 rows: int, dim: int, flops_per_element: float = 6.0
-                 ) -> KernelStats:
+def _elementwise(layout: MemoryLayout, region: str, rows: int, dim: int,
+                 flops_per_element: float = 6.0) -> KernelLaunch:
     nbytes = max(rows, 1) * dim * FLOAT_BYTES
     loads = sequential_trace(layout.base(region), nbytes)
     stores = sequential_trace(layout.base(region), nbytes)
-    return device.run_kernel("elementwise",
-                             float(rows * dim * flops_per_element),
-                             loads=loads, stores=stores,
-                             parallel_items=rows * dim)
+    return KernelLaunch("elementwise", float(rows * dim * flops_per_element),
+                        loads=loads, stores=stores,
+                        parallel_items=rows * dim)
 
 
 # ----------------------------------------------------------------------
@@ -167,21 +167,20 @@ def _band_sweep_loads(layout: MemoryLayout, rt: MegaRuntime,
     return AccessTrace.concatenate(parts)
 
 
-def _mega_band_kernel(device: GPUDevice, layout: MemoryLayout,
-                      rt: MegaRuntime, dim: int, operands: int,
-                      name: str = "mega::band") -> KernelStats:
+def _mega_band_kernel(layout: MemoryLayout, rt: MegaRuntime, dim: int,
+                      operands: int, name: str = "mega::band"
+                      ) -> KernelLaunch:
     """Banded edge computation over a tiled sequential path sweep."""
     row = dim * FLOAT_BYTES
     loads = _band_sweep_loads(layout, rt, row, with_edges=True)
     stores = sequential_trace(layout.base("edges"), rt.num_messages * row)
     flops = _band_flops(rt, dim, per_slot=operands + 1)
-    return device.run_kernel(name, flops, loads=loads, stores=stores,
-                             parallel_items=rt.path_length * dim)
+    return KernelLaunch(name, flops, loads=loads, stores=stores,
+                        parallel_items=rt.path_length * dim)
 
 
-def _mega_band_reduce(device: GPUDevice, layout: MemoryLayout,
-                      rt: MegaRuntime, dim: int,
-                      with_src: bool) -> KernelStats:
+def _mega_band_reduce(layout: MemoryLayout, rt: MegaRuntime, dim: int,
+                      with_src: bool) -> KernelLaunch:
     """Band aggregation: per-position reduction along the diagonal.
 
     Messages are destination-position sorted, so the store side is a
@@ -193,152 +192,163 @@ def _mega_band_reduce(device: GPUDevice, layout: MemoryLayout,
             [sequential_trace(layout.base("edges"), rt.num_messages * row)])
     stores = sequential_trace(layout.base("path"), rt.path_length * row)
     flops = _band_flops(rt, dim, per_slot=3 if with_src else 2)
-    return device.run_kernel("mega::band", flops, loads=loads, stores=stores,
-                             parallel_items=rt.path_length * dim)
+    return KernelLaunch("mega::band", flops, loads=loads, stores=stores,
+                        parallel_items=rt.path_length * dim)
 
 
-def _mega_sync(device: GPUDevice, layout: MemoryLayout, rt: MegaRuntime,
-               dim: int) -> KernelStats:
+def _mega_sync(layout: MemoryLayout, rt: MegaRuntime,
+               dim: int) -> KernelLaunch:
     """Position→node reduction synchronising repeated appearances."""
     row = dim * FLOAT_BYTES
     loads = sequential_trace(layout.base("path"), rt.path_length * row)
     stores = row_gather_trace(layout.base("nodes"), rt.path, row)
-    return device.run_kernel("mega::reduce",
-                             float(rt.path_length * dim * 2),
-                             loads=loads, stores=stores,
-                             parallel_items=rt.path_length * dim)
+    return KernelLaunch("mega::reduce", float(rt.path_length * dim * 2),
+                        loads=loads, stores=stores,
+                        parallel_items=rt.path_length * dim)
 
 
 # ----------------------------------------------------------------------
 # Per-model batch plans
 # ----------------------------------------------------------------------
+def _node_rows(runtime: AggregationRuntime) -> int:
+    """Rows the neural ops run on: MEGA's path copy, else the nodes."""
+    if isinstance(runtime, MegaRuntime):
+        return runtime.path_length
+    return runtime.num_nodes
+
+
+def batch_launches(model_name: str, runtime: AggregationRuntime,
+                   spec: DeviceSpec, dim: int, num_layers: int
+                   ) -> List[KernelLaunch]:
+    """Every L2-touching kernel of one forward batch, in launch order.
+
+    ``model_name`` is ``"GCN"``, ``"GT"`` or ``"GAT"``.  The host-to-device
+    copy is not a launch: it never touches the L2.
+    """
+    if model_name not in _LAYER_PLANS:
+        raise SimulationError(f"unknown model {model_name!r}")
+    is_mega = isinstance(runtime, MegaRuntime)
+    n = runtime.num_nodes
+    m = runtime.num_messages
+    length = _node_rows(runtime)
+    params_per_layer = {"GCN": 5, "GT": 14, "GAT": 2}[model_name]
+    params = params_per_layer * dim * dim * num_layers
+    layout = make_layout(n, m, length if is_mega else 1, dim, params)
+    gemm = spec.gemm_efficiency
+
+    # DGL sorts edge indices per batch to fetch neighbours quickly.
+    launches = [] if is_mega else [cub_sort_launch(layout, m)]
+    # Every layer launches the same plan.
+    layer = _LAYER_PLANS[model_name](layout, runtime, dim, length, is_mega,
+                                     gemm)
+    launches.extend(layer * num_layers)
+    # Readout + head.
+    launches.append(sgemm_launch(layout, max(n // 4, 1), dim, dim, gemm))
+    launches.append(_elementwise(layout, "nodes", n, dim))
+    return launches
+
+
 def simulate_batch(model_name: str, runtime: AggregationRuntime,
                    device: GPUDevice, dim: int, num_layers: int,
                    profiler: Optional[Profiler] = None,
                    include_h2d: bool = True) -> Profiler:
     """Replay one forward batch of ``model_name`` under ``runtime``.
 
-    ``model_name`` is ``"GCN"`` or ``"GT"``.  Returns the profiler with
-    all kernel records appended.
+    ``model_name`` is ``"GCN"``, ``"GT"`` or ``"GAT"``.  The batch's
+    kernels go to the device in one :meth:`GPUDevice.run_kernels` call.
+    Returns the profiler with all kernel records appended.
     """
-    if model_name not in ("GCN", "GT", "GAT"):
-        raise SimulationError(f"unknown model {model_name!r}")
+    launches = batch_launches(model_name, runtime, device.spec, dim,
+                              num_layers)
     profiler = profiler or Profiler()
-    is_mega = isinstance(runtime, MegaRuntime)
-    n = runtime.num_nodes
-    m = runtime.num_messages
-    length = runtime.path_length if is_mega else n
-    params_per_layer = {"GCN": 5, "GT": 14, "GAT": 2}[model_name]
-    params = params_per_layer * dim * dim * num_layers
-    layout = make_layout(n, m, length if is_mega else 1, dim, params)
-
     if include_h2d:
         # Features + topology (baseline) or path buffers (MEGA).
-        nbytes = (length + m) * dim * FLOAT_BYTES + m * 16
+        m = runtime.num_messages
+        nbytes = (_node_rows(runtime) + m) * dim * FLOAT_BYTES + m * 16
         profiler.record(memcpy(device, nbytes))
-    if not is_mega:
-        # DGL sorts edge indices per batch to fetch neighbours quickly.
-        profiler.record(cub_sort(device, layout, m))
-
-    node_rows = length if is_mega else n  # neural ops run on the path copy
-    for _ in range(num_layers):
-        if model_name == "GCN":
-            _plan_gcn_layer(profiler, device, layout, runtime, dim,
-                            node_rows, is_mega)
-        elif model_name == "GAT":
-            _plan_gat_layer(profiler, device, layout, runtime, dim,
-                            node_rows, is_mega)
-        else:
-            _plan_gt_layer(profiler, device, layout, runtime, dim,
-                           node_rows, is_mega)
-    # Readout + head.
-    profiler.record(sgemm(device, layout, max(n // 4, 1), dim, dim))
-    profiler.record(_elementwise(device, layout, "nodes", n, dim))
+    profiler.extend(device.run_kernels(launches))
     return profiler
 
 
-def _plan_gcn_layer(prof: Profiler, device: GPUDevice, layout: MemoryLayout,
-                    rt: AggregationRuntime, dim: int, node_rows: int,
-                    is_mega: bool) -> None:
+def _plan_gcn_layer(layout: MemoryLayout, rt: AggregationRuntime, dim: int,
+                    node_rows: int, is_mega: bool,
+                    gemm: float) -> List[KernelLaunch]:
     # Projections A, B, U, V on node rows; C on message rows.
-    for _ in range(4):
-        prof.record(sgemm(device, layout, node_rows, dim, dim))
-    prof.record(sgemm(device, layout, rt.num_messages, dim, dim))
+    plan = [sgemm_launch(layout, node_rows, dim, dim, gemm)] * 4
+    plan.append(sgemm_launch(layout, rt.num_messages, dim, dim, gemm))
     if is_mega:
         # Edge update + sigmoid fused into one banded sweep; the two
         # gated reductions sweep the band again; one sync kernel.
-        prof.record(_mega_band_kernel(device, layout, rt, dim, operands=2))
-        prof.record(_mega_band_reduce(device, layout, rt, dim, with_src=True))
-        prof.record(_mega_band_reduce(device, layout, rt, dim, with_src=False))
-        prof.record(_mega_sync(device, layout, rt, dim))
+        plan += [_mega_band_kernel(layout, rt, dim, operands=2),
+                 _mega_band_reduce(layout, rt, dim, with_src=True),
+                 _mega_band_reduce(layout, rt, dim, with_src=False),
+                 _mega_sync(layout, rt, dim)]
     else:
-        prof.record(_baseline_apply_edges(device, layout, rt, dim, operands=2))
-        prof.record(_elementwise(device, layout, "edges", rt.num_messages, dim))
-        prof.record(_baseline_update_all(device, layout, rt, dim, with_src=True))
-        prof.record(_baseline_update_all(device, layout, rt, dim, with_src=False))
+        plan += [_baseline_apply_edges(layout, rt, dim, operands=2),
+                 _elementwise(layout, "edges", rt.num_messages, dim),
+                 _baseline_update_all(layout, rt, dim, with_src=True),
+                 _baseline_update_all(layout, rt, dim, with_src=False)]
     # BN/ReLU/residual on nodes and edges.
-    prof.record(_elementwise(device, layout, "nodes", node_rows, dim))
-    prof.record(_elementwise(device, layout, "edges", rt.num_messages, dim))
+    plan += [_elementwise(layout, "nodes", node_rows, dim),
+             _elementwise(layout, "edges", rt.num_messages, dim)]
+    return plan
 
 
-def _plan_gat_layer(prof: Profiler, device: GPUDevice, layout: MemoryLayout,
-                    rt: AggregationRuntime, dim: int, node_rows: int,
-                    is_mega: bool) -> None:
+def _plan_gat_layer(layout: MemoryLayout, rt: AggregationRuntime, dim: int,
+                    node_rows: int, is_mega: bool,
+                    gemm: float) -> List[KernelLaunch]:
     """GAT: one projection, one score scatter, softmax + weighted gather."""
-    prof.record(sgemm(device, layout, node_rows, dim, dim))
-    prof.record(_elementwise(device, layout, "nodes", node_rows, dim))
+    plan = [sgemm_launch(layout, node_rows, dim, dim, gemm),
+            _elementwise(layout, "nodes", node_rows, dim)]
     if is_mega:
-        prof.record(_mega_band_kernel(device, layout, rt, dim, operands=2))
-        prof.record(_mega_band_reduce(device, layout, rt, dim,
-                                      with_src=False))
-        prof.record(_mega_band_reduce(device, layout, rt, dim,
-                                      with_src=True))
-        prof.record(_mega_sync(device, layout, rt, dim))
+        plan += [_mega_band_kernel(layout, rt, dim, operands=2),
+                 _mega_band_reduce(layout, rt, dim, with_src=False),
+                 _mega_band_reduce(layout, rt, dim, with_src=True),
+                 _mega_sync(layout, rt, dim)]
     else:
-        prof.record(_baseline_apply_edges(device, layout, rt, dim,
-                                          operands=2))
-        prof.record(_baseline_update_all(device, layout, rt, dim,
-                                         with_src=False))
-        prof.record(_baseline_update_all(device, layout, rt, dim,
-                                         with_src=True))
-    prof.record(_elementwise(device, layout, "nodes", node_rows, dim))
+        plan += [_baseline_apply_edges(layout, rt, dim, operands=2),
+                 _baseline_update_all(layout, rt, dim, with_src=False),
+                 _baseline_update_all(layout, rt, dim, with_src=True)]
+    plan.append(_elementwise(layout, "nodes", node_rows, dim))
+    return plan
 
 
-def _plan_gt_layer(prof: Profiler, device: GPUDevice, layout: MemoryLayout,
-                   rt: AggregationRuntime, dim: int, node_rows: int,
-                   is_mega: bool) -> None:
+def _plan_gt_layer(layout: MemoryLayout, rt: AggregationRuntime, dim: int,
+                   node_rows: int, is_mega: bool,
+                   gemm: float) -> List[KernelLaunch]:
     # Q, K, V, O on node rows; E, O_e on message rows; FFNs on both.
-    for _ in range(4):
-        prof.record(sgemm(device, layout, node_rows, dim, dim))
-    for _ in range(2):
-        prof.record(sgemm(device, layout, rt.num_messages, dim, dim))
+    plan = [sgemm_launch(layout, node_rows, dim, dim, gemm)] * 4
+    plan += [sgemm_launch(layout, rt.num_messages, dim, dim, gemm)] * 2
     # FFN h: d->2d->d ; FFN e: d->2d->d.
-    for _ in range(2):
-        prof.record(sgemm(device, layout, node_rows, 2 * dim, dim))
-    for _ in range(2):
-        prof.record(sgemm(device, layout, rt.num_messages, 2 * dim, dim))
+    plan += [sgemm_launch(layout, node_rows, 2 * dim, dim, gemm)] * 2
+    plan += [sgemm_launch(layout, rt.num_messages, 2 * dim, dim, gemm)] * 2
     if is_mega:
         # Score computation, edge mixing and V-weighting fuse into two
         # banded sweeps; softmax + aggregation sweep the band again.
-        prof.record(_mega_band_kernel(device, layout, rt, dim, operands=2))
-        prof.record(_mega_band_kernel(device, layout, rt, dim, operands=1))
-        prof.record(_mega_band_reduce(device, layout, rt, dim, with_src=False))
-        prof.record(_mega_band_reduce(device, layout, rt, dim, with_src=True))
-        prof.record(_mega_sync(device, layout, rt, dim))
+        plan += [_mega_band_kernel(layout, rt, dim, operands=2),
+                 _mega_band_kernel(layout, rt, dim, operands=1),
+                 _mega_band_reduce(layout, rt, dim, with_src=False),
+                 _mega_band_reduce(layout, rt, dim, with_src=True),
+                 _mega_sync(layout, rt, dim)]
     else:
         # Five apply_edges scatters (Table I): two fetch node rows, three
         # are edge-space ops routed through the edge-id indirection.
-        prof.record(_baseline_apply_edges(device, layout, rt, dim, operands=2))
-        prof.record(_baseline_edge_op(device, layout, rt, dim))
-        prof.record(_baseline_edge_op(device, layout, rt, dim))
-        prof.record(_baseline_apply_edges(device, layout, rt, dim, operands=1))
-        prof.record(_baseline_edge_op(device, layout, rt, dim))
-        # ... and the two softmax/aggregate gathers.
-        prof.record(_baseline_update_all(device, layout, rt, dim, with_src=False))
-        prof.record(_baseline_update_all(device, layout, rt, dim, with_src=True))
+        edge_op = _baseline_edge_op(layout, rt, dim)
+        plan += [_baseline_apply_edges(layout, rt, dim, operands=2),
+                 edge_op, edge_op,
+                 _baseline_apply_edges(layout, rt, dim, operands=1),
+                 edge_op,
+                 # ... and the two softmax/aggregate gathers.
+                 _baseline_update_all(layout, rt, dim, with_src=False),
+                 _baseline_update_all(layout, rt, dim, with_src=True)]
     # Norm/residual + FFN activations.
-    prof.record(_elementwise(device, layout, "nodes", node_rows, dim))
-    prof.record(_elementwise(device, layout, "edges", rt.num_messages, dim))
+    plan += [_elementwise(layout, "nodes", node_rows, dim),
+             _elementwise(layout, "edges", rt.num_messages, dim)]
+    return plan
+
+
+_LAYER_PLANS = {"GCN": _plan_gcn_layer, "GT": _plan_gt_layer,
+                "GAT": _plan_gat_layer}
 
 
 def batch_time(model_name: str, runtime: AggregationRuntime,
