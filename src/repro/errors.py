@@ -9,6 +9,10 @@ class ShapeError(ReproError):
     """Raised when tensor or graph shapes are inconsistent."""
 
 
+class GradError(ReproError):
+    """Raised when ``backward()`` runs on a tensor that has no tape."""
+
+
 class GraphError(ReproError):
     """Raised on malformed graph structures (bad indices, empty sets, ...)."""
 

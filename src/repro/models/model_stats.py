@@ -18,6 +18,7 @@ from repro.models.base import GNNModel, ModelConfig
 from repro.models.gated_gcn import GatedGCN
 from repro.models.graph_transformer import GraphTransformer
 from repro.models.runtime import BaselineRuntime
+from repro.tensor import no_grad
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,8 @@ def compute_model_stats(model_cls, hidden_dim: int = 64,
     runtime = BaselineRuntime(batch)
     runtime.reset_counters()
     model.eval()
-    model(batch, runtime)
+    with no_grad():
+        model(batch, runtime)
     d2 = hidden_dim * hidden_dim
     return ModelStats(
         name=model.model_name,

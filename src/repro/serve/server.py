@@ -62,6 +62,7 @@ from repro.serve.queueing import (
 )
 from repro.serve.stats import BatchRecord, ServerStats
 from repro.errors import QueueFullError, ServeError
+from repro.tensor import no_grad
 from repro.train.clock import SimulatedClock
 
 
@@ -258,7 +259,8 @@ class ServerEngine:
         self.queue.remove(plan.entries)
         batch = GraphBatch([e.request.graph for e in plan.entries])
         runtime = MegaRuntime(batch, [e.path for e in plan.entries])
-        predictions = np.asarray(self.model(batch, runtime).data)
+        with no_grad():
+            predictions = np.asarray(self.model(batch, runtime).data)
         profiler = simulate_batch(
             self.model.model_name, runtime, GPUDevice(self.device_spec),
             self.model.config.hidden_dim, self.model.config.num_layers)

@@ -7,23 +7,56 @@ are implemented, but they are implemented correctly: full broadcasting,
 fancy-index gather with accumulating backward, segment scatter, and the
 usual dense ops.
 
-The engine is tape-based.  Each :class:`Tensor` created by an operation
-stores its parent tensors and a closure that propagates the output
-gradient to the parents.  ``Tensor.backward()`` topologically sorts the
-tape and runs the closures in reverse order.
+The engine is tape-based and runs in one of two modes:
+
+* **Recording** (the default).  Each :class:`Tensor` created by an
+  operation on a tensor that requires grad stores its parent tensors and
+  a closure that propagates the output gradient to the parents.
+  ``Tensor.backward()`` topologically sorts the tape and runs the
+  closures in reverse order.  The tape keeps every intermediate array
+  alive until the result is dropped.
+* **Tape-free**, inside a :func:`no_grad` block.  Operations run the same
+  numpy calls, so values are bit-identical, but every result is a plain
+  leaf: no parents, no closure, ``requires_grad=False``.  Forwards that
+  have no backward (serving, evaluation, statistics) run this way.
+
+``Tensor._make`` is the only place that consults the mode.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+import math
+from contextlib import contextmanager
+from typing import (Callable, Iterable, Iterator, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
-from repro.errors import ShapeError
+from repro.errors import GradError, ShapeError
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 DEFAULT_DTYPE = np.float64
+
+#: Whether operations record the tape; toggled only by :func:`no_grad`.
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run the enclosed operations tape-free.
+
+    Results carry the same values but no parents, no backward closure
+    and ``requires_grad=False``.  The previous mode is restored on exit,
+    also when the block raises, so blocks nest.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _as_array(data: ArrayLike, dtype=None) -> np.ndarray:
@@ -121,6 +154,8 @@ class Tensor:
     @staticmethod
     def _make(data: np.ndarray, parents: Iterable["Tensor"],
               backward: Callable[[np.ndarray], None]) -> "Tensor":
+        if not _grad_enabled:
+            return Tensor(data)
         parents = tuple(parents)
         requires = any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
@@ -142,8 +177,14 @@ class Tensor:
         """Run reverse-mode autodiff from this tensor.
 
         ``grad`` defaults to ones (so ``loss.backward()`` works for
-        scalar losses and for element-wise seeding alike).
+        scalar losses and for element-wise seeding alike).  Raises
+        :class:`~repro.errors.GradError` when this tensor does not
+        require grad, e.g. a result computed inside :func:`no_grad`.
         """
+        if not self.requires_grad:
+            raise GradError(
+                "backward() on a tensor that does not require grad "
+                "(detached, or computed inside no_grad())")
         if grad is None:
             grad = np.ones_like(self.data)
         else:
@@ -331,7 +372,7 @@ class Tensor:
             count = self.size
         else:
             axes = axis if isinstance(axis, tuple) else (axis,)
-            count = int(np.prod([self.shape[a] for a in axes]))
+            count = math.prod(self.shape[a] for a in axes)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":

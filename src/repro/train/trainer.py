@@ -41,6 +41,7 @@ from repro.models.graph_transformer import GraphTransformer
 from repro.models.kernel_plans import BACKWARD_FACTOR
 from repro.models.runtime import BaselineRuntime, MegaRuntime
 from repro.resilience import FaultPlan, RetryPolicy
+from repro.tensor import no_grad
 from repro.tensor.optim import Adam, ReduceLROnPlateau
 from repro.train.checkpoint import load_checkpoint, save_checkpoint
 from repro.train.clock import EpochCostModel
@@ -171,7 +172,8 @@ class Trainer:
         for start in range(0, len(graphs), self.batch_size):
             chosen = graphs[start:start + self.batch_size]
             batch, runtime = self._runtime(chosen)
-            predictions = self.model(batch, runtime)
+            with no_grad():
+                predictions = self.model(batch, runtime)
             metrics.append(self.model.metric(predictions, batch.labels))
             weights.append(len(chosen))
         return float(np.average(metrics, weights=weights))

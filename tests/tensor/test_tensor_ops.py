@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ShapeError
+from repro.errors import GradError, ShapeError
 from repro.tensor import Tensor
 
 from tests.conftest import numeric_gradient
@@ -44,7 +44,8 @@ class TestBasics:
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = (x * 2).detach()
         z = (y * 3).sum()
-        z.backward()
+        with pytest.raises(GradError):
+            z.backward()
         assert x.grad is None
 
     def test_backward_seed_shape_mismatch(self):
