@@ -1,14 +1,15 @@
 """The cluster: N serving replicas behind a router, on one clock.
 
 This is the horizontal-scale counterpart of :class:`repro.serve.server
-.InferenceServer`: the same event-loop skeleton (a heap of
-``(time, seq, kind, payload)`` events in simulated time), but the
-serving state is N :class:`~repro.serve.server.ServerEngine` replicas
-sharing a single :class:`~repro.train.clock.SimulatedClock`, fronted
-by a router that picks a replica per request (see
-:mod:`repro.cluster.routing`), a two-tier schedule cache (see
-:mod:`repro.cluster.cache`) and a self-healing layer (see
-:mod:`repro.cluster.health`).
+.InferenceServer`, run by the same :class:`repro.serve.server
+.EventLoop`, but the serving state is N
+:class:`~repro.serve.server.ServerEngine` replicas sharing a single
+:class:`~repro.train.clock.SimulatedClock`, fronted by a router that
+picks a replica per request (see :mod:`repro.cluster.routing`), a
+two-tier schedule cache (see :mod:`repro.cluster.cache`) and a
+self-healing layer (see :mod:`repro.cluster.health`).  The cluster
+adds no loop of its own: routing, crashes, recoveries, breakers and
+control callbacks are the handlers it gives the event loop.
 
 Failure model — every state is deliberately reachable from a test:
 
@@ -46,15 +47,14 @@ Failure model — every state is deliberately reachable from a test:
   :meth:`ClusterResult.response_for` raises a
   :class:`~repro.errors.ClusterError` for the latter two.
 
-With one replica, no faults and the same server knobs, the loop below
-reduces to the single-node loop event for event — the degeneracy test
-in ``tests/cluster/test_cluster.py`` holds the two stats surfaces
-equal.
+With one replica, no faults and the same server knobs, the handlers
+below reduce to the single-node server's event for event — the
+degeneracy tests in ``tests/cluster/test_cluster.py`` hold the two
+stats surfaces and responses equal.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -73,18 +73,19 @@ from repro.cluster.stats import (
     ReplicaRecord,
     ShedRequest,
 )
-from repro.errors import ClusterError, QueueFullError, ServeError
+from repro.errors import ClusterError, QueueFullError
 from repro.memsim.device import DeviceSpec, GTX_1080
 from repro.models.base import GNNModel
 from repro.pipeline.cache import ScheduleCache
 from repro.pipeline.hashing import schedule_cache_key
 from repro.resilience import FaultPlan, RetryPolicy
+from repro.serve.batcher import BatchPlan
 from repro.serve.queueing import (
     InferenceRequest,
     InferenceResponse,
     scale_retry_after,
 )
-from repro.serve.server import ServerConfig, ServerEngine
+from repro.serve.server import EventLoop, ServerConfig, ServerEngine
 from repro.train.clock import SimulatedClock
 
 
@@ -271,35 +272,17 @@ class Cluster:
                              received=len(requests))
         responses: List[InferenceResponse] = []
 
-        # (time, tiebreak_seq, kind, payload); kinds: "arrive" carries a
-        # request, "done" carries (replica_id, responses, slow flag),
-        # "recover" carries a replica id, "control" carries a callback.
-        events: List[Tuple[float, int, str, object]] = []
-        seq = 0
-        arrivals_pending = 0
+        # Event kinds: "arrive" carries a request, "done" carries
+        # (replica_id, responses, slow flag), "recover" carries a
+        # replica id, "control" carries a callback.
+        loop = EventLoop(self.clock)
         # Control events go on the heap first so a delta and an arrival
         # at the same instant resolve control-first — a query submitted
         # "at" a delta's timestamp sees the post-delta world.
         for at_s, callback in (control_events or ()):
-            heapq.heappush(events, (at_s, seq, "control", callback))
-            seq += 1
+            loop.push(at_s, "control", callback)
         for request in requests:
-            heapq.heappush(events,
-                           (request.submitted_s, seq, "arrive", request))
-            seq += 1
-            arrivals_pending += 1
-
-        def push_arrival(request: InferenceRequest) -> None:
-            nonlocal seq, arrivals_pending
-            heapq.heappush(events,
-                           (request.submitted_s, seq, "arrive", request))
-            seq += 1
-            arrivals_pending += 1
-
-        def push_event(at_s: float, kind: str, payload: object) -> None:
-            nonlocal seq
-            heapq.heappush(events, (at_s, seq, kind, payload))
-            seq += 1
+            loop.arrive(request)
 
         def fail(request: InferenceRequest, reason: str,
                  now_s: float) -> None:
@@ -357,14 +340,14 @@ class Cluster:
                 if (retry_policy is not None
                         and request.attempt + 1 < retry_policy.max_attempts):
                     stats.failovers += 1
-                    push_arrival(request.retry(
+                    loop.arrive(request.retry(
                         now_s + retry_policy.delay(request.attempt)))
                 else:
                     fail(request, "replica-crash", now_s)
             if plan is not None and plan.recovers:
                 delay = plan.recovery_delay(
                     rid, health.of(rid).crashes - 1)
-                push_event(now_s + delay, "recover", rid)
+                loop.push(now_s + delay, "recover", rid)
 
         def recover_replica(rid: int, now_s: float) -> None:
             """Rejoin: fresh engine, cold L1 view, ring arcs reclaimed."""
@@ -392,7 +375,7 @@ class Cluster:
                 stats.shed_events += 1
                 if (retry_policy is not None
                         and request.attempt + 1 < retry_policy.max_attempts):
-                    push_arrival(request.retry(
+                    loop.arrive(request.retry(
                         now_s + max(hint,
                                     retry_policy.delay(request.attempt))))
                 else:
@@ -419,97 +402,57 @@ class Cluster:
                     delay = max(hint_s,
                                 retry_policy.delay(request.attempt))
                     stats.retried += 1
-                    push_arrival(request.retry(now_s + delay))
+                    loop.arrive(request.retry(now_s + delay))
                 else:
                     fail(request, "retry-budget-exhausted", now_s)
 
-        def alive_set():
-            return health.alive_ids()
+        def launch(rid: int, engine: ServerEngine, launch_plan: BatchPlan,
+                   now_s: float) -> None:
+            batch_index = lifetime_batches[rid]
+            if (plan is not None
+                    and plan.replica_fails(rid, batch_index,
+                                           health.of(rid).incarnation)):
+                crash_replica(rid, now_s)
+                return
+            scale = (plan.service_multiplier(rid, batch_index)
+                     if plan is not None else 1.0)
+            done_s, batch_responses = engine.launch(
+                launch_plan, now_s, service_scale=scale)
+            lifetime_batches[rid] += 1
+            loop.push(done_s, "done",
+                      (rid, batch_responses, scale >= cfg.breaker_slow_ratio))
 
-        while events or any(engines[rid].depth > 0
-                            for rid in alive_set()):
-            now_s = self.clock.now()
-            progressed = False
-            for rid in alive_set():
-                engine = engines[rid]
-                if not (engine.idle and engine.depth > 0):
-                    continue
-                launch_plan = engine.select(now_s,
-                                            draining=arrivals_pending == 0)
-                if launch_plan is None:
-                    continue
-                batch_index = lifetime_batches[rid]
-                if (plan is not None
-                        and plan.replica_fails(
-                            rid, batch_index,
-                            health.of(rid).incarnation)):
-                    crash_replica(rid, now_s)
-                else:
-                    scale = (plan.service_multiplier(rid, batch_index)
-                             if plan is not None else 1.0)
-                    done_s, batch_responses = engine.launch(
-                        launch_plan, now_s, service_scale=scale)
-                    lifetime_batches[rid] += 1
-                    slow = scale >= cfg.breaker_slow_ratio
-                    push_event(done_s, "done",
-                               (rid, batch_responses, slow))
-                # Either way the fleet state changed; rescan from the
-                # lowest id so launch order stays deterministic.
-                progressed = True
-                break
-            if progressed:
-                continue
-            deadlines = [d for d in (engines[rid].flush_deadline()
-                                     for rid in alive_set())
-                         if d is not None]
-            deadline = min(deadlines) if deadlines else None
-            next_event_s = events[0][0] if events else None
-            if next_event_s is None or (deadline is not None
-                                        and deadline <= next_event_s):
-                if deadline is None:
-                    raise ClusterError(
-                        "event loop stalled: queued requests but no events")
-                if deadline <= now_s:
-                    # A reached deadline must have made its bucket
-                    # ripe; anything else would spin forever.
-                    raise ServeError(
-                        "batcher refused to flush at its own deadline")
-                self.clock.advance_to(deadline)
-                continue
-            t_s, _, kind, payload = heapq.heappop(events)
-            self.clock.advance_to(t_s)
-            if kind == "arrive":
-                arrivals_pending -= 1
-                dispatch(payload, self.clock.now())
-            elif kind == "control":
-                payload(self.clock.now())
-            elif kind == "recover":
-                recover_replica(payload, self.clock.now())
-            else:
-                rid, batch_responses, slow = payload
-                engine = engines[rid]
-                engine.complete(batch_responses, self.clock.now())
-                responses.extend(batch_responses)
-                for response in batch_responses:
-                    stats.served += 1
-                    stats.latencies_s.append(response.latency_s)
-                stats.sim_duration_s = max(stats.sim_duration_s,
-                                           self.clock.now())
-                h = health.of(rid)
-                if h.state == "recovering":
-                    h.mark_alive(self.clock.now())
-                breaker = health.breaker(rid)
-                if breaker.record_completion(slow, self.clock.now()):
-                    stats.breaker_trips += 1
-                    # Hedge: do not leave queued work behind a replica
-                    # we just declared slow.  Hedged requests keep
-                    # their attempt count — straggling is the fleet's
-                    # fault, not the client's.
-                    for request in engine.evacuate():
-                        stats.hedges += 1
-                        hedged_ids.add(request.request_id)
-                        push_arrival(replace(request,
-                                             submitted_s=self.clock.now()))
+        def complete(payload: Tuple[int, List[InferenceResponse], bool],
+                     now_s: float) -> None:
+            rid, batch_responses, slow = payload
+            engine = engines[rid]
+            engine.complete(batch_responses, now_s)
+            responses.extend(batch_responses)
+            for response in batch_responses:
+                stats.served += 1
+                stats.latencies_s.append(response.latency_s)
+            stats.sim_duration_s = max(stats.sim_duration_s, now_s)
+            h = health.of(rid)
+            if h.state == "recovering":
+                h.mark_alive(now_s)
+            if health.breaker(rid).record_completion(slow, now_s):
+                stats.breaker_trips += 1
+                # Hedge: do not leave queued work behind a replica we
+                # just declared slow.  Hedged requests keep their
+                # attempt count — straggling is the fleet's fault, not
+                # the client's.
+                for request in engine.evacuate():
+                    stats.hedges += 1
+                    hedged_ids.add(request.request_id)
+                    loop.arrive(replace(request, submitted_s=now_s))
+
+        # Alive replicas in ascending id order: launch order, and so
+        # the whole run, stays deterministic.
+        loop.run(lambda: [(rid, engines[rid]) for rid in health.alive_ids()],
+                 launch,
+                 {"arrive": dispatch, "done": complete,
+                  "recover": recover_replica,
+                  "control": lambda callback, now_s: callback(now_s)})
 
         for rid in replica_ids:
             if health.of(rid).state != "crashed":

@@ -11,7 +11,9 @@ concrete and, crucially, *deterministic*:
   admission queue whose rejections carry retry-after hints.
 - :mod:`repro.serve.batcher` — dynamic micro-batching by path-length
   bucket (the serving analogue of :mod:`repro.core.batching`).
-- :mod:`repro.serve.server` — the event loop: simulated time
+- :mod:`repro.serve.server` — the serving engine and the one event
+  loop that drives engines, for the single server here and for
+  :mod:`repro.cluster`: simulated time
   (:class:`repro.train.clock.SimulatedClock`), schedule reuse through
   the PR-1 :class:`~repro.pipeline.cache.ScheduleCache`, execution
   cost from the analytic kernel simulator.
@@ -41,6 +43,7 @@ from repro.serve.queueing import (
 )
 from repro.serve.registry import LoadedModel, ModelRegistry, ModelSpec
 from repro.serve.server import (
+    EventLoop,
     InferenceServer,
     ScheduleStore,
     ServeResult,
@@ -64,6 +67,7 @@ __all__ = [
     "ModelRegistry",
     "ModelSpec",
     "LoadedModel",
+    "EventLoop",
     "InferenceServer",
     "ScheduleStore",
     "ServeResult",

@@ -23,20 +23,22 @@ Three design rules keep every run replayable:
   :class:`repro.resilience.RetryPolicy` and gives up loudly (counted as
   ``dropped``) when the policy is exhausted.
 
-Structurally the server splits into two pieces.  :class:`ServerEngine`
+Structurally serving splits into two pieces.  :class:`ServerEngine`
 is the externally-clocked core — admission, batching, execution,
 per-replica stats — that owns **no clock and no client behaviour**:
 every method takes an explicit simulated timestamp.
-:class:`InferenceServer.run` drives one engine to completion (the
-single-node loop below); :mod:`repro.cluster` drives N engines on one
-shared clock behind a router.
+:class:`EventLoop` owns time: one heap of timed events that launches
+ripe batches on the engines it is given.  It is the only serving loop.
+:meth:`InferenceServer.run` drives one engine on it;
+:mod:`repro.cluster` drives N engines on it behind a router, adding
+its routing and fault handling as event handlers.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -315,6 +317,97 @@ class ServerEngine:
         return self.stats
 
 
+class EventLoop:
+    """The serving event loop: one heap of timed events driving engines.
+
+    Events are ``(time, seq, kind, payload)`` tuples; ``seq`` breaks
+    ties in push order, so same-instant events resolve in the order
+    they were scheduled.  Each turn of :meth:`run` does exactly one
+    thing, scanning engines in the order ``engines()`` lists them:
+
+    1. launch the first idle engine whose batcher has a ripe plan;
+    2. else, when a queued request's flush deadline comes no later
+       than the next event, advance the clock to that deadline;
+    3. else pop the next event, advance the clock to it and hand its
+       payload to ``handlers[kind]``.
+
+    ``"arrive"`` events are the one kind the loop counts: while any is
+    pending the batchers wait for fuller batches, and once none is
+    left they drain.  Schedule them — first arrivals and retries alike
+    — through :meth:`arrive`.
+    """
+
+    def __init__(self, clock: SimulatedClock):
+        self.clock = clock
+        self._events: List[Tuple[float, int, str, object]] = []
+        self._seq = 0
+        self._arrivals_pending = 0
+
+    def push(self, at_s: float, kind: str, payload: object) -> None:
+        """Schedule ``payload`` for ``handlers[kind]`` at ``at_s``."""
+        heapq.heappush(self._events, (at_s, self._seq, kind, payload))
+        self._seq += 1
+
+    def arrive(self, request: InferenceRequest) -> None:
+        """Schedule ``request`` to arrive at its ``submitted_s``."""
+        self.push(request.submitted_s, "arrive", request)
+        self._arrivals_pending += 1
+
+    def run(self,
+            engines: Callable[[], Sequence[Tuple[int, ServerEngine]]],
+            launch: Callable[[int, ServerEngine, BatchPlan, float], None],
+            handlers: Mapping[str, Callable[[object, float], None]]
+            ) -> None:
+        """Run until no event is left and every live engine is empty.
+
+        ``engines()`` lists the live ``(id, engine)`` pairs; it is
+        asked again every turn, because handlers may change the set.
+        ``launch(id, engine, plan, now_s)`` must change state so the
+        plan is not offered again: normally it calls
+        :meth:`ServerEngine.launch` and pushes the completion event.
+        """
+        events = self._events
+        clock = self.clock
+        while True:
+            live = engines()
+            if not events and not any(engine.depth for _, engine in live):
+                return
+            now_s = clock.now()
+            if self._launch_first_ripe(live, launch, now_s):
+                continue
+            deadline = min((d for d in (engine.flush_deadline()
+                                        for _, engine in live)
+                            if d is not None), default=None)
+            if not events or (deadline is not None
+                              and deadline <= events[0][0]):
+                if deadline is None:
+                    raise ServeError(
+                        "event loop stalled: queued requests but no events")
+                if deadline <= now_s:
+                    # A reached deadline must have made its bucket
+                    # ripe; anything else would spin forever.
+                    raise ServeError(
+                        "batcher refused to flush at its own deadline")
+                clock.advance_to(deadline)
+                continue
+            t_s, _, kind, payload = heapq.heappop(events)
+            clock.advance_to(t_s)
+            if kind == "arrive":
+                self._arrivals_pending -= 1
+            handlers[kind](payload, clock.now())
+
+    def _launch_first_ripe(self, live, launch, now_s: float) -> bool:
+        """Launch the first idle engine with a ripe plan; True if any."""
+        for key, engine in live:
+            if engine.idle and engine.depth:
+                plan = engine.select(
+                    now_s, draining=self._arrivals_pending == 0)
+                if plan is not None:
+                    launch(key, engine, plan, now_s)
+                    return True
+        return False
+
+
 class InferenceServer:
     """Single-executor inference server over one loaded model."""
 
@@ -331,7 +424,6 @@ class InferenceServer:
         self.clock = clock if clock is not None else SimulatedClock()
         self.device_spec = device_spec
         self.store = ScheduleStore(self.mega_config, cache=cache)
-        self.batcher = MicroBatcher(self.config.policy)
 
     # ------------------------------------------------------------------
     def run(self, requests: List[InferenceRequest],
@@ -348,19 +440,11 @@ class InferenceServer:
         stats = engine.stats
         stats.received = len(requests)
         responses: List[InferenceResponse] = []
-
-        # (time, tiebreak_seq, kind, payload); kinds: "arrive", "done".
-        events: List[Tuple[float, int, str, object]] = []
-        seq = 0
-        arrivals_pending = 0
+        loop = EventLoop(self.clock)
         for request in requests:
-            heapq.heappush(events,
-                           (request.submitted_s, seq, "arrive", request))
-            seq += 1
-            arrivals_pending += 1
+            loop.arrive(request)
 
         def admit(request: InferenceRequest, now_s: float) -> None:
-            nonlocal seq, arrivals_pending
             try:
                 engine.admit(request, now_s)
             except QueueFullError as exc:
@@ -368,49 +452,21 @@ class InferenceServer:
                         and request.attempt + 1 < retry_policy.max_attempts):
                     delay = max(exc.retry_after_s,
                                 retry_policy.delay(request.attempt))
-                    retried = request.retry(now_s + delay)
-                    heapq.heappush(
-                        events,
-                        (retried.submitted_s, seq, "arrive", retried))
-                    seq += 1
                     stats.retried += 1
-                    # A retried request re-enters the arrival stream.
-                    arrivals_pending += 1
+                    loop.arrive(request.retry(now_s + delay))
                 else:
                     stats.dropped += 1
 
-        while events or engine.depth > 0:
-            now_s = self.clock.now()
-            if engine.idle and engine.depth > 0:
-                plan = engine.select(now_s, draining=arrivals_pending == 0)
-                if plan is not None:
-                    done_s, batch_responses = engine.launch(plan, now_s)
-                    heapq.heappush(events,
-                                   (done_s, seq, "done", batch_responses))
-                    seq += 1
-                    continue
-                deadline = engine.flush_deadline()
-                next_event_s = events[0][0] if events else None
-                if next_event_s is None or (deadline is not None
-                                            and deadline <= next_event_s):
-                    if deadline <= now_s:
-                        # A reached deadline must have made its bucket
-                        # ripe; anything else would spin forever.
-                        raise ServeError(
-                            "batcher refused to flush at its own deadline")
-                    self.clock.advance_to(deadline)
-                    continue
-            if not events:
-                raise ServeError(
-                    "event loop stalled: queued requests but no events")
-            t_s, _, kind, payload = heapq.heappop(events)
-            self.clock.advance_to(t_s)
-            if kind == "arrive":
-                arrivals_pending -= 1
-                admit(payload, self.clock.now())
-            else:
-                engine.complete(payload, self.clock.now())
-                responses.extend(payload)
+        def launch(_: int, engine: ServerEngine, plan: BatchPlan,
+                   now_s: float) -> None:
+            done_s, batch = engine.launch(plan, now_s)
+            loop.push(done_s, "done", batch)
 
+        def complete(batch: List[InferenceResponse], now_s: float) -> None:
+            engine.complete(batch, now_s)
+            responses.extend(batch)
+
+        loop.run(lambda: ((0, engine),), launch,
+                 {"arrive": admit, "done": complete})
         engine.finish()
         return ServeResult(responses=responses, stats=stats)

@@ -5,7 +5,8 @@
 self-healing and tiered caching, unchanged), a
 :class:`~repro.stream.deltas.GraphTable` of named graphs, and a
 :class:`~repro.stream.repair.ScheduleRepairer`.  One run interleaves
-two event kinds on the cluster's single heap:
+two event kinds on the cluster's run of the one serving
+:class:`~repro.serve.server.EventLoop`:
 
 * **queries** — :class:`~repro.serve.queueing.InferenceRequest`s
   carrying a ``graph_name``.  The server's ``bind_request`` hook

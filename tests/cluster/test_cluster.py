@@ -12,6 +12,7 @@ The tier-1 contract for ``repro.cluster``:
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
@@ -201,6 +202,37 @@ class TestDegeneracy:
             other = clustered.response_for(response.request_id)
             assert response.prediction.tolist() == \
                 other.prediction.tolist()
+
+    def test_single_replica_matches_under_backpressure(self, model,
+                                                       make_requests):
+        # Rejections, retries and drops all fire.  The cluster keeps
+        # the client-side counters fleet-wide (retried, and failed for
+        # dropped); everything else is the one engine's, and every
+        # response — order, batch, completion time, prediction — is
+        # the single server's.
+        server_config = ServerConfig(
+            queue_capacity=3, policy=BatchingPolicy(
+                max_batch_size=2, max_wait_s=0.004, bucket_width=16))
+        retry = RetryPolicy(max_attempts=2, backoff_base_s=0.002)
+        requests = make_requests(num=48, rate_rps=20000.0, kind="bursty")
+        single = InferenceServer(model, config=server_config) \
+            .run(requests, retry_policy=retry)
+        clustered = Cluster(model, ClusterConfig(
+            num_replicas=1, server=server_config)) \
+            .run(requests, retry_policy=retry)
+        assert single.stats.retried > 0 and single.stats.dropped > 0
+        assert clustered.stats.retried == single.stats.retried
+        assert clustered.stats.failed == single.stats.dropped
+        expected = single.stats.as_dict()
+        expected.update(retried=0, dropped=0)
+        assert json.dumps(expected, sort_keys=True) == json.dumps(
+            clustered.stats.replicas[0].stats.as_dict(), sort_keys=True)
+        assert [(r.request_id, r.batch_id, r.completed_s)
+                for r in single.responses] == \
+            [(r.request_id, r.batch_id, r.completed_s)
+             for r in clustered.responses]
+        for ours, theirs in zip(single.responses, clustered.responses):
+            assert np.array_equal(ours.prediction, theirs.prediction)
 
 
 class TestPoliciesUnderLoad:
