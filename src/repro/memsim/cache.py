@@ -7,12 +7,16 @@ order of its stamps.
 
 :meth:`LRUCache.access_trace` resolves a whole ordered sector stream in
 one pass — a simulated batch submits every kernel trace back to back.
-A set whose resident lines plus the stream's new distinct lines fit in
-its ways can evict nothing, so there an access hits exactly when its
-line is resident or appeared earlier in the stream; numpy decides those
-sets in bulk.  Only sets that may overflow are walked access by access
-under exact LRU (see :meth:`LRUCache._walk`).  Either way each access
-gets the outcome of walking the stream one access at a time.
+The stream arrives as its distinct pieces plus the order that replays
+them, because a batch repeats the same traces layer after layer.  A set
+whose resident lines plus the stream's new distinct lines fit in its
+ways can evict nothing, so there an access hits exactly when its line
+is resident or appeared earlier in the stream: only each line's first
+and last position matter, and numpy finds both from the distinct pieces
+for all such sets at once.  Only when some set may overflow is the full
+stream expanded, and those sets are walked access by access under exact
+LRU (see :meth:`LRUCache._walk`).  Either way each access gets the
+outcome of walking the stream one access at a time.
 """
 
 from __future__ import annotations
@@ -71,14 +75,19 @@ class LRUCache:
         return int(stats["hits"][0]), int(stats["misses"][0])
 
     def access_trace(self, addresses: np.ndarray,
-                     segments: Optional[Sequence[int]] = None
+                     segments: Optional[Sequence[int]] = None,
+                     order: Optional[Sequence[int]] = None
                      ) -> Dict[str, np.ndarray]:
         """Touch an ordered stream of byte addresses and gather its statistics.
 
-        ``segments`` splits the stream into consecutive runs of the given
-        lengths (one per kernel trace); ``None`` makes it one segment.
-        LRU state carries across segments exactly as across separate
-        calls.  Returns, per segment, an int64 array of each counter:
+        ``addresses`` holds the stream's distinct pieces back to back
+        (one per kernel trace) and ``segments`` gives their lengths;
+        ``None`` makes it one piece.  ``order`` lists, segment by
+        segment, which piece the stream replays, so a trace submitted
+        many times is passed once; every piece must appear in it.
+        ``None`` replays each piece once, in turn.  LRU state carries
+        across segments exactly as across separate calls.  Returns, per
+        stream segment, an int64 array of each counter:
 
         * ``hits`` / ``misses`` — L2 outcomes;
         * ``seq_misses`` — misses whose line directly follows the
@@ -97,48 +106,72 @@ class LRUCache:
         if lengths.ndim != 1 or (lengths < 0).any() or int(lengths.sum()) != n:
             raise SimulationError(
                 f"segments must be non-negative lengths summing to {n}")
+        pieces = len(lengths)
+        plays = np.arange(pieces) if order is None \
+            else np.asarray(order, dtype=np.int64)
+        if plays.ndim != 1 or ((plays < 0) | (plays >= pieces)).any() \
+                or len(np.unique(plays)) != pieces:
+            raise SimulationError(
+                f"order must replay each of the {pieces} segments")
         if n and int(lines.min()) < 0:
             raise SimulationError("cache addresses must be non-negative")
-        miss = self._resolve(lines)
+        runs = lengths[plays]
+        starts = np.cumsum(runs) - runs
+        # Stream position minus stored position, per stream segment.
+        shift = starts - (np.cumsum(lengths) - lengths)[plays]
+        missed = self._resolve(lines, lengths, plays, shift)
 
-        count = len(lengths)
-        seg = np.repeat(np.arange(count), lengths)
-        inner = seg[1:] == seg[:-1]
+        count = len(plays)
+        seg = np.searchsorted(starts, missed, side="right") - 1
+        chained = (seg[1:] == seg[:-1]) \
+            & (np.diff(lines[missed - shift[seg]]) == 1)
+        misses = np.bincount(seg, minlength=count)
+        piece = np.repeat(np.arange(pieces), lengths)
+        inner = piece[1:] == piece[:-1]
         step = np.diff(lines)
-        miss_seg = seg[miss]
-        miss_step = np.diff(lines[miss])
-        chained = miss_seg[1:] == miss_seg[:-1]
-        misses = np.bincount(miss_seg, minlength=count)
         stats = {
-            "hits": lengths - misses,
+            "hits": runs - misses,
             "misses": misses,
-            "seq_misses": np.bincount(
-                miss_seg[1:][chained & (miss_step == 1)], minlength=count),
-            "seq_all": np.bincount(seg[1:][inner & (step == 1)],
-                                   minlength=count),
-            "repeat_all": np.bincount(seg[1:][inner & (step == 0)],
-                                      minlength=count),
+            "seq_misses": np.bincount(seg[1:][chained], minlength=count),
+            "seq_all": np.bincount(piece[1:][inner & (step == 1)],
+                                   minlength=pieces)[plays],
+            "repeat_all": np.bincount(piece[1:][inner & (step == 0)],
+                                      minlength=pieces)[plays],
         }
         self.hits += int(stats["hits"].sum())
         self.misses += int(misses.sum())
         return stats
 
-    def _resolve(self, lines: np.ndarray) -> np.ndarray:
-        """Run ``lines`` through the sets; returns the per-access miss mask."""
-        n = len(lines)
-        miss = np.zeros(n, dtype=bool)
+    def _resolve(self, lines: np.ndarray, lengths: np.ndarray,
+                 plays: np.ndarray, shift: np.ndarray) -> np.ndarray:
+        """Run the stream through the sets; returns its misses' positions.
+
+        The stream replays the pieces of ``lines`` (of ``lengths``) in
+        the order ``plays``; ``shift`` maps a stored position to its
+        stream position in each segment.  Positions come out ascending.
+        """
+        runs = lengths[plays]
+        n = int(runs.sum())
         if n == 0:
-            return miss
+            return np.empty(0, dtype=np.int64)
         assoc = self.associativity
+        # Each stored access's stream position in its piece's first and
+        # last play.
+        stored = np.arange(len(lines))
+        _, first_play = np.unique(plays, return_index=True)
+        _, last_play = np.unique(plays[::-1], return_index=True)
+        last_play = len(plays) - 1 - last_play
+        first_at = stored + np.repeat(shift[first_play], lengths)
+        last_at = stored + np.repeat(shift[last_play], lengths)
         # Distinct lines with their first and last position in the stream.
-        order = np.argsort(lines, kind="stable")
-        ordered = lines[order]
-        head = np.ones(n, dtype=bool)
+        by_line = np.argsort(lines, kind="stable")
+        ordered = lines[by_line]
+        head = np.ones(len(lines), dtype=bool)
         np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
         starts = np.flatnonzero(head)
         uniq = ordered[starts]
-        first = order[starts]
-        last = order[np.append(starts[1:], n) - 1]
+        first = np.minimum.reduceat(first_at[by_line], starts)
+        last = np.maximum.reduceat(last_at[by_line], starts)
         uset = uniq % self.num_sets
 
         # Which distinct lines are already resident, and in which way.
@@ -157,7 +190,6 @@ class LRUCache:
         calm = ~overflow[uset]
         # No eviction: only first touches of non-resident lines miss.
         fresh = np.flatnonzero(calm & ~resident)
-        miss[first[fresh]] = True
         kept = np.flatnonzero(calm & resident)
         self._stamps[uset[kept], way[kept]] = base + last[kept]
         by_set = fresh[np.argsort(uset[fresh], kind="stable")]
@@ -169,9 +201,15 @@ class LRUCache:
         self._fill += np.where(overflow, 0, new_lines)
 
         hot = np.flatnonzero(overflow)
-        if hot.size:
-            self._walk(lines, order, ordered, base, hot, miss)
-        return miss
+        if not hot.size:
+            return np.sort(first[fresh])
+        # Some set must be walked: expand the whole stream for it.
+        stream = lines[np.arange(n) - np.repeat(shift, runs)]
+        order = np.argsort(stream, kind="stable")
+        miss = np.zeros(n, dtype=bool)
+        miss[first[fresh]] = True
+        self._walk(stream, order, stream[order], base, hot, miss)
+        return np.flatnonzero(miss)
 
     def _walk(self, lines: np.ndarray, order: np.ndarray,
               ordered: np.ndarray, base: int, hot: np.ndarray,

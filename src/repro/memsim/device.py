@@ -11,12 +11,21 @@ The goal is *relative* fidelity: sequential streams must beat scattered
 row gathers by roughly the margin real hardware shows, dense GEMM must
 look compute-bound, and kernel time must be max(compute, memory) plus a
 fixed launch cost.
+
+:meth:`GPUDevice.run_kernels` simulates a batch of launches at once:
+their traces, grouped by object identity, go to the L2 in one call
+that expands each distinct trace once, and every kernel is then priced
+in one numpy pass over per-trace count arrays.  Specs and launches are
+validated on construction, so a zero bandwidth or a non-positive
+efficiency fails here with :class:`~repro.errors.SimulationError`
+rather than as an ``inf`` timing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +60,20 @@ class DeviceSpec:
     atomic_throughput_gops: float = 48.0    # device-wide atomic adds per second
     saturation_items: float = 32768.0       # parallel items to fill the device
 
+    def __post_init__(self) -> None:
+        # Pricing divides by these; a zero would surface deep inside
+        # numpy as inf/nan timings instead of here.
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise SimulationError(
+                    f"device spec {name} must be positive, got {value!r}")
+        for name in _NON_NEGATIVE_FIELDS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise SimulationError(
+                    f"device spec {name} must be non-negative, got {value!r}")
+
     @property
     def l2_bandwidth(self) -> float:
         return self.l2_bandwidth_gbs * 1e9
@@ -67,6 +90,16 @@ class DeviceSpec:
     def pcie_bandwidth(self) -> float:
         return self.pcie_bandwidth_gbs * 1e9
 
+
+_POSITIVE_FIELDS = (
+    "num_sms", "sm_clock_ghz", "flops_per_cycle_per_sm",
+    "dram_bandwidth_gbs", "l2_bytes", "l2_associativity", "sector_bytes",
+    "memory_concurrency", "pcie_bandwidth_gbs", "gemm_efficiency",
+    "atomic_penalty", "l2_bandwidth_gbs", "scatter_parallelism",
+    "atomic_throughput_gops", "saturation_items")
+_NON_NEGATIVE_FIELDS = (
+    "dram_latency_ns", "kernel_launch_us", "row_activation_lines",
+    "l2_gap_penalty", "scatter_gap_ns")
 
 GTX_1080 = DeviceSpec()
 
@@ -107,7 +140,7 @@ class KernelLaunch:
     """One kernel launch, as :meth:`GPUDevice.run_kernels` times it.
 
     ``loads``/``stores`` are the kernel's memory traces; the other
-    fields feed the roofline (see :meth:`GPUDevice.run_kernel`).
+    fields feed the roofline (see :meth:`GPUDevice.run_kernels`).
     """
 
     name: str
@@ -119,10 +152,19 @@ class KernelLaunch:
     imbalance: float = 1.0
     parallel_items: Optional[float] = None
 
-
-#: Priced statistics of an empty (or absent) trace.
-_IDLE = {"tx": 0, "hits": 0, "misses": 0, "useful": 0.0, "dram": 0.0,
-         "time": 0.0}
+    def __post_init__(self) -> None:
+        if not self.flops >= 0:
+            raise SimulationError(
+                f"kernel {self.name!r}: flops must be non-negative, "
+                f"got {self.flops!r}")
+        if self.efficiency is not None and not self.efficiency > 0:
+            raise SimulationError(
+                f"kernel {self.name!r}: efficiency must be positive, "
+                f"got {self.efficiency!r}")
+        if self.parallel_items is not None and not self.parallel_items >= 0:
+            raise SimulationError(
+                f"kernel {self.name!r}: parallel_items must be "
+                f"non-negative, got {self.parallel_items!r}")
 
 
 @dataclass
@@ -153,8 +195,6 @@ class GPUDevice:
     """
 
     def __init__(self, spec: DeviceSpec = GTX_1080):
-        if spec.sector_bytes <= 0 or spec.l2_bytes <= 0:
-            raise SimulationError("device spec must have positive cache sizes")
         self.spec = spec
         self.l2 = LRUCache(spec.l2_bytes, spec.sector_bytes, spec.l2_associativity)
 
@@ -165,79 +205,42 @@ class GPUDevice:
 
     # ------------------------------------------------------------------
     def _l2_pass(self, traces: Sequence[Optional[AccessTrace]]
-                 ) -> List[Optional[Tuple[int, ...]]]:
+                 ) -> Dict[str, np.ndarray]:
         """Run ``traces`` through the L2, in order, as one sector stream.
 
-        Each non-empty trace is one segment of the stream, so the L2 is
-        called once however many traces there are.  Returns per trace
-        ``(sectors, useful bytes, hits, misses, seq_misses, seq_all,
-        repeat_all)``, or ``None`` for an empty or absent trace, which
-        skips the L2.
+        Traces are grouped by identity: each distinct trace object is
+        expanded to sector addresses once, and the L2 replays it at
+        every position it recurs (see :meth:`LRUCache.access_trace`).
+        Returns per trace an int64 array of ``sectors``, ``useful``
+        bytes and each cache counter.  An empty or absent trace skips
+        the L2 and counts zero everywhere.
         """
-        out: List[Optional[Tuple[int, ...]]] = [None] * len(traces)
-        live = [i for i, t in enumerate(traces)
-                if t is not None and t.num_accesses]
+        counts = {key: np.zeros(len(traces), dtype=np.int64)
+                  for key in ("sectors", "useful") + COUNTERS}
+        piece_of: Dict[int, int] = {}
+        distinct: List[AccessTrace] = []
+        live, plays = [], []
+        for i, trace in enumerate(traces):
+            if trace is None or not trace.num_accesses:
+                continue
+            piece = piece_of.setdefault(id(trace), len(distinct))
+            if piece == len(distinct):
+                distinct.append(trace)
+            live.append(i)
+            plays.append(piece)
         if not live:
-            return out
+            return counts
         sector_bytes = self.spec.sector_bytes
-        whole = AccessTrace.concatenate([traces[i] for i in live])
-        rows = np.cumsum([0] + [traces[i].num_accesses for i in live[:-1]])
+        whole = AccessTrace.concatenate(distinct)
+        rows = np.cumsum([0] + [t.num_accesses for t in distinct[:-1]])
         sectors = np.add.reduceat(whole.sector_counts(sector_bytes), rows)
-        useful = np.add.reduceat(whole.lengths, rows)
         stats = self.l2.access_trace(whole.sector_addresses(sector_bytes),
-                                     sectors)
-        counts = zip(sectors.tolist(), useful.tolist(),
-                     *(stats[key].tolist() for key in COUNTERS))
-        for i, row in zip(live, counts):
-            out[i] = row
-        return out
-
-    def _price_trace(self, counts: Optional[Tuple[int, ...]],
-                     is_store: bool) -> Dict[str, float]:
-        """Price one trace's DRAM and interconnect traffic.
-
-        ``counts`` is the trace's row of :meth:`_l2_pass`.  Effective
-        DRAM bandwidth follows a row-buffer model: a maximal run of
-        consecutive missed lines pays one activation (worth
-        ``row_activation_lines`` line-transfer times), so long streams
-        approach peak bandwidth and isolated misses get a small fraction
-        of it.
-        """
-        if counts is None:
-            return _IDLE
-        sectors, useful_bytes, hits, misses, seq_misses, seq_all, \
-            repeat_all = counts
-        spec = self.spec
-        effective_tx = max(sectors - repeat_all, 0)
-        tx_runs = max(effective_tx - seq_all, 1)
-        tx_avg_run = effective_tx / tx_runs if effective_tx else 1.0
-        if is_store:
-            # Every stored byte eventually reaches DRAM as writeback;
-            # contiguous dirty lines stream out at row-buffer speed, so
-            # the store stream's own contiguity sets the DRAM efficiency.
-            dram_bytes = sectors * spec.sector_bytes
-            run_for_dram = tx_avg_run
-        else:
-            dram_bytes = misses * spec.sector_bytes
-            miss_runs = max(misses - seq_misses, 1)
-            run_for_dram = misses / miss_runs if misses else 1.0
-        bw_scale = run_for_dram / (run_for_dram + spec.row_activation_lines)
-        t_dram = dram_bytes / (spec.dram_bandwidth * max(bw_scale, 1e-3))
-        t_latency = (misses / max(spec.memory_concurrency, 1)) \
-            * spec.dram_latency_ns * 1e-9
-        # Every transaction (hit or miss) crosses the L2 interconnect;
-        # scattered streams pay a per-transaction gap, streams do not.
-        l2_eff = tx_avg_run / (tx_avg_run + spec.l2_gap_penalty)
-        t_l2 = (effective_tx * spec.sector_bytes
-                / (spec.l2_bandwidth * max(l2_eff, 1e-3)))
-        # Divergence stalls: each discontiguous run exposes latency the
-        # warp scheduler can only partially overlap.  Streams have ~one
-        # run and pay nothing; scattered row fetches pay per row.
-        t_gap = tx_runs * spec.scatter_gap_ns * 1e-9 / spec.scatter_parallelism
-        return {"tx": sectors, "hits": hits, "misses": misses,
-                "useful": float(useful_bytes),
-                "dram": float(dram_bytes),
-                "time": max(t_dram, t_latency, t_l2) + t_gap}
+                                     sectors, plays)
+        counts["sectors"][live] = sectors[plays]
+        counts["useful"][live] = np.add.reduceat(whole.lengths, rows)[plays]
+        for key in COUNTERS:
+            counts[key][live] = stats[key]
+        return counts
 
     def run_kernel(self, name: str, flops: float,
                    loads: Optional[AccessTrace] = None,
@@ -259,25 +262,18 @@ class GPUDevice:
         Each launch's loads then stores reach the L2 in that order, as
         one stream resolved in a single pass (see :mod:`repro.memsim
         .cache`); the counters come out per trace, so each kernel is
-        priced exactly as if it ran alone on the warmed cache.
-        """
-        traces = [t for launch in launches
-                  for t in (launch.loads, launch.stores)]
-        counts = self._l2_pass(traces)
-        return [self._price_kernel(
-                    launch, self._price_trace(counts[2 * k], is_store=False),
-                    self._price_trace(counts[2 * k + 1], is_store=True))
-                for k, launch in enumerate(launches)]
+        priced exactly as if it ran alone on the warmed cache.  All
+        kernels are priced together, one array operation per step of
+        the timing model below.
 
-    def _price_kernel(self, launch: KernelLaunch, lstat: Dict[str, float],
-                      sstat: Dict[str, float]) -> KernelStats:
-        """Roofline timing of one kernel from its priced traces.
+        Per trace, effective DRAM bandwidth follows a row-buffer model:
+        a maximal run of consecutive missed lines pays one activation
+        (worth ``row_activation_lines`` line-transfer times), so long
+        streams approach peak bandwidth and isolated misses get a small
+        fraction of it.  Per kernel, the roofline adds:
 
-        Refinements profiled GNN kernels need:
-
-        * a DRAM row-buffer model scales effective bandwidth with the
-          run length of missed lines, so scattered gathers pay for every
-          activation while streams run at peak;
+        * occupancy — a kernel with too few ``parallel_items`` cannot
+          fill the device, stretching its compute phase;
         * ``imbalance`` (>= 1) stretches the busy time of kernels whose
           per-warp work is skewed (neighbour aggregation over power-law
           degrees — the paper's "significant workload imbalance");
@@ -286,53 +282,98 @@ class GPUDevice:
           reproduces how sgemm/cub/dgl separate in nvprof.
         """
         spec = self.spec
-        flops = launch.flops
+        counts = self._l2_pass([t for launch in launches
+                                for t in (launch.loads, launch.stores)])
 
-        # Occupancy: a kernel with too little parallel work cannot fill
-        # the device, stretching its compute phase (small cub sorts, tiny
-        # readout GEMMs).  ``parallel_items=None`` assumes saturation.
-        if launch.parallel_items is None:
-            utilization = 1.0
-        else:
-            utilization = float(np.clip(
-                launch.parallel_items / spec.saturation_items, 0.02, 1.0))
+        # Per trace: loads at even rows, stores at odd ones.
+        sectors, misses = counts["sectors"], counts["misses"]
+        is_store = np.tile([False, True], len(launches))
+        effective_tx = np.maximum(sectors - counts["repeat_all"], 0)
+        tx_runs = np.maximum(effective_tx - counts["seq_all"], 1)
+        tx_avg_run = np.where(effective_tx > 0, effective_tx / tx_runs, 1.0)
+        miss_avg_run = np.where(
+            misses > 0,
+            misses / np.maximum(misses - counts["seq_misses"], 1), 1.0)
+        # Every stored byte eventually reaches DRAM as writeback;
+        # contiguous dirty lines stream out at row-buffer speed, so the
+        # store stream's own contiguity sets the DRAM efficiency.
+        dram_bytes = np.where(is_store, sectors, misses) * spec.sector_bytes
+        run_for_dram = np.where(is_store, tx_avg_run, miss_avg_run)
+        bw_scale = run_for_dram / (run_for_dram + spec.row_activation_lines)
+        t_dram = dram_bytes / (spec.dram_bandwidth
+                               * np.maximum(bw_scale, 1e-3))
+        t_latency = misses / max(spec.memory_concurrency, 1) \
+            * spec.dram_latency_ns * 1e-9
+        # Every transaction (hit or miss) crosses the L2 interconnect;
+        # scattered streams pay a per-transaction gap, streams do not.
+        l2_eff = tx_avg_run / (tx_avg_run + spec.l2_gap_penalty)
+        t_l2 = (effective_tx * spec.sector_bytes
+                / (spec.l2_bandwidth * np.maximum(l2_eff, 1e-3)))
+        # Divergence stalls: each discontiguous run exposes latency the
+        # warp scheduler can only partially overlap.  Streams have ~one
+        # run and pay nothing; scattered row fetches pay per row.
+        t_gap = tx_runs * spec.scatter_gap_ns * 1e-9 / spec.scatter_parallelism
+        trace_time = np.where(
+            sectors > 0,
+            np.maximum(np.maximum(t_dram, t_latency), t_l2) + t_gap, 0.0)
+        useful = counts["useful"].astype(np.float64)
 
-        eff = launch.efficiency if launch.efficiency is not None else 1.0
-        t_compute_full = flops / (spec.peak_flops * eff) if flops > 0 else 0.0
+        # Per kernel.
+        flops = np.array([launch.flops for launch in launches], dtype=float)
+        saturated = np.array([launch.parallel_items is None
+                              for launch in launches])
+        items = np.array([0.0 if launch.parallel_items is None
+                          else launch.parallel_items for launch in launches])
+        eff = np.array([1.0 if launch.efficiency is None
+                        else launch.efficiency for launch in launches])
+        atomic = np.array([launch.atomic_stores for launch in launches])
+        imbalance = np.array([launch.imbalance for launch in launches],
+                             dtype=float)
+        utilization = np.where(
+            saturated, 1.0,
+            np.clip(items / spec.saturation_items, 0.02, 1.0))
+        t_compute_full = np.where(
+            flops > 0, flops / (spec.peak_flops * eff), 0.0)
         t_compute = t_compute_full / utilization
-        t_memory = lstat["time"] + sstat["time"]
-        if launch.atomic_stores:
-            # Atomic read-modify-writes are throughput-limited per element
-            # and serialise further under destination conflicts.
-            atomic_ops = sstat["useful"] / 4.0
-            t_memory += atomic_ops / (spec.atomic_throughput_gops * 1e9)
-            t_memory *= spec.atomic_penalty
-        busy = max(t_compute, t_memory) * max(launch.imbalance, 1.0)
-        launch_s = spec.kernel_launch_us * 1e-6
-        time_s = busy + launch_s
-
-        useful_bytes = lstat["useful"] + sstat["useful"]
-        # Ideal execution: saturated SMs, perfectly coalesced memory.
-        t_ideal = max(t_compute_full, useful_bytes / spec.dram_bandwidth)
-        t_ideal = min(t_ideal, busy) if busy > 0 else 0.0
-        t_ideal *= utilization  # unfillable SMs count as inactive cycles
+        t_memory = trace_time[0::2] + trace_time[1::2]
+        # Atomic read-modify-writes are throughput-limited per element
+        # and serialise further under destination conflicts.
+        t_memory = np.where(
+            atomic,
+            (t_memory + useful[1::2] / 4.0
+             / (spec.atomic_throughput_gops * 1e9)) * spec.atomic_penalty,
+            t_memory)
+        busy = np.maximum(t_compute, t_memory) * np.maximum(imbalance, 1.0)
+        time_s = busy + spec.kernel_launch_us * 1e-6
+        # Ideal execution: saturated SMs, perfectly coalesced memory;
+        # unfillable SMs count as inactive cycles.
+        t_ideal = np.maximum(t_compute_full,
+                             (useful[0::2] + useful[1::2])
+                             / spec.dram_bandwidth)
+        t_ideal = np.where(busy > 0, np.minimum(t_ideal, busy), 0.0) \
+            * utilization
         # nvprof's sm_efficiency measures cycles *during* kernel
         # execution, so launch overhead dilutes wall time but not the
         # efficiency metric.
-        if busy <= 0 or t_ideal <= 0:
-            sm_eff = 0.0
-            stall = 1.0 if t_memory > 0 else 0.0
-        else:
-            sm_eff = t_ideal / busy
-            stall = max(0.0, busy - t_ideal) / busy
-        return KernelStats(
-            name=launch.name, time_s=time_s, flops=flops,
-            load_transactions=int(lstat["tx"]), store_transactions=int(sstat["tx"]),
-            l2_hits=int(lstat["hits"] + sstat["hits"]),
-            l2_misses=int(lstat["misses"] + sstat["misses"]),
-            dram_bytes=lstat["dram"] + sstat["dram"],
-            sm_efficiency=float(np.clip(sm_eff, 0.0, 1.0)),
-            memory_stall_pct=float(np.clip(stall, 0.0, 1.0)))
+        active = (busy > 0) & (t_ideal > 0)
+        sm_eff = np.divide(t_ideal, busy, out=np.zeros(len(busy)),
+                           where=active)
+        stall = np.divide(np.maximum(0.0, busy - t_ideal), busy,
+                          out=np.where(t_memory > 0, 1.0, 0.0), where=active)
+        return [KernelStats(
+                    name=launch.name, time_s=t, flops=launch.flops,
+                    load_transactions=lt, store_transactions=st,
+                    l2_hits=hit, l2_misses=miss, dram_bytes=dram,
+                    sm_efficiency=e, memory_stall_pct=p)
+                for launch, t, lt, st, hit, miss, dram, e, p in zip(
+                    launches, time_s.tolist(), sectors[0::2].tolist(),
+                    sectors[1::2].tolist(),
+                    (counts["hits"][0::2] + counts["hits"][1::2]).tolist(),
+                    (misses[0::2] + misses[1::2]).tolist(),
+                    (dram_bytes[0::2].astype(np.float64)
+                     + dram_bytes[1::2]).tolist(),
+                    np.clip(sm_eff, 0.0, 1.0).tolist(),
+                    np.clip(stall, 0.0, 1.0).tolist())]
 
     def memcpy(self, nbytes: float, name: str = "Memcpy") -> KernelStats:
         """Host<->device copy over PCIe."""

@@ -5,7 +5,10 @@ of GPU kernels one training batch launches — with the actual index
 arrays the runtime uses, so the simulated cache/coalescing behaviour is
 produced by the real schedules, not by assumption.  The plan builders
 describe kernels as :class:`~repro.memsim.device.KernelLaunch` records,
-and a batch submits all of them in one device call.
+and a batch submits all of them in one device call.  Launches that
+repeat reuse one object (each layer's plan is built once and repeated,
+``[sgemm_launch(...)] * 4`` repeats one projection), and the device
+expands each distinct trace object to sector addresses only once.
 
 Baseline plans model the DGL pipeline the paper profiles: per-batch
 ``cub`` index sort and H2D memcpy, per-layer dense ``sgemm`` projections,
@@ -223,7 +226,9 @@ def batch_launches(model_name: str, runtime: AggregationRuntime,
     """Every L2-touching kernel of one forward batch, in launch order.
 
     ``model_name`` is ``"GCN"``, ``"GT"`` or ``"GAT"``.  The host-to-device
-    copy is not a launch: it never touches the L2.
+    copy is not a launch: it never touches the L2.  The layers share one
+    plan's launch objects, so the batch's distinct traces do not grow
+    with ``num_layers``.
     """
     if model_name not in _LAYER_PLANS:
         raise SimulationError(f"unknown model {model_name!r}")
@@ -255,7 +260,8 @@ def simulate_batch(model_name: str, runtime: AggregationRuntime,
     """Replay one forward batch of ``model_name`` under ``runtime``.
 
     ``model_name`` is ``"GCN"``, ``"GT"`` or ``"GAT"``.  The batch's
-    kernels go to the device in one :meth:`GPUDevice.run_kernels` call.
+    kernels go to the device in one :meth:`GPUDevice.run_kernels` call:
+    one L2 pass over its distinct traces, then one pricing pass.
     Returns the profiler with all kernel records appended.
     """
     launches = batch_launches(model_name, runtime, device.spec, dim,

@@ -1,7 +1,10 @@
 """Shared fixtures for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.graph.generators import (
     circular_skip_link,
@@ -12,6 +15,11 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.graph import complete_graph
+
+# CI runs with HYPOTHESIS_PROFILE=ci so that a failing property prints
+# the @reproduce_failure blob; example counts stay as each test sets them.
+settings.register_profile("ci", print_blob=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -3,9 +3,10 @@
 :class:`OracleLRU` walks each sector through per-set ``OrderedDict``
 LRU state, the most direct statement of the replacement policy.  It
 answers the same questions as :class:`repro.memsim.cache.LRUCache` —
-per-segment counters from ``access_trace``, cumulative ``hits`` /
-``misses``, ``contains`` and ``occupancy`` — so tests can demand the two
-agree exactly.
+per-segment counters from ``access_trace`` (``order`` is answered by
+expanding the replayed stream), cumulative ``hits`` / ``misses``,
+``contains`` and ``occupancy`` — so tests can demand the two agree
+exactly.
 """
 
 from collections import OrderedDict
@@ -57,16 +58,20 @@ class OracleLRU:
                 "seq_all": seq_all, "repeat_all": repeat_all}
 
     def access_trace(self, addresses: np.ndarray,
-                     segments: Optional[Sequence[int]] = None
+                     segments: Optional[Sequence[int]] = None,
+                     order: Optional[Sequence[int]] = None
                      ) -> Dict[str, np.ndarray]:
+        """Expand the stream ``order`` replays; walk it segment by segment."""
         lines = (np.asarray(addresses, dtype=np.int64)
                  // self.line_bytes).tolist()
         lengths = [len(lines)] if segments is None else list(segments)
-        rows = []
+        pieces = []
         start = 0
         for length in lengths:
-            rows.append(self._walk(lines[start:start + length]))
+            pieces.append(lines[start:start + length])
             start += length
+        plays = range(len(pieces)) if order is None else order
+        rows = [self._walk(pieces[p]) for p in plays]
         return {key: np.array([row[key] for row in rows], dtype=np.int64)
                 for key in COUNTERS}
 

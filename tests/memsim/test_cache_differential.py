@@ -40,17 +40,36 @@ def segments(draw, span):
 
 
 @st.composite
-def workloads(draw):
-    """A cache geometry plus calls, each a list of segments."""
+def geometries(draw):
+    """Sets, ways and a line span for the stream."""
     num_sets = draw(st.sampled_from([1, 2, 3, 4, 8, 16, 64]))
     ways = draw(st.sampled_from([1, 2, 4, 16]))
     # Spans near the capacity mix fitting sets with evicting ones.
     capacity = num_sets * ways
     span = draw(st.sampled_from([2, capacity // 2 + 1, capacity,
                                  2 * capacity, 8 * capacity]))
+    return num_sets, ways, span
+
+
+@st.composite
+def workloads(draw):
+    """A cache geometry plus calls, each a list of segments."""
+    num_sets, ways, span = draw(geometries())
     calls = draw(st.lists(st.lists(segments(span), max_size=5),
                           min_size=1, max_size=4))
     return num_sets, ways, calls
+
+
+@st.composite
+def replays(draw, span):
+    """Distinct pieces plus an order replaying each at least once.
+
+    Extra plays repeat pieces, back to back or interleaved with others.
+    """
+    pieces = draw(st.lists(segments(span), min_size=1, max_size=5))
+    extra = draw(st.lists(st.integers(0, len(pieces) - 1), max_size=8))
+    order = draw(st.permutations(list(range(len(pieces))) + extra))
+    return pieces, order
 
 
 def _stream(rng, segment_lines):
@@ -61,9 +80,9 @@ def _stream(rng, segment_lines):
     return lines * LINE + offsets, [len(s) for s in segment_lines]
 
 
-def _assert_same(cache, oracle, addresses, lengths, probe):
-    got = cache.access_trace(addresses, lengths)
-    want = oracle.access_trace(addresses, lengths)
+def _assert_same(cache, oracle, addresses, lengths, probe, order=None):
+    got = cache.access_trace(addresses, lengths, order)
+    want = oracle.access_trace(addresses, lengths, order)
     for key in COUNTERS:
         assert got[key].tolist() == want[key].tolist(), key
     assert (cache.hits, cache.misses) == (oracle.hits, oracle.misses)
@@ -84,6 +103,46 @@ def test_matches_reference_over_calls(workload, seed):
         addresses, lengths = _stream(rng, segment_lines)
         seen.update((addresses // LINE).tolist())
         _assert_same(cache, oracle, addresses, lengths, sorted(seen))
+
+
+@settings(max_examples=300, deadline=None)
+@given(geometry=geometries(), warm=st.booleans(), data=st.data(),
+       seed=st.integers(0, 2**16))
+def test_replayed_pieces_match_expanded_stream(geometry, warm, data, seed):
+    """``order`` replays stored pieces: the same outcome as the oracle
+    walking the expanded stream, on a fresh or a pre-warmed cache."""
+    num_sets, ways, span = geometry
+    rng = np.random.default_rng(seed)
+    size = num_sets * ways * LINE
+    cache, oracle = LRUCache(size, LINE, ways), OracleLRU(size, LINE, ways)
+    seen = set()
+    if warm:
+        addresses, lengths = _stream(rng, [rng.integers(0, span + 1,
+                                                        3 * span)])
+        seen.update((addresses // LINE).tolist())
+        _assert_same(cache, oracle, addresses, lengths, [])
+    for pieces, order in data.draw(st.lists(replays(span), min_size=1,
+                                            max_size=4)):
+        addresses, lengths = _stream(rng, pieces)
+        seen.update((addresses // LINE).tolist())
+        _assert_same(cache, oracle, addresses, lengths, sorted(seen), order)
+
+
+def test_replayed_piece_is_stamped_at_its_last_play():
+    """Line 0 is replayed after line 1, so it is the most recently used
+    when line 2 arrives; line 1 is the one evicted."""
+    cache, oracle = LRUCache(2 * LINE, LINE, 2), OracleLRU(2 * LINE, LINE, 2)
+    for addresses, lengths, order in (([0, LINE], [1, 1], [0, 1, 0]),
+                                      ([2 * LINE], [1], None)):
+        _assert_same(cache, oracle, np.array(addresses), lengths, [0, 1, 2],
+                     order)
+    assert cache.contains(0) and not cache.contains(LINE)
+
+
+@pytest.mark.parametrize("order", [[0], [0, 1, 3], [0, 0, 2], [[0, 1]]])
+def test_order_must_replay_every_segment(order):
+    with pytest.raises(SimulationError):
+        LRUCache(1024, 64, 4).access_trace(np.arange(2) * 64, [1, 1], order)
 
 
 @pytest.mark.parametrize("ways", [2, 16])

@@ -1,12 +1,18 @@
 """Device timing model: the orderings the reproduction depends on."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.memsim.access import MemoryLayout, row_gather_trace, sequential_trace
-from repro.memsim.device import DeviceSpec, GPUDevice, GTX_1080
+from repro.memsim.access import (AccessTrace, MemoryLayout, row_gather_trace,
+                                 sequential_trace)
+from repro.memsim.device import (DEVICE_PRESETS, DeviceSpec, GPUDevice,
+                                 GTX_1080, KernelLaunch)
 from repro.memsim import kernels
+from tests.memsim import price_oracle
+from tests.memsim.lru_oracle import OracleLRU
 
 
 @pytest.fixture
@@ -31,6 +37,38 @@ class TestSpec:
     def test_invalid_spec_rejected(self):
         with pytest.raises(SimulationError):
             GPUDevice(DeviceSpec(sector_bytes=0))
+
+    @pytest.mark.parametrize("preset", sorted(DEVICE_PRESETS))
+    def test_presets_build(self, preset):
+        spec = DEVICE_PRESETS[preset]
+        assert dataclasses.replace(spec) == spec
+        assert GPUDevice(spec).run_kernel("noop", 1.0).time_s > 0
+
+    @pytest.mark.parametrize("field", [
+        "dram_bandwidth_gbs", "l2_bandwidth_gbs", "pcie_bandwidth_gbs",
+        "sm_clock_ghz", "num_sms", "flops_per_cycle_per_sm",
+        "memory_concurrency", "saturation_items", "scatter_parallelism",
+        "atomic_throughput_gops", "gemm_efficiency", "l2_bytes"])
+    @pytest.mark.parametrize("value", [0, -1, float("nan")])
+    def test_non_positive_spec_field_rejected(self, field, value):
+        with pytest.raises(SimulationError, match=field):
+            DeviceSpec(**{field: value})
+
+    @pytest.mark.parametrize("field", [
+        "dram_latency_ns", "kernel_launch_us", "row_activation_lines",
+        "l2_gap_penalty", "scatter_gap_ns"])
+    def test_negative_spec_field_rejected(self, field):
+        with pytest.raises(SimulationError, match=field):
+            DeviceSpec(**{field: -1.0})
+        assert getattr(DeviceSpec(**{field: 0.0}), field) == 0.0
+
+    @pytest.mark.parametrize("kwargs", [
+        {"efficiency": 0.0}, {"efficiency": -0.5}, {"flops": -1.0},
+        {"flops": float("nan")}, {"parallel_items": -1}])
+    def test_bad_launch_rejected(self, kwargs):
+        fields = {"name": "k", "flops": 1.0, **kwargs}
+        with pytest.raises(SimulationError):
+            KernelLaunch(**fields)
 
 
 class TestKernelTiming:
@@ -105,6 +143,61 @@ class TestKernelTiming:
         s2 = device.run_kernel("stream", 0.0, loads=streamed)
         assert s2.sm_efficiency > s1.sm_efficiency
         assert s1.memory_stall_pct > s2.memory_stall_pct
+
+
+class TestPricingOracle:
+    """Array pricing against the scalar per-kernel reference."""
+
+    @staticmethod
+    def _launches(layout):
+        rng = np.random.default_rng(3)
+        scattered = row_gather_trace(layout.base("nodes"),
+                                     rng.integers(0, 30000, 5000), 512)
+        streamed = sequential_trace(layout.base("path"), 2 * 1024 * 1024)
+        weights = sequential_trace(layout.base("weights"), 256 * 1024)
+        # One sector touched over and over: every access but the first
+        # repeats the previous line.
+        repeats = AccessTrace(np.full(300, layout.base("workspace")),
+                              np.full(300, 4))
+        return [
+            KernelLaunch("noop", 0.0),
+            KernelLaunch("loads only", 1e6, loads=scattered),
+            KernelLaunch("stores only", 0.0, stores=streamed,
+                         parallel_items=10),
+            KernelLaunch("atomic", 1e5, loads=streamed, stores=scattered,
+                         atomic_stores=True, imbalance=2.0),
+            KernelLaunch("weights", 1e9, loads=weights, efficiency=0.5,
+                         parallel_items=0),
+            # Same object and a content-equal copy: L2-resident, no misses.
+            KernelLaunch("weights again", 1e9, loads=weights, stores=weights),
+            KernelLaunch("weights copy", 2e9, loads=AccessTrace(
+                weights.addresses.copy(), weights.lengths.copy()),
+                parallel_items=1e9),
+            KernelLaunch("repeats", 10.0, loads=repeats, stores=repeats,
+                         atomic_stores=True),
+            KernelLaunch("empty", 5.0, loads=AccessTrace(
+                np.array([], np.int64), np.array([], np.int64))),
+        ]
+
+    @pytest.mark.parametrize("preset", sorted(DEVICE_PRESETS))
+    def test_edge_launches_match(self, layout, preset):
+        spec = DEVICE_PRESETS[preset]
+        launches = self._launches(layout)
+        got = GPUDevice(spec).run_kernels(launches)
+        want = price_oracle.run_kernels(spec, OracleLRU(
+            spec.l2_bytes, spec.sector_bytes, spec.l2_associativity),
+            launches)
+        assert ([dataclasses.astuple(r) for r in got]
+                == [dataclasses.astuple(r) for r in want])
+        assert got[5].l2_misses == got[6].l2_misses == 0
+        assert got[0].load_transactions == got[0].store_transactions == 0
+
+    def test_kernels_price_alike_alone_or_together(self, layout):
+        launches = self._launches(layout)
+        device = GPUDevice()
+        together = GPUDevice().run_kernels(launches)
+        alone = [device.run_kernels([launch])[0] for launch in launches]
+        assert together == alone
 
 
 class TestMemcpy:
