@@ -1,6 +1,5 @@
 """Shared driver for the end-to-end convergence benchmarks (Figs. 11-14)."""
 
-from benchmarks import ledger_adapter
 from benchmarks.conftest import print_table
 from repro.datasets import load_dataset
 from repro.train import run_convergence
@@ -31,14 +30,4 @@ def run_e2e(dataset_name, model_name, scale=0.015, hidden_dim=32,
     print(f"convergence speedup: {result.speedup:.2f}x  "
           f"(final metric: dgl={result.final_metric_baseline:.4f}, "
           f"mega={result.final_metric_mega:.4f})")
-    ledger_adapter.emit_rows(
-        "train", f"e2e_{dataset_name.lower()}_{model_name.lower()}",
-        rows + [{"epoch": "summary", "speedup": result.speedup,
-                 "final_metric_baseline": result.final_metric_baseline,
-                 "final_metric_mega": result.final_metric_mega}],
-        label_columns=("epoch",), seed=seed,
-        config={"dataset": dataset_name, "model": model_name,
-                "scale": loader_scale, "hidden_dim": hidden_dim,
-                "num_layers": num_layers, "batch_size": batch_size,
-                "num_epochs": num_epochs})
     return result

@@ -5,10 +5,8 @@ efficiency "significantly outperforms that of both cub and dgl kernels
 by a considerable margin".
 """
 
-import numpy as np
 import pytest
 
-from benchmarks import ledger_adapter
 from benchmarks.conftest import cached_profile, print_table
 
 DATASETS = ("ZINC", "AQSOL", "CSL", "CYCLES")
@@ -33,11 +31,6 @@ def test_fig04_sm_efficiency(benchmark):
     rows = benchmark.pedantic(compute, rounds=1, iterations=1)
     print_table("Fig. 4: SM efficiency per kernel (batch 64, dim 128)",
                 rows, ["dataset", "model"] + list(KERNELS))
-    ledger_adapter.emit_rows(
-        "kernels", "fig04_sm_efficiency", rows,
-        label_columns=("dataset", "model"),
-        config={"batch_size": 64, "hidden_dim": 128,
-                "method": "baseline"})
     for row in rows:
         # sgemm beats every graph kernel by a clear margin.
         graph_kernels = [row["dgl::scatter"], row["dgl::gather"],

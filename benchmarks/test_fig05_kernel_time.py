@@ -9,7 +9,6 @@ batch sizes.
 
 import pytest
 
-from benchmarks import ledger_adapter
 from benchmarks.conftest import cached_profile, print_table
 
 DATASETS = ("ZINC", "AQSOL", "CSL", "CYCLES")
@@ -45,10 +44,6 @@ def test_fig05_kernel_time(benchmark):
     print_table("Fig. 5: kernel run-time percentages (baseline, dim 64)",
                 rows,
                 ["dataset", "model", "batch"] + list(GROUPS))
-    ledger_adapter.emit_rows(
-        "kernels", "fig05_kernel_time", rows,
-        label_columns=("dataset", "model", "batch"),
-        config={"hidden_dim": 64, "method": "baseline"})
     by_key = {(r["dataset"], r["model"], r["batch"]): r for r in rows}
     for dataset in DATASETS:
         for batch in (128, 256):

@@ -7,7 +7,6 @@ excessive volume of global loads"; sgemm does not.
 
 import pytest
 
-from benchmarks import ledger_adapter
 from benchmarks.conftest import cached_profile, print_table
 
 KERNELS = ("sgemm", "dgl::scatter", "dgl::gather", "cub::sort")
@@ -38,11 +37,6 @@ def test_fig06_kernel_profiling(benchmark):
     print_table("Fig. 6: kernel profiling (ZINC, batch 64, dim 128)",
                 rows, ["model", "kernel", "calls", "global loads",
                        "loads/call", "stall %", "l2 hit"])
-    ledger_adapter.emit_rows(
-        "kernels", "fig06_kernel_profiling", rows,
-        label_columns=("model", "kernel"),
-        config={"dataset": "ZINC", "batch_size": 64, "hidden_dim": 128,
-                "method": "baseline"})
     for model in ("GCN", "GT"):
         sub = {r["kernel"]: r for r in rows if r["model"] == model}
         # Graph kernels stall far more than the dense GEMM.

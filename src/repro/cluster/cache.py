@@ -11,34 +11,41 @@ with two tiers:
 * **L2** — one shared store for the fleet.  A replica that L1-misses
   probes L2 before recomputing Algorithm 1, so a graph first seen by
   replica 0 is still a (slower) hit when round-robin later sends it to
-  replica 2.  L2 is an in-memory table by default and an on-disk
+  replica 2.  L2 is an in-memory table by default, over an on-disk
   :class:`~repro.pipeline.cache.ScheduleCache` when one is attached —
   in which case the disk cache's own counters move too, the same
   double-entry bookkeeping the single-node server exposes.
 
-Every lookup is attributed to exactly one of ``l1_hits`` / ``l2_hits``
-/ ``misses`` in :class:`TierStats`, per replica and fleet-wide; the
-per-replica view also keeps a serve-compatible
-:class:`~repro.pipeline.stats.CacheStats` so a :class:`~repro.serve
-.server.ServerEngine` can consume it as its schedule store unchanged.
+There is one resolver, :class:`~repro.serve.server.ScheduleStore`.
+A :class:`ReplicaScheduleView` is that store with two tiers, its own
+L1 memo and then the fleet's :class:`TieredScheduleCache`, so the
+:class:`~repro.serve.server.ServerEngine` cannot tell tiered and
+single-node stores apart.  Each lookup bumps one counter on the view
+that made it; every :class:`TierStats` — per replica, per run and
+fleet-wide — is folded from those counters.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import MegaConfig
-from repro.core.path import PathRepresentation
-from repro.graph.graph import Graph
 from repro.pipeline.cache import ScheduleCache
+from repro.pipeline.parallel import Entry
+from repro.pipeline.stats import Counters
+from repro.serve.server import ScheduleMemo, ScheduleStore
+
+# Not called here: the one resolver lives in repro.serve.server.  The
+# benchmarks/perf tracer patches these names in this module by
+# attribute, so they must stay bound here.
 from repro.pipeline.hashing import schedule_cache_key
 from repro.pipeline.parallel import compute_schedule, materialise
-from repro.pipeline.stats import CacheStats
 
 
 @dataclass
-class TierStats:
+class TierStats(Counters):
     """Per-tier attribution of schedule lookups.
 
     Attributes
@@ -89,40 +96,27 @@ class TierStats:
         hits = self.l1_hits + self.l2_hits
         return hits / self.lookups if self.lookups else 0.0
 
-    def merge(self, other: "TierStats") -> "TierStats":
-        """Elementwise sum (fleet aggregation over replicas)."""
-        return TierStats(
-            l1_hits=self.l1_hits + other.l1_hits,
-            l2_hits=self.l2_hits + other.l2_hits,
-            misses=self.misses + other.misses,
-            l2_puts=self.l2_puts + other.l2_puts,
-            l1_invalidations=self.l1_invalidations + other.l1_invalidations,
-            l2_invalidations=self.l2_invalidations + other.l2_invalidations,
-            seeds=self.seeds + other.seeds)
-
-    def as_dict(self) -> dict:
-        return {"l1_hits": self.l1_hits, "l2_hits": self.l2_hits,
-                "misses": self.misses, "l2_puts": self.l2_puts,
-                "l1_invalidations": self.l1_invalidations,
-                "l2_invalidations": self.l2_invalidations,
-                "seeds": self.seeds}
-
 
 class TieredScheduleCache:
-    """The fleet's shared L2 plus a factory for per-replica L1 views.
+    """The fleet's shared L2 tier plus a factory for per-replica views.
 
-    ``backing`` attaches an on-disk :class:`ScheduleCache` as the L2
-    store (cross-run persistence, corruption handling and all); without
-    it the L2 is a plain in-process table, which is what the bench
-    workloads and most tests want — no tmpdir needed.
+    ``backing`` attaches an on-disk :class:`ScheduleCache` under the
+    L2 memo (cross-run persistence, corruption handling and all);
+    without it the L2 is a plain in-process table, which is what the
+    bench workloads and most tests want — no tmpdir needed.
+
+    The tier counts only what no view sees: ``seeds`` and
+    ``l2_invalidations``.  :attr:`tier` folds them with every view's
+    counters.
     """
 
     def __init__(self, config: MegaConfig,
                  backing: Optional[ScheduleCache] = None):
         self.config = config
         self.backing = backing
-        self._l2: Dict[str, Tuple] = {}
-        self.tier = TierStats()
+        self._memo: Dict[str, Entry] = {}
+        self.seeds = 0
+        self.l2_invalidations = 0
         # Every view ever handed out, in creation order — keyed
         # invalidation must reach retired incarnations' L1 memos too
         # (they are dead engines, but determinism is cheaper than
@@ -131,9 +125,30 @@ class TieredScheduleCache:
 
     def view(self, replica_id: int) -> "ReplicaScheduleView":
         """The schedule store replica ``replica_id`` plugs into its engine."""
-        created = ReplicaScheduleView(self, replica_id)
-        self._views.append(created)
-        return created
+        return ReplicaScheduleView(self, replica_id)
+
+    @property
+    def tier(self) -> TierStats:
+        """Fleet-wide attribution over every view ever handed out."""
+        own = TierStats(l2_invalidations=self.l2_invalidations,
+                        seeds=self.seeds)
+        return functools.reduce(TierStats.merge,
+                                (view.tier for view in self._views), own)
+
+    # -- tier protocol (called by the views' resolver) -----------------
+    def get(self, key: str) -> Optional[Entry]:
+        entry = self._memo.get(key)
+        if entry is None and self.backing is not None:
+            entry = self.backing.get(key)
+            if entry is not None:
+                # Memo the disk read so repeat L2 hits stay in-process.
+                self._memo[key] = entry
+        return entry
+
+    def put(self, key: str, entry: Entry) -> None:
+        self._memo[key] = entry
+        if self.backing is not None:
+            self.backing.put(key, *entry)
 
     # -- versioned-key protocol (called by repro.stream) ---------------
     def invalidate(self, key: str) -> Tuple[int, int, int]:
@@ -147,18 +162,16 @@ class TieredScheduleCache:
         """
         l1_removed = 0
         for view in self._views:
-            if view._l1.pop(key, None) is not None:
+            if view.tiers[0].pop(key, None) is not None:
                 l1_removed += 1
-                view.tier.l1_invalidations += 1
-        l2_removed = int(self._l2.pop(key, None) is not None)
-        disk_removed = 0
-        if self.backing is not None and self.backing.invalidate(key):
-            disk_removed = 1
-        self.tier.l1_invalidations += l1_removed
-        self.tier.l2_invalidations += l2_removed + disk_removed
+                view.l1_invalidations += 1
+        l2_removed = int(self._memo.pop(key, None) is not None)
+        disk_removed = int(self.backing is not None
+                           and self.backing.invalidate(key))
+        self.l2_invalidations += l2_removed + disk_removed
         return l1_removed, l2_removed, disk_removed
 
-    def seed(self, key: str, entry: Tuple) -> None:
+    def seed(self, key: str, entry: Entry) -> None:
         """Install a ready-made schedule under ``key`` in the shared tier.
 
         The warm half of the protocol: a repaired (or recomputed)
@@ -166,75 +179,30 @@ class TieredScheduleCache:
         is attached — so the first admission against the new epoch
         promotes it into a replica's L1 instead of running Algorithm 1.
         """
-        self._l2_put(key, entry)
-        self.tier.seeds += 1
-
-    # -- shared-tier access (called by the views) ----------------------
-    def _l2_get(self, key: str) -> Optional[Tuple]:
-        entry = self._l2.get(key)
-        if entry is not None:
-            return entry
-        if self.backing is not None:
-            entry = self.backing.get(key)
-            if entry is not None:
-                # Memo the disk read so repeat L2 hits stay in-process.
-                self._l2[key] = entry
-                return entry
-        return None
-
-    def _l2_put(self, key: str, entry: Tuple) -> None:
-        self._l2[key] = entry
-        if self.backing is not None:
-            self.backing.put(key, *entry)
+        self.put(key, entry)
+        self.seeds += 1
 
 
-class ReplicaScheduleView:
+class ReplicaScheduleView(ScheduleStore):
     """One replica's window onto the tiered cache.
 
-    Duck-compatible with :class:`~repro.serve.server.ScheduleStore`
-    (``resolve(graph) -> (path, hit)`` plus a ``stats``
-    :class:`CacheStats`), so the :class:`~repro.serve.server
-    .ServerEngine` cannot tell tiered and single-node stores apart.
-    The extra ``tier`` breakdown is what the cluster stats aggregate.
+    The one resolver with two tiers: this replica's L1 memo, then the
+    fleet's shared :class:`TieredScheduleCache`.  A view adds only its
+    ``replica_id``, its registration with the parent (so keyed
+    invalidation reaches its L1) and the derived :attr:`tier`
+    breakdown the cluster stats aggregate.
     """
 
     def __init__(self, parent: TieredScheduleCache, replica_id: int):
-        self.parent = parent
+        super().__init__(parent.config, tiers=(ScheduleMemo(), parent))
         self.replica_id = replica_id
-        self._l1: Dict[str, Tuple] = {}
-        self.stats = CacheStats()
-        self.tier = TierStats()
-        #: Lookups served before the first L1 hit (-1 until one lands).
-        #: For a view created at a replica rejoin this is the cold-L1
-        #: warm-up length the recovery records surface.
-        self.lookups_to_first_l1_hit = -1
+        self.l1_invalidations = 0
+        parent._views.append(self)
 
-    def resolve(self, graph: Graph) -> Tuple[PathRepresentation, bool]:
-        """Path representation for ``graph``; True when cache-served."""
-        config = self.parent.config
-        key = schedule_cache_key(graph, config)
-        entry = self._l1.get(key)
-        if entry is not None:
-            if self.lookups_to_first_l1_hit < 0:
-                self.lookups_to_first_l1_hit = self.tier.lookups
-            self.stats.hits += 1
-            self.tier.l1_hits += 1
-            self.parent.tier.l1_hits += 1
-            return materialise(graph, config, entry[0]), True
-        entry = self.parent._l2_get(key)
-        if entry is not None:
-            self._l1[key] = entry
-            self.stats.hits += 1
-            self.tier.l2_hits += 1
-            self.parent.tier.l2_hits += 1
-            return materialise(graph, config, entry[0]), True
-        entry = compute_schedule(graph, config)
-        self.parent._l2_put(key, entry)
-        self._l1[key] = entry
-        self.stats.misses += 1
-        self.stats.puts += 1
-        self.tier.misses += 1
-        self.tier.l2_puts += 1
-        self.parent.tier.misses += 1
-        self.parent.tier.l2_puts += 1
-        return materialise(graph, config, entry[0]), False
+    @property
+    def tier(self) -> TierStats:
+        """This view's live counters as a :class:`TierStats`."""
+        l1_hits, l2_hits = self.tier_hits
+        return TierStats(l1_hits=l1_hits, l2_hits=l2_hits,
+                         misses=self.misses, l2_puts=self.misses,
+                         l1_invalidations=self.l1_invalidations)

@@ -55,11 +55,16 @@ stats surfaces and responses equal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import MegaConfig
-from repro.cluster.cache import ReplicaScheduleView, TieredScheduleCache
+from repro.cluster.cache import (
+    ReplicaScheduleView,
+    TieredScheduleCache,
+    TierStats,
+)
 from repro.cluster.health import (
     BrownoutController,
     FleetHealth,
@@ -265,6 +270,8 @@ class Cluster:
         lifetime_batches: Dict[int, int] = {rid: 0 for rid in replica_ids}
         last_crash_s: Dict[int, float] = {}
         hedged_ids: Set[int] = set()
+        seeds_before = self.tiered.seeds
+        l2_invalidations_before = self.tiered.l2_invalidations
 
         stats = ClusterStats(policy=cfg.policy,
                              num_replicas=cfg.num_replicas,
@@ -316,17 +323,18 @@ class Cluster:
             stats.replicas.append(ReplicaRecord(
                 replica_id=rid, incarnation=h.incarnation,
                 crashed=crashed, crashed_at_s=crashed_at_s,
-                stats=replica_stats, tier=view.tier))
+                stats=replica_stats, view=view))
             if h.incarnation > 0:
                 # Fill this incarnation's warm-up trajectory into its
                 # recovery record: the view started with a cold L1.
+                tier = view.tier
                 for record in health.recoveries:
                     if (record.replica_id == rid
                             and record.incarnation == h.incarnation):
-                        record.warmup_lookups = view.tier.lookups
-                        record.warmup_l1_hits = view.tier.l1_hits
-                        record.warmup_l2_hits = view.tier.l2_hits
-                        record.warmup_misses = view.tier.misses
+                        record.warmup_lookups = tier.lookups
+                        record.warmup_l1_hits = tier.l1_hits
+                        record.warmup_l2_hits = tier.l2_hits
+                        record.warmup_misses = tier.misses
                         record.lookups_to_first_l1_hit = \
                             view.lookups_to_first_l1_hit
 
@@ -390,7 +398,7 @@ class Cluster:
                     and request.request_id not in hedged_ids):
                 engine.stats.received += 1
             try:
-                engine.admit(request, now_s)
+                engine.admit(request, now_s, content_key)
             except QueueFullError as exc:
                 if (retry_policy is not None
                         and request.attempt + 1 < retry_policy.max_attempts):
@@ -461,5 +469,11 @@ class Cluster:
             key=lambda r: (r.replica_id, r.incarnation))
         stats.recoveries = health.recoveries
         stats.health = health.as_dict()
-        stats.tier = self.tiered.tier
+        # This run's fleet tier, folded from its own records: earlier
+        # runs on the same cluster share the L2 but not these counts.
+        stats.tier = functools.reduce(
+            TierStats.merge, (r.tier for r in stats.replicas),
+            TierStats(seeds=self.tiered.seeds - seeds_before,
+                      l2_invalidations=(self.tiered.l2_invalidations
+                                        - l2_invalidations_before)))
         return ClusterResult(responses=responses, stats=stats)

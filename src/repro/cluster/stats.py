@@ -29,7 +29,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.cluster.cache import TierStats
+from repro.cluster.cache import ReplicaScheduleView, TierStats
 from repro.cluster.health import RecoveryRecord
 from repro.serve.stats import ServerStats
 
@@ -78,7 +78,9 @@ class ReplicaRecord:
     and recovers contributes one record per incarnation (``incarnation``
     0 is the original engine), each with its own engine and cache view
     — the fresh incarnation's ``tier`` starts cold, which is exactly
-    the warm-up trajectory the recovery records measure.
+    the warm-up trajectory the recovery records measure.  ``tier`` is
+    read from the view's live counters: keyed invalidations that reach
+    a retired view after its incarnation was sealed still show.
     ``stats.received`` counts first-time routings (retries and
     failovers re-route but do not re-count), so summed over records it
     equals the fleet's ``received``.
@@ -88,8 +90,12 @@ class ReplicaRecord:
     crashed: bool
     crashed_at_s: float
     stats: ServerStats
-    tier: TierStats
+    view: ReplicaScheduleView
     incarnation: int = 0
+
+    @property
+    def tier(self) -> TierStats:
+        return self.view.tier
 
     def as_dict(self) -> Dict:
         return {"replica_id": self.replica_id,
@@ -154,7 +160,9 @@ class ClusterStats:
         Per-replica health machines and breakers
         (:meth:`repro.cluster.health.FleetHealth.as_dict`).
     tier:
-        Fleet-wide per-tier cache attribution.
+        Fleet-wide per-tier cache attribution for this run: the merge
+        of the run's replica records plus the seeds and shared-tier
+        invalidations made during it.
     """
 
     policy: str = "hash-affinity"

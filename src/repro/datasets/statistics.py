@@ -8,7 +8,7 @@ per-graph ratio of directed edges to ``n(n-1)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List
 
 import numpy as np
 from scipy import stats as sps
@@ -104,14 +104,3 @@ def table_three_row(dataset: GraphDataset, max_graphs: int = 400,
         std_max_degree=float(maxs.std()),
         std_mean_degree=float(means.std()),
         mean_ks_similarity=float(np.mean(eps)) if eps else 1.0)
-
-
-def summarize(datasets: Sequence[GraphDataset]) -> Dict[str, dict]:
-    """Tables II and III for a collection of datasets."""
-    out: Dict[str, dict] = {}
-    for ds in datasets:
-        out[ds.name] = {
-            "table2": table_two_row(ds),
-            "table3": table_three_row(ds),
-        }
-    return out

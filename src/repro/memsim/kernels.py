@@ -11,8 +11,6 @@ plus MEGA's ``band`` kernels.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.memsim.access import (
@@ -60,21 +58,6 @@ def gather_rows(device: GPUDevice, layout: MemoryLayout, region: str,
                               len(row_indices) * row_bytes)
     flops = float(len(row_indices) * dim)  # copy/accumulate cost
     return device.run_kernel(name, flops, loads=loads, stores=stores,
-                             parallel_items=len(row_indices) * dim)
-
-
-def scatter_add_rows(device: GPUDevice, layout: MemoryLayout, region: str,
-                     row_indices: np.ndarray, dim: int,
-                     name: str = "dgl::scatter") -> KernelStats:
-    """Accumulate message rows into indexed destinations (atomic adds)."""
-    row_bytes = dim * FLOAT_BYTES
-    loads = sequential_trace(layout.base("workspace"),
-                             len(row_indices) * row_bytes)
-    stores = row_gather_trace(layout.base(region), np.asarray(row_indices),
-                              row_bytes)
-    flops = float(len(row_indices) * dim)
-    return device.run_kernel(name, flops, loads=loads, stores=stores,
-                             atomic_stores=True,
                              parallel_items=len(row_indices) * dim)
 
 
@@ -127,18 +110,6 @@ def band_gather(device: GPUDevice, layout: MemoryLayout, region: str,
     loads = row_gather_trace(layout.base(region), rows, row_bytes)
     stores = sequential_trace(layout.base("workspace"), length * row_bytes)
     flops = float(length * (2 * window + 1) * dim)
-    return device.run_kernel(name, flops, loads=loads, stores=stores,
-                             parallel_items=length * dim)
-
-
-def band_scatter(device: GPUDevice, layout: MemoryLayout, region: str,
-                 length: int, dim: int,
-                 name: str = "mega::reduce") -> KernelStats:
-    """Sequential per-position write-back of band aggregation results."""
-    row_bytes = dim * FLOAT_BYTES
-    loads = sequential_trace(layout.base("workspace"), length * row_bytes)
-    stores = sequential_trace(layout.base(region), length * row_bytes)
-    flops = float(length * dim)
     return device.run_kernel(name, flops, loads=loads, stores=stores,
                              parallel_items=length * dim)
 

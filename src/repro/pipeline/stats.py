@@ -8,12 +8,28 @@ distinguishable without profiling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List
 
 
+class Counters:
+    """``merge`` and ``as_dict`` for a dataclass of integer counters.
+
+    Both are generated from the dataclass fields, in field order, so
+    adding a counter is a one-line change.
+    """
+
+    def merge(self, other):
+        """Elementwise sum (accumulating across splits, runs or replicas)."""
+        return type(self)(**{f.name: getattr(self, f.name)
+                             + getattr(other, f.name) for f in fields(self)})
+
+    def as_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Hit/miss/invalidation accounting for one :class:`ScheduleCache`.
 
     Attributes
@@ -64,29 +80,6 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Elementwise sum (accumulating across splits or runs)."""
-        return CacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            invalidations=self.invalidations + other.invalidations,
-            explicit_invalidations=(self.explicit_invalidations
-                                    + other.explicit_invalidations),
-            corrupt_checksum=self.corrupt_checksum + other.corrupt_checksum,
-            corrupt_payload=self.corrupt_payload + other.corrupt_payload,
-            stale_tmp=self.stale_tmp + other.stale_tmp,
-            evictions=self.evictions + other.evictions,
-            puts=self.puts + other.puts)
-
-    def as_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "invalidations": self.invalidations,
-                "explicit_invalidations": self.explicit_invalidations,
-                "corrupt_checksum": self.corrupt_checksum,
-                "corrupt_payload": self.corrupt_payload,
-                "stale_tmp": self.stale_tmp,
-                "evictions": self.evictions, "puts": self.puts}
 
 
 @dataclass(frozen=True)

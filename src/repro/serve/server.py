@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from repro.models.kernel_plans import simulate_batch
 from repro.models.runtime import MegaRuntime
 from repro.pipeline.cache import ScheduleCache
 from repro.pipeline.hashing import schedule_cache_key
-from repro.pipeline.parallel import compute_schedule, materialise
+from repro.pipeline.parallel import Entry, compute_schedule, materialise
 from repro.pipeline.stats import CacheStats
 from repro.resilience import RetryPolicy
 from repro.serve.batcher import BatchingPolicy, BatchPlan, MicroBatcher
@@ -101,44 +101,94 @@ class ServerConfig:
                 "miss_penalty_s and retry_after_default_s must be >= 0")
 
 
-class ScheduleStore:
-    """Admission-time schedule resolution with serve-local counters.
+class ScheduleMemo(dict):
+    """In-process schedule tier: a dict with the tier protocol."""
 
-    Backed by a :class:`ScheduleCache` when one is attached (hits also
-    move the pipeline cache's own counters — the observable
-    double-entry bookkeeping the acceptance tests assert); falls back
-    to an in-process memo otherwise, so the server never needs a disk
-    directory just to deduplicate repeat graphs within a run.
+    put = dict.__setitem__
+
+
+class DiskTier:
+    """The tier protocol over an on-disk :class:`ScheduleCache`.
+
+    Every ``get`` re-reads and checksum-verifies the entry, so the disk
+    cache's own counters move on each lookup.
+    """
+
+    def __init__(self, cache: ScheduleCache):
+        self.cache = cache
+
+    def get(self, key: str) -> Optional[Entry]:
+        return self.cache.get(key)
+
+    def put(self, key: str, entry: Entry) -> None:
+        self.cache.put(key, *entry)
+
+
+class ScheduleStore:
+    """Admission-time schedule resolution through an ordered tier list.
+
+    A tier is anything with ``get(key)`` and ``put(key, entry)``.
+    :meth:`resolve` walks the tiers in order: a hit is copied into the
+    tiers above it, a full miss runs Algorithm 1 and feeds every tier.
+
+    The single-node server has one tier: the attached
+    :class:`ScheduleCache` (hits also move the pipeline cache's own
+    counters — the observable double-entry bookkeeping the acceptance
+    tests assert) or, without one, an in-process memo, so the server
+    never needs a disk directory just to deduplicate repeat graphs
+    within a run.  A cluster replica's view stacks its own memo over
+    the fleet's shared tier (:mod:`repro.cluster.cache`).
+
+    Each lookup bumps exactly one counter: ``tier_hits[i]`` for a hit
+    in tier ``i``, else ``misses``.  Every stats view is derived.
     """
 
     def __init__(self, config: MegaConfig,
-                 cache: Optional[ScheduleCache] = None):
+                 cache: Optional[ScheduleCache] = None,
+                 tiers: Optional[Sequence] = None):
         self.config = config
         self.cache = cache
-        self.stats = CacheStats()
-        self._memo: Dict[str, Tuple] = {}
+        if tiers is None:
+            tiers = (ScheduleMemo() if cache is None else DiskTier(cache),)
+        self.tiers = tuple(tiers)
+        self.tier_hits = [0] * len(self.tiers)
+        self.misses = 0
+        #: Lookups served before the first tier-0 hit (-1 until one
+        #: lands).  For a replica view created at a rejoin this is the
+        #: cold-L1 warm-up length the recovery records surface.
+        self.lookups_to_first_l1_hit = -1
 
-    def resolve(self, graph: Graph) -> Tuple[PathRepresentation, bool]:
-        """Path representation for ``graph``; True when cache-served."""
-        key = schedule_cache_key(graph, self.config)
-        if self.cache is not None:
-            entry = self.cache.get(key)
+    @property
+    def lookups(self) -> int:
+        return sum(self.tier_hits) + self.misses
+
+    @property
+    def stats(self) -> CacheStats:
+        """Serve-compatible counters; every miss wrote one entry."""
+        return CacheStats(hits=sum(self.tier_hits), misses=self.misses,
+                          puts=self.misses)
+
+    def resolve(self, graph: Graph, key: str
+                ) -> Tuple[PathRepresentation, bool]:
+        """Path representation for ``graph`` under its content ``key``.
+
+        True when a tier served it.  The caller computes ``key``
+        (:func:`~repro.pipeline.hashing.schedule_cache_key`) once per
+        dispatch; the resolver never hashes.
+        """
+        for depth, tier in enumerate(self.tiers):
+            entry = tier.get(key)
             if entry is not None:
-                self.stats.hits += 1
+                if depth == 0 and self.lookups_to_first_l1_hit < 0:
+                    self.lookups_to_first_l1_hit = self.lookups
+                self.tier_hits[depth] += 1
+                for upper in self.tiers[:depth]:
+                    upper.put(key, entry)
                 return materialise(graph, self.config, entry[0]), True
-            entry = compute_schedule(graph, self.config)
-            self.cache.put(key, *entry)
-            self.stats.misses += 1
-            self.stats.puts += 1
-            return materialise(graph, self.config, entry[0]), False
-        entry = self._memo.get(key)
-        if entry is not None:
-            self.stats.hits += 1
-            return materialise(graph, self.config, entry[0]), True
         entry = compute_schedule(graph, self.config)
-        self._memo[key] = entry
-        self.stats.misses += 1
-        self.stats.puts += 1
+        for tier in self.tiers:
+            tier.put(key, entry)
+        self.misses += 1
         return materialise(graph, self.config, entry[0]), False
 
 
@@ -172,10 +222,10 @@ class ServerEngine:
     * :meth:`complete` retires a finished batch's responses;
     * :meth:`evacuate` empties the queue (cluster failover).
 
-    ``store`` is anything with a ``resolve(graph) -> (path, hit)``
-    method and a ``stats`` :class:`CacheStats` — the single-node
-    :class:`ScheduleStore` or a per-replica view of the cluster's
-    two-tier cache.
+    ``store`` is a :class:`ScheduleStore`: the single-node one-tier
+    store or a cluster replica's two-tier view.  The engine never
+    hashes: :meth:`admit` takes the graph's content key from its
+    caller, which computed it once for the whole dispatch.
     """
 
     def __init__(self, model: GNNModel, config: ServerConfig, store,
@@ -210,8 +260,12 @@ class ServerEngine:
             return self.stats.batches[-1].service_s
         return self.config.retry_after_default_s
 
-    def admit(self, request: InferenceRequest, now_s: float) -> None:
+    def admit(self, request: InferenceRequest, now_s: float,
+              key: str) -> None:
         """Enqueue ``request`` or raise :class:`QueueFullError`.
+
+        ``key`` is the content key of ``request.graph``; the store
+        resolves the schedule under it.
 
         Counter order matches the historical single-server loop:
         every attempt samples the queue depth, then either admits or
@@ -226,7 +280,7 @@ class ServerEngine:
             raise QueueFullError(
                 f"queue at capacity ({self.queue.capacity})",
                 retry_after_s=self.retry_after())
-        path, hit = self.store.resolve(request.graph)
+        path, hit = self.store.resolve(request.graph, key)
         self.queue.admit(QueuedRequest(request=request, admitted_s=now_s,
                                        path=path, schedule_hit=hit))
         self.stats.admitted += 1
@@ -445,8 +499,9 @@ class InferenceServer:
             loop.arrive(request)
 
         def admit(request: InferenceRequest, now_s: float) -> None:
+            key = schedule_cache_key(request.graph, self.mega_config)
             try:
-                engine.admit(request, now_s)
+                engine.admit(request, now_s, key)
             except QueueFullError as exc:
                 if (retry_policy is not None
                         and request.attempt + 1 < retry_policy.max_attempts):

@@ -15,19 +15,6 @@ def xavier_uniform(rng: np.random.Generator, shape: Tuple[int, ...],
     return rng.uniform(-bound, bound, size=shape)
 
 
-def xavier_normal(rng: np.random.Generator, shape: Tuple[int, ...],
-                  gain: float = 1.0) -> np.ndarray:
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
-    fan_in, _ = _fans(shape)
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape)
 

@@ -15,8 +15,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster import Cluster, ClusterConfig, TierStats
 from repro.errors import ClusterError, ReproError
+from repro.pipeline import ScheduleCache
+from repro.pipeline.hashing import schedule_cache_key
+from repro.pipeline.parallel import compute_schedule
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.serve import BatchingPolicy, InferenceServer, ServerConfig
 
@@ -181,17 +184,19 @@ class TestFailover:
 
 
 class TestDegeneracy:
-    def test_single_replica_matches_single_server(self, model,
-                                                  make_requests):
+    @staticmethod
+    def assert_single_replica_matches(model, make_requests, single_cache,
+                                      cluster_cache):
         # Queue big enough that no rejection path fires; then the
         # cluster's one engine must reproduce InferenceServer.run's
         # stats byte for byte.
         server_config = ServerConfig(
             queue_capacity=64, policy=BatchingPolicy(max_batch_size=8))
-        single = InferenceServer(model, config=server_config) \
+        single = InferenceServer(model, config=server_config,
+                                 cache=single_cache) \
             .run(make_requests(num=48))
         clustered = Cluster(model, ClusterConfig(
-            num_replicas=1, server=server_config)) \
+            num_replicas=1, server=server_config), cache=cluster_cache) \
             .run(make_requests(num=48))
         assert json.dumps(single.stats.as_dict(), sort_keys=True) == \
             json.dumps(clustered.stats.replicas[0].stats.as_dict(),
@@ -202,6 +207,18 @@ class TestDegeneracy:
             other = clustered.response_for(response.request_id)
             assert response.prediction.tolist() == \
                 other.prediction.tolist()
+
+    def test_single_replica_matches_single_server(self, model,
+                                                  make_requests):
+        self.assert_single_replica_matches(model, make_requests, None, None)
+
+    def test_single_replica_matches_single_server_on_disk(
+            self, model, make_requests, tmp_path):
+        # The single server's disk-only tier against the replica's L1
+        # over a disk-backed L2: the serve-local counters still agree.
+        self.assert_single_replica_matches(
+            model, make_requests, ScheduleCache(tmp_path / "single"),
+            ScheduleCache(tmp_path / "cluster"))
 
     def test_single_replica_matches_under_backpressure(self, model,
                                                        make_requests):
@@ -233,6 +250,51 @@ class TestDegeneracy:
              for r in clustered.responses]
         for ours, theirs in zip(single.responses, clustered.responses):
             assert np.array_equal(ours.prediction, theirs.prediction)
+
+
+class TestRunScopedTierStats:
+    def test_each_run_reports_its_own_fleet_tier(self, make_cluster,
+                                                 make_requests):
+        # Two runs on one cluster share the L2, not the counters: the
+        # first result must not move when the second runs, and the
+        # second reports its own lookups only.
+        cluster = make_cluster(replicas=2)
+        requests = make_requests(num=12)
+        first = cluster.run(requests).stats
+        first_tier = first.tier.as_dict()
+        second = cluster.run(requests).stats
+        assert first.tier.as_dict() == first_tier
+        for stats in (first, second):
+            folded = TierStats()
+            for record in stats.replicas:
+                folded = folded.merge(record.tier)
+            assert stats.tier.as_dict() == folded.as_dict()
+        assert second.tier.misses == 0
+        assert second.tier.lookups == len(requests)
+
+    def test_run_counts_its_own_seeds_and_invalidations(
+            self, make_cluster, make_requests, pool):
+        cluster = make_cluster(replicas=2)
+        config = cluster.mega_config
+        old_key, new_key = (schedule_cache_key(g, config) for g in pool[:2])
+        entry = compute_schedule(pool[1], config)
+        removed = []
+
+        def churn(now_s):
+            removed.append(cluster.tiered.invalidate(old_key))
+            cluster.tiered.seed(new_key, entry)
+
+        requests = make_requests(num=12)
+        first = cluster.run(requests, control_events=[(0.0, churn)]).stats
+        second = cluster.run(requests).stats
+        third = cluster.run(requests, control_events=[(0.0, churn)]).stats
+        # Cold at the first churn; the runs in between cached pool[0].
+        assert removed == [(0, 0, 0), (2, 1, 0)]
+        assert (first.tier.seeds, first.tier.l2_invalidations) == (1, 0)
+        assert (second.tier.seeds, second.tier.l2_invalidations) == (0, 0)
+        assert (third.tier.seeds, third.tier.l2_invalidations) == (1, 1)
+        assert cluster.tiered.tier.seeds == 2
+        assert cluster.tiered.tier.l2_invalidations == 1
 
 
 class TestPoliciesUnderLoad:

@@ -2,9 +2,9 @@
 drift from its method set.
 
 The serving stack is glued together structurally, not nominally:
-``ServerEngine`` accepts "anything with a ``resolve(graph) -> (path,
-hit)``" (the :class:`~repro.serve.server.ScheduleStore` shape — the
-cluster's two-tier cache view duck-types it), and the cluster routes
+``ServerEngine`` accepts "anything with a ``resolve(graph, key) ->
+(path, hit)``" (the :class:`~repro.serve.server.ScheduleStore` shape —
+the cluster's two-tier cache view subclasses it), and the cluster routes
 through "anything with a ``choose(key, alive, ring)``"
 (:class:`~repro.cluster.routing.LoadBalancePolicy`).  Nothing checks
 those shapes at runtime until a request is already in flight — a
