@@ -27,11 +27,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
-import numpy as np
-
 from repro.cluster.cache import ReplicaScheduleView, TierStats
 from repro.cluster.health import RecoveryRecord
-from repro.serve.stats import ServerStats
+from repro.serve.stats import LatencyFold, ServerStats
 
 #: The closed set of per-request failure reasons.  ``shed-capacity``
 #: appears only on :class:`ShedRequest` records (brownout admission).
@@ -107,7 +105,7 @@ class ReplicaRecord:
 
 
 @dataclass
-class ClusterStats:
+class ClusterStats(LatencyFold):
     """Everything observable about one clustered serving run.
 
     Attributes
@@ -191,34 +189,6 @@ class ClusterStats:
     replicas: List[ReplicaRecord] = field(default_factory=list)
     health: Dict = field(default_factory=dict)
     tier: TierStats = field(default_factory=TierStats)
-
-    # ------------------------------------------------------------------
-    # Fleet SLO metrics
-    # ------------------------------------------------------------------
-    def latency_percentile(self, q: float) -> float:
-        """Fleet latency percentile ``q``; 0.0 with no completions."""
-        if not self.latencies_s:
-            return 0.0
-        return float(np.percentile(np.asarray(self.latencies_s), q))
-
-    @property
-    def p50_latency_s(self) -> float:
-        return self.latency_percentile(50.0)
-
-    @property
-    def p95_latency_s(self) -> float:
-        return self.latency_percentile(95.0)
-
-    @property
-    def p99_latency_s(self) -> float:
-        return self.latency_percentile(99.0)
-
-    @property
-    def throughput_rps(self) -> float:
-        """Served requests per simulated second, fleet-wide."""
-        if self.sim_duration_s <= 0.0:
-            return 0.0
-        return self.served / self.sim_duration_s
 
     @property
     def num_batches(self) -> int:

@@ -35,8 +35,8 @@ from repro.memsim.access import (
     sequential_trace,
 )
 from repro.memsim.device import DeviceSpec, GPUDevice, KernelLaunch
-from repro.memsim.kernels import (FLOAT_BYTES, cub_sort_launch, memcpy,
-                                  sgemm_launch)
+from repro.memsim.kernels import (FLOAT_BYTES, cub_sort_launch,
+                                  elementwise_launch, sgemm_launch)
 from repro.memsim.profiler import Profiler
 from repro.models.runtime import AggregationRuntime, BaselineRuntime, MegaRuntime
 
@@ -129,16 +129,6 @@ def _baseline_update_all(layout: MemoryLayout, rt: BaselineRuntime,
         atomic_stores=True,
         imbalance=_imbalance(rt.msg_dst, rt.num_nodes),
         parallel_items=rt.num_messages * dim)
-
-
-def _elementwise(layout: MemoryLayout, region: str, rows: int, dim: int,
-                 flops_per_element: float = 6.0) -> KernelLaunch:
-    nbytes = max(rows, 1) * dim * FLOAT_BYTES
-    loads = sequential_trace(layout.base(region), nbytes)
-    stores = sequential_trace(layout.base(region), nbytes)
-    return KernelLaunch("elementwise", float(rows * dim * flops_per_element),
-                        loads=loads, stores=stores,
-                        parallel_items=rows * dim)
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +239,7 @@ def batch_launches(model_name: str, runtime: AggregationRuntime,
     launches.extend(layer * num_layers)
     # Readout + head.
     launches.append(sgemm_launch(layout, max(n // 4, 1), dim, dim, gemm))
-    launches.append(_elementwise(layout, "nodes", n, dim))
+    launches.append(elementwise_launch(layout, "nodes", n, dim))
     return launches
 
 
@@ -271,7 +261,7 @@ def simulate_batch(model_name: str, runtime: AggregationRuntime,
         # Features + topology (baseline) or path buffers (MEGA).
         m = runtime.num_messages
         nbytes = (_node_rows(runtime) + m) * dim * FLOAT_BYTES + m * 16
-        profiler.record(memcpy(device, nbytes))
+        profiler.record(device.memcpy(nbytes))
     profiler.extend(device.run_kernels(launches))
     return profiler
 
@@ -291,12 +281,12 @@ def _plan_gcn_layer(layout: MemoryLayout, rt: AggregationRuntime, dim: int,
                  _mega_sync(layout, rt, dim)]
     else:
         plan += [_baseline_apply_edges(layout, rt, dim, operands=2),
-                 _elementwise(layout, "edges", rt.num_messages, dim),
+                 elementwise_launch(layout, "edges", rt.num_messages, dim),
                  _baseline_update_all(layout, rt, dim, with_src=True),
                  _baseline_update_all(layout, rt, dim, with_src=False)]
     # BN/ReLU/residual on nodes and edges.
-    plan += [_elementwise(layout, "nodes", node_rows, dim),
-             _elementwise(layout, "edges", rt.num_messages, dim)]
+    plan += [elementwise_launch(layout, "nodes", node_rows, dim),
+             elementwise_launch(layout, "edges", rt.num_messages, dim)]
     return plan
 
 
@@ -305,7 +295,7 @@ def _plan_gat_layer(layout: MemoryLayout, rt: AggregationRuntime, dim: int,
                     gemm: float) -> List[KernelLaunch]:
     """GAT: one projection, one score scatter, softmax + weighted gather."""
     plan = [sgemm_launch(layout, node_rows, dim, dim, gemm),
-            _elementwise(layout, "nodes", node_rows, dim)]
+            elementwise_launch(layout, "nodes", node_rows, dim)]
     if is_mega:
         plan += [_mega_band_kernel(layout, rt, dim, operands=2),
                  _mega_band_reduce(layout, rt, dim, with_src=False),
@@ -315,7 +305,7 @@ def _plan_gat_layer(layout: MemoryLayout, rt: AggregationRuntime, dim: int,
         plan += [_baseline_apply_edges(layout, rt, dim, operands=2),
                  _baseline_update_all(layout, rt, dim, with_src=False),
                  _baseline_update_all(layout, rt, dim, with_src=True)]
-    plan.append(_elementwise(layout, "nodes", node_rows, dim))
+    plan.append(elementwise_launch(layout, "nodes", node_rows, dim))
     return plan
 
 
@@ -348,8 +338,8 @@ def _plan_gt_layer(layout: MemoryLayout, rt: AggregationRuntime, dim: int,
                  _baseline_update_all(layout, rt, dim, with_src=False),
                  _baseline_update_all(layout, rt, dim, with_src=True)]
     # Norm/residual + FFN activations.
-    plan += [_elementwise(layout, "nodes", node_rows, dim),
-             _elementwise(layout, "edges", rt.num_messages, dim)]
+    plan += [elementwise_launch(layout, "nodes", node_rows, dim),
+             elementwise_launch(layout, "edges", rt.num_messages, dim)]
     return plan
 
 

@@ -56,7 +56,7 @@ def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR`` or ``~/.cache/repro/schedules``."""
     # Deliberate impurity: the env var picks where the cache *lives*;
     # it never reaches a cache key.
-    env = os.environ.get("REPRO_CACHE_DIR")  # megalint: disable=MEGA004 # megalint: sanctioned-impurity=env: selects the cache directory, never enters a cache key
+    env = os.environ.get("REPRO_CACHE_DIR")  # megalint: sanctioned-impurity=env: selects the cache directory, never enters a cache key
     if env:
         return Path(env).expanduser()
     return Path("~/.cache/repro/schedules").expanduser()

@@ -59,8 +59,43 @@ class BatchRecord:
     schedule_misses: int
 
 
+class LatencyFold:
+    """Latency percentiles and throughput over a run's completions.
+
+    Shared by :class:`ServerStats` and
+    :class:`repro.cluster.stats.ClusterStats`, which both carry
+    ``latencies_s`` (completion order), ``served`` and
+    ``sim_duration_s``.
+    """
+
+    def latency_percentile(self, q: float) -> float:
+        """Latency percentile ``q`` in [0, 100]; 0.0 with no completions."""
+        if not self.latencies_s:
+            return 0.0
+        return float(np.percentile(np.asarray(self.latencies_s), q))
+
+    @property
+    def p50_latency_s(self) -> float:
+        return self.latency_percentile(50.0)
+
+    @property
+    def p95_latency_s(self) -> float:
+        return self.latency_percentile(95.0)
+
+    @property
+    def p99_latency_s(self) -> float:
+        return self.latency_percentile(99.0)
+
+    @property
+    def throughput_rps(self) -> float:
+        """Served requests per simulated second."""
+        if self.sim_duration_s <= 0.0:
+            return 0.0
+        return self.served / self.sim_duration_s
+
+
 @dataclass
-class ServerStats:
+class ServerStats(LatencyFold):
     """Everything observable about one serving run.
 
     Counter identities (asserted by the backpressure tests)::
@@ -114,34 +149,6 @@ class ServerStats:
     latencies_s: List[float] = field(default_factory=list)
     batches: List[BatchRecord] = field(default_factory=list)
     cache: CacheStats = field(default_factory=CacheStats)
-
-    # ------------------------------------------------------------------
-    # SLO metrics
-    # ------------------------------------------------------------------
-    def latency_percentile(self, q: float) -> float:
-        """Latency percentile ``q`` in [0, 100]; 0.0 with no completions."""
-        if not self.latencies_s:
-            return 0.0
-        return float(np.percentile(np.asarray(self.latencies_s), q))
-
-    @property
-    def p50_latency_s(self) -> float:
-        return self.latency_percentile(50.0)
-
-    @property
-    def p95_latency_s(self) -> float:
-        return self.latency_percentile(95.0)
-
-    @property
-    def p99_latency_s(self) -> float:
-        return self.latency_percentile(99.0)
-
-    @property
-    def throughput_rps(self) -> float:
-        """Served requests per simulated second."""
-        if self.sim_duration_s <= 0.0:
-            return 0.0
-        return self.served / self.sim_duration_s
 
     @property
     def mean_queue_depth(self) -> float:

@@ -8,6 +8,7 @@ for project violations exactly as for per-file ones.
 """
 
 import json
+import textwrap
 
 import pytest
 
@@ -161,7 +162,7 @@ class TestMEGA013Layering:
         assert "repro.pipeline.runner.launch" in msgs[0]
 
     def test_top_layer_order_is_enforced(self, plint):
-        # serve (rank 2) calling into bench (rank 4) is upward.
+        # serve (rank 2) calling into bench (rank 5) is upward.
         result = plint({
             "repro/bench/harness.py": """\
                 def measure():
@@ -190,6 +191,184 @@ class TestMEGA013Layering:
                 """,
         }, select=["MEGA013"])
         assert rule_ids_of(result) == []
+
+
+class TestOneLayerModel:
+    """MEGA001 (import edges) and MEGA013 (call edges) rank modules
+    through the one ``layer_rank``."""
+
+    def test_ranks_follow_the_configured_order(self):
+        from tools.megalint.rules.layering import layer_rank
+        config = LintConfig()
+        ranks = [layer_rank(m, config) for m in (
+            "repro.resilience.faults", "repro.pipeline.cache",
+            "repro.serve", "repro.cluster.router", "repro.stream.deltas",
+            "repro.bench.cli", "repro.cli")]
+        assert ranks == [(0, "repro.resilience"), (1, "repro.pipeline"),
+                         (2, "repro.serve"), (3, "repro.cluster"),
+                         (4, "repro.stream"), (5, "repro.bench"), None]
+
+    def test_import_and_call_edges_agree(self, plint):
+        result = plint({
+            "repro/bench/harness.py": "def measure():\n    return 1\n",
+            "repro/stream/loop.py": """\
+                from repro.bench.harness import measure
+
+                def advance():
+                    return measure()
+                """,
+        }, select=["MEGA001", "MEGA013"])
+        assert rule_ids_of(result) == ["MEGA001", "MEGA013"]
+        assert all("repro.stream" in v.message and "repro.bench" in v.message
+                   for v in result.violations)
+
+
+class TestOneDeterminismChecker:
+    """MEGA004 and MEGA011 are hop-0 views of MEGA012's taint: the same
+    sources, the same sanctions, one verdict per input."""
+
+    RULES = ["MEGA004", "MEGA011", "MEGA012"]
+
+    def test_clock_in_def_nested_in_as_dict(self, plint):
+        result = plint({
+            "repro/bench/report.py": """\
+                import time
+
+                def as_dict():
+                    def stamp():
+                        return time.time()
+                    return {"at": stamp()}
+                """,
+        }, select=self.RULES)
+        assert rule_ids_of(result) == ["MEGA011", "MEGA012"]
+        assert "time.time()" in _messages(result, "MEGA011")[0]
+
+    def test_sorted_glob_in_purity_module_is_clean(self, plint):
+        result = plint({
+            "repro/pipeline/cache.py": """\
+                def entries(cache_dir):
+                    return sorted(cache_dir.glob("*.npz"))
+
+                def names(cache_dir):
+                    return sorted(p.name for p in cache_dir.iterdir())
+                """,
+        }, select=self.RULES)
+        assert rule_ids_of(result) == []
+
+    def test_unsorted_glob_in_purity_module_fires_both(self, plint):
+        result = plint({
+            "repro/pipeline/cache.py": """\
+                def entries(cache_dir):
+                    return list(cache_dir.glob("*.npz"))
+                """,
+        }, select=self.RULES)
+        assert rule_ids_of(result) == ["MEGA004", "MEGA012"]
+        assert "fs-order" in _messages(result, "MEGA012")[0]
+
+    def test_module_level_and_init_clock_reads(self, plint):
+        # MEGA004 keeps its whole-module scope; MEGA012's sinks stay
+        # the purity module's (non-dunder) functions.
+        result = plint({
+            "repro/pipeline/hashing.py": """\
+                import time
+
+                STARTED = time.time()
+
+                class Keyer:
+                    def __init__(self):
+                        self.born = time.monotonic()
+
+                    def key(self, blob):
+                        return hash(blob)
+                """,
+        }, select=self.RULES)
+        assert rule_ids_of(result) == ["MEGA004"]
+        assert [v.line for v in result.violations] == [3, 7]
+
+    def test_sanctioned_impurity_needs_no_disable(self, plint):
+        result = plint({
+            "repro/pipeline/cache.py": """\
+                import os
+
+                def default_dir():
+                    return os.environ.get("X")  # megalint: sanctioned-impurity=env: picks the directory, never a key
+                """,
+        }, select=self.RULES)
+        assert rule_ids_of(result) == []
+        assert result.suppressed == 0
+
+    def test_unjustified_declaration_sanctions_nothing(self, plint):
+        result = plint({
+            "repro/pipeline/cache.py": """\
+                import os
+
+                def default_dir():
+                    return os.environ.get("X")  # megalint: sanctioned-impurity=env:
+                """,
+        }, select=self.RULES)
+        assert rule_ids_of(result) == ["MEGA004", "MEGA012"]
+
+
+class TestAliasSurvival:
+    """The hop-0 aliases keep their IDs for suppressions, --select and
+    baselines."""
+
+    PURITY = {
+        "repro/pipeline/hashing.py": """\
+            import time
+
+            def key(blob):
+                return (blob, time.time())
+            """,
+    }
+    LEDGER = {
+        "repro/bench/stats.py": """\
+            import time
+
+            class Stats:
+                def as_dict(self):
+                    return {"elapsed": time.perf_counter()}
+            """,
+    }
+
+    @pytest.mark.parametrize("rule_id, files", [
+        ("MEGA004", PURITY), ("MEGA011", LEDGER)])
+    def test_inline_disable_silences_alias(self, lint, rule_id, files):
+        assert rule_ids_of(lint(files, select={rule_id})) == [rule_id]
+        silenced = {
+            path: text.replace("time.time())", "time.time())  # megalint: "
+                               f"disable={rule_id}")
+                      .replace("perf_counter()}", "perf_counter()}  "
+                               f"# megalint: disable={rule_id}")
+            for path, text in files.items()}
+        result = lint(silenced, select={rule_id})
+        assert result.ok and result.suppressed == 1
+
+    def test_select_runs_each_alias(self, tmp_path, monkeypatch, capsys):
+        from tools.megalint.cli import main
+        monkeypatch.chdir(tmp_path)
+        for rel, text in dict(self.PURITY, **self.LEDGER).items():
+            path = tmp_path / "src" / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(textwrap.dedent(text), encoding="utf-8")
+        for rule_id in ("MEGA004", "MEGA011"):
+            assert main(["src", "--no-config", "--select", rule_id,
+                         "--format", "json"]) == 1
+            report = json.loads(capsys.readouterr().out)
+            assert report["summary"]["rules"] == [rule_id]
+            assert {v["rule"] for v in report["violations"]} == {rule_id}
+
+    def test_baseline_keyed_on_alias_id_matches(self, plint, tmp_path):
+        key = ("src/repro/bench/stats.py::MEGA011::wall-clock read "
+               "'time.perf_counter()' inside replay-surface builder "
+               "'as_dict' — move it to the wall/environment block")
+        baseline_file = tmp_path / "baseline.json"
+        baseline_file.write_text(json.dumps(
+            {"version": 1, "entries": {key: 1}}), encoding="utf-8")
+        filtered, stale = apply_baseline(
+            plint(self.LEDGER, select=["MEGA011"]),
+            load_baseline(baseline_file))
+        assert filtered.ok and filtered.baselined == 1 and stale == 0
 
 
 class TestMEGA014DeadExports:

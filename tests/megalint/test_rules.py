@@ -640,10 +640,10 @@ class TestLedgerDeterminism:
         }, select={"MEGA011"})
         assert result.ok
 
-    def test_nested_helper_function_not_flagged(self, lint):
+    def test_nested_helper_function_is_flagged(self, lint):
         result = lint({
-            # The nearest enclosing function wins: a local helper inside
-            # as_dict that is itself not a replay builder stays clean.
+            # A def nested inside as_dict is part of the builder's body
+            # (as in MEGA012's taint scopes), so its clock read counts.
             "repro/bench/helpers.py": '''\
                 """Doc string long enough."""
                 import time
@@ -654,4 +654,5 @@ class TestLedgerDeterminism:
                     return {"metrics": dict(metrics)}
             ''',
         }, select={"MEGA011"})
-        assert result.ok
+        assert rule_ids_of(result) == ["MEGA011"]
+        assert "'as_dict'" in result.violations[0].message

@@ -71,8 +71,8 @@ class TestInlineSuppression:
         assert result.suppressed == 1
 
     def test_real_repo_suppression_round_trips(self, lint):
-        # Mirror of the one sanctioned impurity in src/: the env var
-        # that picks the cache directory (never part of a key).
+        # The env var that picks the cache directory (never part of a
+        # key), silenced the old way: an inline disable of the alias.
         result = lint({
             "repro/pipeline/cache.py": '''\
                 """Docstring is fine."""

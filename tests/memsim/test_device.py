@@ -210,24 +210,47 @@ class TestMemcpy:
 
 
 class TestKernelLibrary:
+    """Launch builders run through ``GPUDevice.run_kernels``; the graph
+    gathers are built inline from traces, as ``kernel_plans`` does."""
+
+    @staticmethod
+    def _run(device, launch):
+        return device.run_kernels([launch])[0]
+
     def test_sgemm_compute_bound_efficiency(self, device, layout):
-        stats = kernels.sgemm(device, layout, 8192, 512, 512)
+        stats = self._run(device, kernels.sgemm_launch(
+            layout, 8192, 512, 512, device.spec.gemm_efficiency))
         assert stats.sm_efficiency > 0.8
         assert stats.flops == 2.0 * 8192 * 512 * 512
 
     def test_band_gather_efficient(self, device, layout):
-        stats = kernels.band_gather(device, layout, "path", 20000, 3, 128)
+        # MEGA's diagonal gather: each position reads its 2ω+1 band rows.
+        length, window, dim = 20000, 3, 128
+        rows = np.clip(np.arange(length)[:, None]
+                       + np.arange(-window, window + 1), 0, length - 1)
+        stats = self._run(device, KernelLaunch(
+            "mega::band", float(rows.size * dim),
+            loads=row_gather_trace(layout.base("path"), rows.ravel(),
+                                   dim * 4),
+            stores=sequential_trace(layout.base("workspace"),
+                                    length * dim * 4),
+            parallel_items=length * dim))
         assert stats.sm_efficiency > 0.5
 
     def test_gather_kernel_records_transactions(self, device, layout):
         idx = np.arange(1000)
-        stats = kernels.gather_rows(device, layout, "nodes", idx, 128)
+        stats = self._run(device, KernelLaunch(
+            "dgl::gather", float(1000 * 128),
+            loads=row_gather_trace(layout.base("nodes"), idx, 128 * 4),
+            stores=sequential_trace(layout.base("workspace"), 1000 * 128 * 4),
+            parallel_items=1000 * 128))
         assert stats.load_transactions == 1000 * (128 * 4 // 128)
 
     def test_cub_sort_passes(self, device, layout):
-        stats = kernels.cub_sort(device, layout, 10000)
+        stats = self._run(device, kernels.cub_sort_launch(layout, 10000))
         assert stats.load_transactions > 0
 
     def test_elementwise_streams(self, device, layout):
-        stats = kernels.elementwise(device, layout, 10000, 128)
+        stats = self._run(device, kernels.elementwise_launch(
+            layout, "workspace", 10000, 128))
         assert stats.memory_stall_pct < 0.6

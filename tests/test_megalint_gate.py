@@ -9,6 +9,7 @@ when the code is genuinely right — add an inline
 rule with a baseline file.
 """
 
+import json
 from pathlib import Path
 
 from tools.megalint import ProjectRule, all_rules, lint_paths, load_config
@@ -18,10 +19,32 @@ from tools.megalint.cli import main
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_rule_set_is_complete():
+#: The exact rule catalogue.  MEGA004/MEGA011 are hop-0 aliases of the
+#: determinism checker (MEGA012) and must keep their IDs so inline
+#: suppressions, baselines and ``--select`` keep resolving.
+RULE_CATALOGUE = {
+    "MEGA001": "import-layering",
+    "MEGA002": "determinism",
+    "MEGA003": "hot-loop",
+    "MEGA004": "cache-purity",
+    "MEGA005": "error-swallow",
+    "MEGA006": "mutable-default",
+    "MEGA007": "module-docstring",
+    "MEGA008": "dunder-all",
+    "MEGA009": "no-print",
+    "MEGA010": "unbounded-retry",
+    "MEGA011": "ledger-determinism",
+    "MEGA012": "determinism-taint",
+    "MEGA013": "call-layering",
+    "MEGA014": "dead-export",
+    "MEGA015": "duck-type-drift",
+}
+
+
+def test_rule_set_is_complete(tmp_path, capsys):
     import tools.megalint.rules  # noqa: F401
     rules = all_rules()
-    assert len(rules) >= 8, "the engine must ship at least 8 rules"
+    assert {r.id: r.name for r in rules} == RULE_CATALOGUE
     ids = [r.id for r in rules]
     assert ids == sorted(ids) and len(ids) == len(set(ids))
     for rule in rules:
@@ -29,6 +52,18 @@ def test_rule_set_is_complete():
     project_ids = {r.id for r in rules if issubclass(r, ProjectRule)}
     assert {"MEGA012", "MEGA013", "MEGA014",
             "MEGA015"} <= project_ids, "the project pass must ship"
+    # The catalogue users see (--list-rules) and the one CI uploads
+    # (SARIF tool.driver.rules) carry every rule too.
+    assert main(["--list-rules"]) == 0
+    listed = dict(line.split()[:2] for line in
+                  capsys.readouterr().out.splitlines()
+                  if line.startswith("MEGA"))
+    assert listed == RULE_CATALOGUE
+    module = tmp_path / "clean.py"
+    module.write_text('"""A clean module."""\n', encoding="utf-8")
+    assert main(["--no-config", "--format", "sarif", str(module)]) == 0
+    driver = json.loads(capsys.readouterr().out)["runs"][0]["tool"]["driver"]
+    assert {r["id"]: r["name"] for r in driver["rules"]} == RULE_CATALOGUE
 
 
 def test_src_is_violation_free():
@@ -62,7 +97,6 @@ def test_project_pass_is_violation_free():
 def test_justified_baseline_entries_carry_reasons():
     """Sanctioned violations are declared, not silently suppressed:
     every baseline entry must carry a non-empty 'why'."""
-    import json
     raw = json.loads(
         (REPO_ROOT / "megalint_baseline.json").read_text(encoding="utf-8"))
     assert raw["entries"], "empty baseline should be deleted"

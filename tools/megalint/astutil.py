@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 
 def call_name(node: ast.Call) -> Optional[str]:
@@ -35,6 +35,19 @@ def is_setish(node: ast.AST) -> bool:
     return (isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id in ("set", "frozenset"))
+
+
+def walk_scope(root: ast.AST, into_classes: bool = False
+               ) -> Iterator[ast.AST]:
+    """Preorder walk of ``root``, descending into nested defs but not
+    nested classes (unless ``into_classes``)."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(child for child in
+                     reversed(list(ast.iter_child_nodes(node)))
+                     if into_classes or not isinstance(child, ast.ClassDef))
 
 
 def is_name_call(node: ast.AST, names: Sequence[str]) -> bool:

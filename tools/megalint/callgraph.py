@@ -30,9 +30,10 @@ that defines (and presumably calls) it.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
+from tools.megalint.astutil import dotted_name, walk_scope
 from tools.megalint.project import ClassInfo, ModuleInfo, ProjectIndex
 
 
@@ -57,30 +58,6 @@ class CallEdge:
     #: how the callee was resolved: "direct", "re-export", "self",
     #: "injected-default", or "init" (class -> its __init__).
     via: str
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _walk_own_body(root: ast.AST) -> Iterator[ast.AST]:
-    """Walk a def body, descending into nested defs but not classes."""
-    stack = [root]
-    first = True
-    while stack:
-        node = stack.pop()
-        if not first and isinstance(node, ast.ClassDef):
-            continue
-        first = False
-        yield node
-        stack.extend(reversed(list(ast.iter_child_nodes(node))))
 
 
 class CallGraph:
@@ -158,7 +135,7 @@ class CallGraph:
     def _record_default(self, index: ProjectIndex, info: ModuleInfo,
                         param: str, default: ast.AST,
                         out: Dict[str, Tuple[str, str]]) -> None:
-        flat = _dotted(default)
+        flat = dotted_name(default)
         if flat is None:
             return
         resolved = index.resolve(info.name, flat)
@@ -172,10 +149,10 @@ class CallGraph:
         mro_methods: Dict[str, str] = {}
         if cinfo is not None:
             mro_methods = index.class_mro_methods(info, cinfo)
-        for node in _walk_own_body(fn_node):
+        for node in walk_scope(fn_node):
             if not isinstance(node, ast.Call):
                 continue
-            flat = _dotted(node.func)
+            flat = dotted_name(node.func)
             if flat is None:
                 continue
             resolved, via = self._resolve_call(

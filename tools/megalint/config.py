@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
 try:  # Python >= 3.11
     import tomllib
@@ -99,6 +99,11 @@ class LintConfig:
     @classmethod
     def field_names(cls) -> List[str]:
         return [f.name for f in dataclasses.fields(cls)]
+
+
+def in_modules(module: str, prefixes: Sequence[str]) -> bool:
+    """True when dotted ``module`` equals or lives under any prefix."""
+    return any(module == p or module.startswith(p + ".") for p in prefixes)
 
 
 class ConfigError(Exception):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from tools.megalint.config import LintConfig
+from tools.megalint.config import LintConfig, in_modules
 from tools.megalint.registry import (
     PARSE_ERROR_ID,
     ProjectRule,
@@ -190,8 +190,7 @@ class ModuleContext:
 
     def in_modules(self, prefixes: Sequence[str]) -> bool:
         """True when this module equals or lives under any prefix."""
-        return any(self.module == p or self.module.startswith(p + ".")
-                   for p in prefixes)
+        return in_modules(self.module, prefixes)
 
     # -- reporting ---------------------------------------------------------
     def report(self, rule: Rule, node, message: str) -> None:

@@ -31,8 +31,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from tools.megalint.astutil import dotted_name
 from tools.megalint.config import LintConfig
 from tools.megalint.engine import (
     ParseCache,
@@ -87,8 +88,8 @@ class ModuleInfo:
         return self.parsed.tree
 
 
-def _resolve_relative_import(module: str, is_package: bool,
-                             node: ast.ImportFrom) -> str:
+def resolve_relative_import(module: str, is_package: bool,
+                            node: ast.ImportFrom) -> str:
     """Absolute dotted target of a (possibly relative) ``from`` import."""
     if node.level == 0:
         return node.module or ""
@@ -101,17 +102,6 @@ def _resolve_relative_import(module: str, is_package: bool,
     if node.module:
         base_parts = base_parts + node.module.split(".")
     return ".".join(base_parts)
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _literal_exports(tree: ast.Module) -> Optional[List[Tuple[ast.AST, str]]]:
@@ -169,7 +159,7 @@ def _index_module(name: str, parsed: ParsedFile) -> ModuleInfo:
                         and isinstance(item.target, ast.Name)):
                     cls.attrs.append(item.target.id)
             for base in stmt.bases:
-                flat = _dotted(base)
+                flat = dotted_name(base)
                 if flat:
                     cls.bases.append(flat)
             info.classes[stmt.name] = cls
@@ -181,7 +171,7 @@ def _index_module(name: str, parsed: ParsedFile) -> ModuleInfo:
                     head = alias.name.split(".")[0]
                     info.imports[head] = head
         elif isinstance(stmt, ast.ImportFrom):
-            target = _resolve_relative_import(name, is_package, stmt)
+            target = resolve_relative_import(name, is_package, stmt)
             if not target:
                 continue
             for alias in stmt.names:

@@ -10,16 +10,13 @@ from tools.megalint.rules import (  # noqa: F401
     layering,
     determinism,
     hot_loops,
-    cache_purity,
     error_handling,
     mutable_defaults,
     docstrings,
     public_api,
     io_hygiene,
     retry_bounds,
-    ledger_determinism,
     taint_replay,
-    call_layering,
     dead_exports,
     duck_types,
 )

@@ -23,23 +23,14 @@ from __future__ import annotations
 import ast
 from typing import Dict, Set
 
+from tools.megalint.astutil import dotted_name
+from tools.megalint.config import in_modules
 from tools.megalint.project import (
     ModuleInfo,
     ProjectIndex,
-    _resolve_relative_import,
+    resolve_relative_import,
 )
 from tools.megalint.registry import ProjectRule, register
-
-
-def _dotted(node: ast.AST):
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _module_references(index: ProjectIndex, info: ModuleInfo) -> Set[str]:
@@ -55,7 +46,7 @@ def _module_references(index: ProjectIndex, info: ModuleInfo) -> Set[str]:
         if isinstance(node, ast.Import):
             raw_imports.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            target = _resolve_relative_import(info.name, is_package, node)
+            target = resolve_relative_import(info.name, is_package, node)
             if target:
                 raw_imports.add(target)
                 raw_imports.update(f"{target}.{alias.name}"
@@ -82,7 +73,7 @@ def _module_references(index: ProjectIndex, info: ModuleInfo) -> Set[str]:
     for node in ast.walk(info.tree):
         flat = None
         if isinstance(node, ast.Attribute) and id(node) not in inner:
-            flat = _dotted(node)
+            flat = dotted_name(node)
         elif (isinstance(node, ast.Name) and id(node) not in inner
                 and isinstance(node.ctx, ast.Load)):
             flat = node.id
@@ -134,9 +125,6 @@ class DeadExportRule(ProjectRule):
         for module, refs in references.items():
             if module == owner:
                 continue
-            for ref in refs:
-                if (ref == qual or ref.startswith(qual + ".")
-                        or ref == canonical
-                        or ref.startswith(canonical + ".")):
-                    return True
+            if any(in_modules(ref, (qual, canonical)) for ref in refs):
+                return True
         return False

@@ -15,6 +15,10 @@ ordered output.  Two sub-checks:
   order-sensitive call, or ``set.pop()`` — is flagged.  Wrap the set in
   ``sorted(...)`` (or dedup in insertion order) instead.
 
+The legacy-RNG list and the loop/comprehension set-order predicate
+are the determinism checker's own (:mod:`tools.megalint.taint`), so
+MEGA002 and MEGA012 classify the same code the same way.
+
 CPython happens to iterate int-sets reproducibly, which is exactly why
 these bugs survive review: they pass every test until a hash-seed,
 platform, or interpreter change silently reorders edges and poisons
@@ -27,17 +31,7 @@ import ast
 
 from tools.megalint.astutil import call_name, dotted_name, is_setish
 from tools.megalint.registry import Rule, register
-
-#: The legacy global-state API (seeded at interpreter level, shared
-#: mutable state).  ``np.random.default_rng`` / ``Generator`` /
-#: bit-generator constructors are the sanctioned replacements.
-LEGACY_NP_RANDOM = frozenset({
-    "seed", "rand", "randn", "random", "random_sample", "ranf", "sample",
-    "randint", "random_integers", "choice", "shuffle", "permutation",
-    "bytes", "uniform", "normal", "standard_normal", "binomial", "poisson",
-    "beta", "gamma", "exponential", "geometric", "multinomial",
-    "get_state", "set_state",
-})
+from tools.megalint.taint import is_legacy_np_random, set_order_source
 
 #: Callees for which consuming a set argument is order-insensitive.
 ORDER_SAFE_CALLEES = frozenset({
@@ -62,16 +56,12 @@ class DeterminismRule(Rule):
     # -- legacy np.random (whole repo) ---------------------------------
     def visit_Call(self, node: ast.Call, ctx) -> None:
         flat = dotted_name(node.func)
-        if flat is not None:
-            parts = flat.split(".")
-            if (len(parts) == 3 and parts[0] in ("np", "numpy")
-                    and parts[1] == "random"
-                    and parts[2] in LEGACY_NP_RANDOM):
-                ctx.report(self, node,
-                           f"legacy global-state RNG call '{flat}' — pass "
-                           "an explicit np.random.Generator "
-                           "(np.random.default_rng(seed)) instead")
-                return
+        if flat is not None and is_legacy_np_random(flat):
+            ctx.report(self, node,
+                       f"legacy global-state RNG call '{flat}' — pass "
+                       "an explicit np.random.Generator "
+                       "(np.random.default_rng(seed)) instead")
+            return
         if not self._scoped(ctx):
             return
         self._check_ordered_sink(node, ctx)
@@ -114,15 +104,16 @@ class DeterminismRule(Rule):
 
     # -- iteration statements ------------------------------------------
     def visit_For(self, node: ast.For, ctx) -> None:
-        if self._scoped(ctx) and is_setish(node.iter):
+        if self._scoped(ctx) and set_order_source(node):
             ctx.report(self, node.iter,
                        "for-loop directly over an unordered set — "
                        "iterate sorted(...) so downstream order is "
                        "deterministic")
 
     def _check_comp(self, node, ctx, kind: str) -> None:
-        if self._scoped(ctx) and is_setish(node.generators[0].iter):
-            ctx.report(self, node.generators[0].iter,
+        source = set_order_source(node) if self._scoped(ctx) else None
+        if source:
+            ctx.report(self, source.node,
                        f"{kind} built by iterating an unordered set — "
                        "wrap the set in sorted(...)")
 

@@ -1,17 +1,17 @@
-"""Interprocedural determinism taint: sources, sanctioned impurities,
-and call-chain reachability.
+"""The determinism checker's vocabulary: impurity sources, sanctioned
+impurities, replay-surface sinks, and call-chain reachability.
 
 The repo's replay contract (byte-identical ``as_dict`` /
 ``replay_surface`` output, pure ``pipeline.hashing`` keys,
 seed-deterministic ``FaultPlan.roll``) is only as strong as the
 *transitive* call closure of those functions — a wall-clock read two
-calls away poisons the surface just as surely as one inside it, and the
-per-file rules (MEGA004/MEGA011) cannot see it.  This module computes:
+calls away poisons the surface just as surely as one inside it.  Every
+determinism rule draws on the one classifier here:
 
-* **direct sources** per function: wall-clock reads, ``random`` /
+* **sources** (:func:`iter_sources`): wall-clock reads, ``random`` /
   ``os.urandom`` / ``secrets`` / ``uuid`` / legacy ``np.random`` RNG,
-  environment reads, unsorted filesystem enumeration, and
-  set-order-dependent iteration;
+  environment reads, unsorted filesystem enumeration (a ``sorted(...)``
+  wrapper exempts it), and set-order-dependent iteration;
 * **sanctioned impurities**: a source is exempt only when its line
   carries an explicit declaration::
 
@@ -21,25 +21,29 @@ per-file rules (MEGA004/MEGA011) cannot see it.  This module computes:
   ``env``, ``fs-order``, ``set-order``) and *must* give a
   justification after the colon — a declaration without one is itself
   reported, so impurities are declared, never silently suppressed;
+* **sinks** (:func:`sink_functions`): replay-surface builders
+  (:func:`is_replay_builder`), cache-key functions, configured sinks;
 * **taint chains**: shortest call-graph path from a sink function to a
   function containing an unsanctioned source (breadth-first over the
   deterministic edge order, so reports are stable).
 
-MEGA012 turns the chains into violations; the machinery lives here so
-tests (and future rules) can drive it directly.
+MEGA012 reports the chains (hop >= 0).  MEGA004 and MEGA011 are its
+hop-0 views: the sources sitting directly in their scope.  MEGA002
+takes its legacy-RNG and set-order predicates from here too.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from tools.megalint.astutil import dotted_name, is_setish
-from tools.megalint.callgraph import CallGraph, _walk_own_body
-from tools.megalint.project import ModuleInfo, ProjectIndex
-from tools.megalint.rules.cache_purity import _CLOCK_CALLS
+from tools.megalint.astutil import (dotted_name, is_name_call, is_setish,
+                                    walk_scope)
+from tools.megalint.callgraph import CallGraph
+from tools.megalint.config import in_modules
+from tools.megalint.project import ProjectIndex
 
 #: ``# megalint: sanctioned-impurity=clock,env: justification``
 _SANCTION_RE = re.compile(
@@ -47,6 +51,15 @@ _SANCTION_RE = re.compile(
 
 #: Impurity kinds a declaration may name.
 IMPURITY_KINDS = frozenset({"clock", "rng", "env", "fs-order", "set-order"})
+
+#: Wall-clock reads.
+_CLOCK_CALLS = frozenset({
+    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
+    "time.perf_counter", "time.perf_counter_ns", "time.clock_gettime",
+    "datetime.now", "datetime.utcnow", "datetime.today", "date.today",
+    "datetime.datetime.now", "datetime.datetime.utcnow",
+    "datetime.date.today",
+})
 
 #: ``random`` module callables that draw from global RNG state.
 _RANDOM_FUNCS = frozenset({
@@ -56,7 +69,9 @@ _RANDOM_FUNCS = frozenset({
     "weibullvariate", "triangular", "getrandbits", "randbytes", "seed",
 })
 
-#: Legacy global-state numpy RNG (mirrors MEGA002's ban list).
+#: The legacy global-state numpy RNG (seeded at interpreter level,
+#: shared mutable state).  ``np.random.default_rng`` / ``Generator`` /
+#: bit-generator constructors are the sanctioned replacements.
 _NP_RANDOM_FUNCS = frozenset({
     "seed", "rand", "randn", "random", "random_sample", "ranf", "sample",
     "randint", "random_integers", "choice", "shuffle", "permutation",
@@ -67,16 +82,33 @@ _NP_RANDOM_FUNCS = frozenset({
 
 _ENV_CALLS = frozenset({"os.getenv", "os.environb"})
 _FS_CALLS = frozenset({"os.listdir", "os.scandir"})
+#: Method names distinctive enough to flag on any receiver.
 _FS_METHODS = frozenset({"iterdir", "glob", "rglob"})
+
+
+def is_replay_builder(name: str) -> bool:
+    """Does a function of this name build (part of) a replay surface?"""
+    return name in ("as_dict", "replay_surface") \
+        or name.endswith("_replay_surface")
+
+
+def is_legacy_np_random(flat: str) -> bool:
+    """``np.random.<fn>`` / ``numpy.random.<fn>`` global-state calls."""
+    parts = flat.split(".")
+    return (len(parts) == 3 and parts[0] in ("np", "numpy")
+            and parts[1] == "random" and parts[2] in _NP_RANDOM_FUNCS)
 
 
 @dataclass(frozen=True)
 class Source:
-    """One direct impurity found inside a function body."""
+    """One direct impurity found inside a scope."""
 
     kind: str       # one of IMPURITY_KINDS
     line: int
     what: str       # human-readable, e.g. "time.time()"
+    #: the offending expression, for per-file reports.
+    node: Optional[ast.AST] = field(default=None, compare=False,
+                                    repr=False)
 
 
 @dataclass(frozen=True)
@@ -105,10 +137,13 @@ class BadDeclaration:
     problem: str
 
 
-def _sanctions_for(info: ModuleInfo) -> Dict[int, Tuple[frozenset, str]]:
+Sanctions = Dict[int, Tuple[frozenset, str]]
+
+
+def sanctions_for(lines: Sequence[str]) -> Sanctions:
     """Line -> (kinds, justification) for declaration comments."""
-    out: Dict[int, Tuple[frozenset, str]] = {}
-    for i, line in enumerate(info.parsed.lines, start=1):
+    out: Sanctions = {}
+    for i, line in enumerate(lines, start=1):
         match = _SANCTION_RE.search(line)
         if match:
             kinds = frozenset(p.strip() for p in match.group(1).split(",")
@@ -117,49 +152,76 @@ def _sanctions_for(info: ModuleInfo) -> Dict[int, Tuple[frozenset, str]]:
     return out
 
 
-def _iter_sources(fn_node: ast.AST) -> Iterator[Source]:
-    """Direct impurity sources syntactically inside one function body."""
-    for node in _walk_own_body(fn_node):
-        if isinstance(node, ast.Call):
-            yield from _call_sources(node)
-        elif isinstance(node, ast.Attribute):
-            if dotted_name(node) == "os.environ":
-                yield Source("env", node.lineno, "os.environ")
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            if is_setish(node.iter):
-                yield Source("set-order", node.iter.lineno,
-                             "iteration over an unordered set")
-        elif isinstance(node, (ast.ListComp, ast.DictComp,
-                               ast.GeneratorExp)):
-            if is_setish(node.generators[0].iter):
-                yield Source("set-order", node.generators[0].iter.lineno,
-                             "comprehension over an unordered set")
+def is_sanctioned(source: Source, sanctions: Sanctions) -> bool:
+    """Declared on its line, for its kind, with a justification."""
+    kinds, why = sanctions.get(source.line, (frozenset(), ""))
+    return source.kind in kinds and bool(why)
 
 
-def _call_sources(node: ast.Call) -> Iterator[Source]:
-    flat = dotted_name(node.func)
+def set_order_source(node: ast.AST) -> Optional[Source]:
+    """A loop or ordered comprehension iterating a syntactic set."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        it, what = node.iter, "iteration over an unordered set"
+    elif isinstance(node, (ast.ListComp, ast.DictComp, ast.GeneratorExp)):
+        it = node.generators[0].iter
+        what = "comprehension over an unordered set"
+    else:
+        return None
+    return Source("set-order", it.lineno, what, it) if is_setish(it) \
+        else None
+
+
+def _call_source(node: ast.Call) -> Optional[Source]:
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr in _FS_METHODS:
+        # Any receiver, even one that is not a plain dotted name.
+        what = dotted_name(func) or func.attr
+        return Source("fs-order", node.lineno, f"{what}()", node)
+    flat = dotted_name(func)
     if flat is None:
-        return
+        return None
     parts = flat.split(".")
+    kind = None
     if flat in _CLOCK_CALLS:
-        yield Source("clock", node.lineno, f"{flat}()")
-    elif flat == "os.urandom":
-        yield Source("rng", node.lineno, "os.urandom()")
-    elif parts[0] in ("random",) and len(parts) == 2 \
-            and parts[1] in _RANDOM_FUNCS:
-        yield Source("rng", node.lineno, f"{flat}()")
-    elif parts[0] in ("secrets", "uuid") and len(parts) == 2:
-        yield Source("rng", node.lineno, f"{flat}()")
-    elif (len(parts) == 3 and parts[0] in ("np", "numpy")
-            and parts[1] == "random" and parts[2] in _NP_RANDOM_FUNCS):
-        yield Source("rng", node.lineno, f"{flat}()")
-    elif flat in _ENV_CALLS or flat == "os.environ.get":
-        yield Source("env", node.lineno, f"{flat}()")
+        kind = "clock"
+    elif (flat == "os.urandom" or is_legacy_np_random(flat)
+            or (parts[0] == "random" and len(parts) == 2
+                and parts[1] in _RANDOM_FUNCS)
+            or (parts[0] in ("secrets", "uuid") and len(parts) == 2)):
+        kind = "rng"
+    elif flat in _ENV_CALLS:
+        kind = "env"
     elif flat in _FS_CALLS:
-        yield Source("fs-order", node.lineno, f"{flat}()")
-    elif (isinstance(node.func, ast.Attribute)
-            and node.func.attr in _FS_METHODS):
-        yield Source("fs-order", node.lineno, f"{flat}()")
+        kind = "fs-order"
+    return Source(kind, node.lineno, f"{flat}()", node) if kind else None
+
+
+def _node_source(node: ast.AST) -> Optional[Source]:
+    if isinstance(node, ast.Call):
+        return _call_source(node)
+    if isinstance(node, ast.Attribute):
+        if dotted_name(node) == "os.environ":
+            return Source("env", node.lineno, "os.environ", node)
+        return None
+    return set_order_source(node)
+
+
+def iter_sources(root: ast.AST, into_classes: bool = False
+                 ) -> Iterator[Source]:
+    """Direct impurity sources syntactically inside ``root``.
+
+    Nested defs belong to the scope that defines them; nested classes
+    do not, unless ``into_classes``.  A filesystem enumeration wrapped
+    (transitively) in ``sorted(...)`` is not a source.
+    """
+    nodes = list(walk_scope(root, into_classes))
+    in_sorted = {id(sub) for node in nodes
+                 if is_name_call(node, ("sorted",)) for sub in ast.walk(node)}
+    for node in nodes:
+        source = _node_source(node)
+        if source is not None and not (source.kind == "fs-order"
+                                       and id(node) in in_sorted):
+            yield source
 
 
 class TaintAnalysis:
@@ -173,17 +235,14 @@ class TaintAnalysis:
         #: declarations that are malformed (no justification, unknown
         #: kind) — surfaced as violations, never silently dropped.
         self.bad_declarations: List[BadDeclaration] = []
-        #: (module, line) of declarations that sanctioned at least one
-        #: source — lets callers count sanctioned impurities.
-        self.sanctioned: List[Tuple[str, int, Source]] = []
         self._analyse()
 
     # ------------------------------------------------------------------
     def _analyse(self) -> None:
-        sanctions_by_module: Dict[str, Dict[int, Tuple[frozenset, str]]] = {}
+        sanctions_by_module: Dict[str, Sanctions] = {}
         for mod_name in sorted(self.index.modules):
-            info = self.index.modules[mod_name]
-            sanctions = _sanctions_for(info)
+            sanctions = sanctions_for(self.index.modules[mod_name]
+                                      .parsed.lines)
             sanctions_by_module[mod_name] = sanctions
             for line, (kinds, why) in sorted(sanctions.items()):
                 unknown = kinds - IMPURITY_KINDS
@@ -203,14 +262,9 @@ class TaintAnalysis:
             if fn.kind == "class":
                 continue
             sanctions = sanctions_by_module.get(fn.module, {})
-            kept: List[Source] = []
-            for source in sorted(_iter_sources(fn.node),
-                                 key=lambda s: (s.line, s.kind, s.what)):
-                sanction = sanctions.get(source.line)
-                if sanction and source.kind in sanction[0] and sanction[1]:
-                    self.sanctioned.append((fn.module, source.line, source))
-                    continue
-                kept.append(source)
+            kept = sorted((s for s in iter_sources(fn.node)
+                           if not is_sanctioned(s, sanctions)),
+                          key=lambda s: (s.line, s.kind, s.what))
             if kept:
                 self.direct[qualname] = kept
 
@@ -241,33 +295,25 @@ def sink_functions(index: ProjectIndex, graph: CallGraph,
                    config) -> List[Tuple[str, str]]:
     """(qualname, sink kind) of every taint sink, deterministic order.
 
-    Sinks are: replay-surface builders (``as_dict`` /
-    ``replay_surface`` / ``*_replay_surface``) in the
-    determinism/ledger module scopes, every function and method of the
-    purity modules (``pipeline.hashing`` inputs), and the explicitly
-    configured ``taint-sink-functions`` (e.g. ``FaultPlan.roll``).
+    Sinks are: replay-surface builders (:func:`is_replay_builder`) in
+    the determinism/ledger module scopes, every function and method of
+    the purity modules (``pipeline.hashing`` inputs), and the
+    explicitly configured ``taint-sink-functions`` (e.g.
+    ``FaultPlan.roll``).
     """
-    surface_scope = list(config.determinism_modules) + list(
-        config.ledger_modules)
-    purity_scope = list(config.purity_modules)
+    surface_scope = config.determinism_modules + config.ledger_modules
     explicit = set(config.taint_sink_functions)
     sinks: List[Tuple[str, str]] = []
     for qualname in sorted(graph.nodes):
         fn = graph.nodes[qualname]
         if fn.kind == "class":
             continue
+        name = qualname.rsplit(".", 1)[1]
         if qualname in explicit:
             sinks.append((qualname, "configured sink"))
-            continue
-        name = qualname.rsplit(".", 1)[1]
-        in_scope = any(fn.module == p or fn.module.startswith(p + ".")
-                       for p in surface_scope)
-        if in_scope and (name in ("as_dict", "replay_surface")
-                         or name.endswith("_replay_surface")):
+        elif in_modules(fn.module, surface_scope) and is_replay_builder(name):
             sinks.append((qualname, "replay surface"))
-            continue
-        in_purity = any(fn.module == p or fn.module.startswith(p + ".")
-                        for p in purity_scope)
-        if in_purity and not name.startswith("__"):
+        elif (in_modules(fn.module, config.purity_modules)
+                and not name.startswith("__")):
             sinks.append((qualname, "cache-key path"))
     return sinks
