@@ -19,9 +19,11 @@ class GraphTransformer(GNNModel):
     model_name = "GT"
 
     def _build_layers(self, rng: np.random.Generator) -> None:
+        last = self.config.num_layers - 1
         for i in range(self.config.num_layers):
+            # The readout pools nodes only: the last edge output is dead.
             layer = GraphTransformerLayer(
                 self.config.hidden_dim, num_heads=self.config.num_heads,
-                rng=rng)
+                rng=rng, edge_out=i < last)
             setattr(self, f"layer{i}", layer)
             self.layers.append(layer)

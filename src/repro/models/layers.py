@@ -80,7 +80,7 @@ class GraphTransformerLayer(Module):
 
     def __init__(self, dim: int, num_heads: int = 4,
                  rng: Optional[np.random.Generator] = None,
-                 residual: bool = True):
+                 residual: bool = True, edge_out: bool = True):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         if dim % num_heads != 0:
@@ -90,6 +90,12 @@ class GraphTransformerLayer(Module):
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
         self.residual = residual
+        #: Whether anything reads this layer's edge output.  The model
+        #: clears it on its last layer, which then skips the m-row
+        #: ``proj_oe`` → ``norm_e1`` → FFN → ``norm_e2`` tail and returns
+        #: ``None`` for ``e``; those parameters got no gradient anyway,
+        #: and scatter/gather counts are unchanged.
+        self.edge_out = edge_out
         self.proj_q = Linear(dim, dim, rng=rng)
         self.proj_k = Linear(dim, dim, rng=rng)
         self.proj_v = Linear(dim, dim, rng=rng)
@@ -108,8 +114,8 @@ class GraphTransformerLayer(Module):
     def _split_heads(self, x: Tensor) -> Tensor:
         return x.reshape(len(x), self.num_heads, self.head_dim)
 
-    def forward(self, h: Tensor, e: Tensor,
-                runtime: AggregationRuntime) -> Tuple[Tensor, Tensor]:
+    def forward(self, h: Tensor, e: Tensor, runtime: AggregationRuntime
+                ) -> Tuple[Tensor, Optional[Tensor]]:
         q = self.proj_q(h)
         k = self.proj_k(h)
         v = self.proj_v(h)
@@ -131,12 +137,14 @@ class GraphTransformerLayer(Module):
         agg = runtime.aggregate_sum(
             weighted.reshape(runtime.num_messages, self.dim))      # gather 2
         h_attn = self.proj_o(agg)
-        e_attn = self.proj_oe(w.reshape(runtime.num_messages, self.dim))
-
         h_new = self.norm_h1(h + h_attn) if self.residual else self.norm_h1(h_attn)
-        e_new = self.norm_e1(e + e_attn) if self.residual else self.norm_e1(e_attn)
         h_ffn = self.ffn_h2(F.relu(self.ffn_h1(h_new)))
-        e_ffn = self.ffn_e2(F.relu(self.ffn_e1(e_new)))
         h_out = self.norm_h2(h_new + h_ffn) if self.residual else self.norm_h2(h_ffn)
+        if not self.edge_out:
+            return h_out, None
+
+        e_attn = self.proj_oe(w.reshape(runtime.num_messages, self.dim))
+        e_new = self.norm_e1(e + e_attn) if self.residual else self.norm_e1(e_attn)
+        e_ffn = self.ffn_e2(F.relu(self.ffn_e1(e_new)))
         e_out = self.norm_e2(e_new + e_ffn) if self.residual else self.norm_e2(e_ffn)
         return h_out, e_out

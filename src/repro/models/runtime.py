@@ -15,10 +15,17 @@ the message list when MEGA's coverage θ < 1 or edge dropping is active.
 
 Call counters record how many scatter/gather invocations each layer
 makes — the quantities in Table I.
+
+A runtime's message list is fixed once built, so it groups the
+messages by destination (and by source) once, into cached slot plans
+(:class:`~repro.tensor.functional.SlotPlan`).  Every reduction onto
+nodes, and the backward of every gather to messages, sweeps those rank
+slices in message order, bit-identical to a ragged ``np.add.at``.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,6 +58,21 @@ class AggregationRuntime:
     def reset_counters(self) -> None:
         self.counters = {"scatter": 0, "gather": 0}
 
+    @cached_property
+    def dst_plan(self) -> F.SlotPlan:
+        """Messages grouped by destination node (built on first use)."""
+        return F.SlotPlan(self.msg_dst, self.num_nodes)
+
+    @cached_property
+    def src_plan(self) -> F.SlotPlan:
+        """Messages grouped by source node (built on first use)."""
+        return F.SlotPlan(self.msg_src, self.num_nodes)
+
+    @cached_property
+    def graph_plan(self) -> F.SlotPlan:
+        """Nodes grouped by member graph, for the readout."""
+        return F.SlotPlan(self.batch.graph_ids, self.batch.num_graphs)
+
     # ------------------------------------------------------------------
     # Graph operations used by the layers
     # ------------------------------------------------------------------
@@ -59,8 +81,10 @@ class AggregationRuntime:
                          ) -> Tuple[Optional[Tensor], Optional[Tensor]]:
         """Gather node rows to message rows (one DGL apply_edges call)."""
         self.counters["scatter"] += 1
-        src_rows = src[self.msg_src] if src is not None else None
-        dst_rows = dst[self.msg_dst] if dst is not None else None
+        src_rows = (F.gather_rows(src, self.src_plan)
+                    if src is not None else None)
+        dst_rows = (F.gather_rows(dst, self.dst_plan)
+                    if dst is not None else None)
         return src_rows, dst_rows
 
     def count_scatter(self) -> None:
@@ -75,7 +99,7 @@ class AggregationRuntime:
     def fetch_src(self, values: Tensor) -> Tensor:
         """Fetch source-node rows without counting a scatter call
         (used when the fetch is fused into an aggregation kernel)."""
-        return values[self.msg_src]
+        return F.gather_rows(values, self.src_plan)
 
     def gather_edge_features(self, per_record: Tensor) -> Tensor:
         """Align a per-edge-record tensor with the message list."""
@@ -94,21 +118,20 @@ class AggregationRuntime:
     def aggregate_sum(self, messages: Tensor) -> Tensor:
         """Segment-sum message rows onto destination nodes."""
         self.counters["gather"] += 1
-        return F.segment_sum(messages, self.msg_dst, self.num_nodes)
+        return F.segment_sum(messages, self.dst_plan)
 
     def edge_softmax(self, scores: Tensor) -> Tensor:
         """Softmax of message scores grouped by destination node."""
         self.counters["gather"] += 1
-        return F.segment_softmax(scores, self.msg_dst, self.num_nodes)
+        return F.segment_softmax(scores, self.dst_plan)
 
     def broadcast_to_edges(self, node_values: Tensor) -> Tensor:
         """Fetch per-destination rows for each message (no counter: fused)."""
-        return node_values[self.msg_dst]
+        return F.gather_rows(node_values, self.dst_plan)
 
     def readout_mean(self, node_values: Tensor) -> Tensor:
         """Per-graph mean over nodes (the readout's segment mean)."""
-        return F.segment_mean(node_values, self.batch.graph_ids,
-                              self.batch.num_graphs)
+        return F.segment_mean(node_values, self.graph_plan)
 
 
 class BaselineRuntime(AggregationRuntime):

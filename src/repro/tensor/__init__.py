@@ -5,7 +5,7 @@ facilities (tensors with reverse-mode gradients, layers, optimisers) so
 the reproduction is self-contained and offline.
 """
 
-from repro.tensor.tensor import Tensor, no_grad
+from repro.tensor.tensor import Tensor, grad_enabled, no_grad
 from repro.tensor import functional
 from repro.tensor import init
 from repro.tensor.nn import (
@@ -24,6 +24,7 @@ from repro.tensor.optim import Adam, Optimizer, ReduceLROnPlateau, SGD
 __all__ = [
     "Tensor",
     "no_grad",
+    "grad_enabled",
     "functional",
     "init",
     "Module",

@@ -3,7 +3,17 @@
 These cover the activations, losses, and — most importantly for a GNN
 library — the *segment* operations that implement message passing:
 ``gather_rows`` (node → edge scatter in the paper's terminology) and
-``segment_sum``/``segment_softmax`` (edge → node gather).
+``segment_sum``/``segment_max``/``segment_softmax``/``segment_mean``
+(edge → node gather).
+
+Every segment reduction runs through a :class:`SlotPlan`: the messages
+grouped once by their rank within their segment, so a reduction is a
+few dense sweeps (one per rank) instead of a ragged ``ufunc.at``
+scatter, with each segment still folded in message order — the results
+are bit-identical.  The segment ops take raw ids (and build a plan per
+call) or a plan a caller built once and reuses; ``gather_rows`` given a
+plan reduces its backward through it.  Ids are validated when the plan
+is built, so malformed ids raise :class:`~repro.errors.ShapeError`.
 """
 
 from __future__ import annotations
@@ -158,70 +168,167 @@ def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 # ----------------------------------------------------------------------
 # Gather / segment operations (the graph-operation substrate)
 # ----------------------------------------------------------------------
-def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
+class SlotPlan:
+    """An order-preserving reduction plan over fixed segment ids.
+
+    Message ``i`` belongs to segment ``ids[i]``.  Its *rank* is the
+    number of earlier messages with the same id.  The plan lists the
+    segments by descending size, so the segments holding a rank-``r``
+    message are always the first ``c_r`` of that list, and it orders the
+    messages by (rank, segment position).  A reduction then needs no
+    ragged scatter: it gathers the messages into that order once, starts
+    an accumulator with ``ufunc(fill, rank-0 rows)``, folds each later
+    rank in place into the accumulator's first ``c_r`` rows, and writes
+    the accumulator to its segments.  Each segment thus folds its
+    messages in message order, exactly as ``ufunc.at`` does: results are
+    bit-identical, signed zeros and infinities included, at O(m·d)
+    memory.  (Which of two NaN operands survives is the one thing IEEE
+    754 leaves open, and numpy's own loops differ on it.)
+
+    The ids are validated once, here; every reduction and gather then
+    only checks that the row count matches.
+    """
+
+    __slots__ = ("ids", "num_segments", "counts", "order", "segments",
+                 "ranks")
+
+    def __init__(self, ids, num_segments: int):
+        ids = np.asarray(ids)
+        if ids.ndim != 1:
+            raise ShapeError(f"segment ids must be 1-D, got shape {ids.shape}")
+        if ids.size and ids.dtype.kind not in "iu":
+            raise ShapeError(f"segment ids must be integers, got {ids.dtype}")
+        num_segments = int(num_segments)
+        ids = ids.astype(np.int64, copy=False)
+        if num_segments < 0 or ids.size and (
+                ids.min() < 0 or ids.max() >= num_segments):
+            raise ShapeError(
+                f"segment ids must lie in [0, {num_segments})")
+        self.ids = ids
+        self.num_segments = num_segments
+        #: Messages per segment.
+        self.counts = np.bincount(ids, minlength=num_segments)
+        by_id = np.argsort(ids, kind="stable")
+        starts = np.cumsum(self.counts) - self.counts
+        rank = np.empty_like(ids)
+        rank[by_id] = np.arange(len(ids)) - starts[ids[by_id]]
+        by_size = np.argsort(-self.counts, kind="stable")
+        position = np.empty_like(by_size)
+        position[by_size] = np.arange(num_segments)
+        #: Message ids grouped by rank, each rank in segment-position order.
+        self.order = np.lexsort((position[ids], rank))
+        sizes = np.bincount(rank)
+        #: Segment of each accumulator row (the non-empty segments).
+        self.segments = by_size[:sizes[0] if len(sizes) else 0]
+        bounds = np.cumsum(sizes)
+        #: ``(start, stop)`` of each rank's slice of ``order``.
+        self.ranks = tuple(zip((bounds - sizes).tolist(), bounds.tolist()))
+
+    def reduce(self, ufunc: np.ufunc, x: np.ndarray,
+               fill: float = 0.0) -> np.ndarray:
+        """``ufunc.at(full(fill), ids, x)``, swept one rank at a time."""
+        if len(x) != len(self.ids):
+            raise ShapeError(
+                f"segment ids length {len(self.ids)} != rows {len(x)}")
+        out = np.full((self.num_segments,) + x.shape[1:], fill, dtype=x.dtype)
+        if not self.ranks:
+            return out
+        grouped = x[self.order]
+        (start, stop), *later = self.ranks
+        # ``out`` still holds ``fill`` everywhere: this is ufunc(fill, x).
+        acc = ufunc(out[:stop - start], grouped[start:stop])
+        for start, stop in later:
+            rows = acc[:stop - start]
+            ufunc(rows, grouped[start:stop], out=rows)
+        out[self.segments] = acc
+        return out
+
+
+def _plan(segment_ids, num_segments: Optional[int]) -> SlotPlan:
+    if isinstance(segment_ids, SlotPlan):
+        if num_segments is not None and num_segments != segment_ids.num_segments:
+            raise ShapeError(
+                f"plan has {segment_ids.num_segments} segments, "
+                f"not {num_segments}")
+        return segment_ids
+    if num_segments is None:
+        raise ShapeError("num_segments is required with raw segment ids")
+    return SlotPlan(segment_ids, num_segments)
+
+
+def gather_rows(x: Tensor, index) -> Tensor:
     """Select rows ``x[index]`` with accumulating backward.
 
     This is the "scatter to edges" primitive: fetching source/destination
-    node embeddings for every edge.  Indices may repeat.
+    node embeddings for every edge.  Indices may repeat.  Given a
+    :class:`SlotPlan` over ``len(x)`` segments, the backward sums the
+    gradient rows through the plan instead of ``Tensor.__getitem__``'s
+    ragged scatter (same bits, in the same order).
     """
-    index = np.asarray(index, dtype=np.int64)
-    return x[index]
+    if not isinstance(index, SlotPlan):
+        return x[np.asarray(index, dtype=np.int64)]
+    plan = index
+    if len(x) != plan.num_segments:
+        raise ShapeError(
+            f"plan has {plan.num_segments} segments, tensor has {len(x)} rows")
+
+    def backward(grad: np.ndarray) -> None:
+        x._accumulate(plan.reduce(np.add, grad))
+
+    return Tensor._make(x.data[plan.ids], (x,), backward)
 
 
-def segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+def segment_sum(x: Tensor, segment_ids, num_segments: Optional[int] = None
+                ) -> Tensor:
     """Sum rows of ``x`` into ``num_segments`` buckets.
 
     This is the "gather to nodes" primitive: reducing edge messages onto
-    destination nodes.  ``segment_ids`` need not be sorted.
+    destination nodes.  ``segment_ids`` need not be sorted; pass a
+    :class:`SlotPlan` (then ``num_segments`` may be omitted) to reuse
+    its grouping across calls.
     """
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if segment_ids.shape[0] != x.shape[0]:
-        raise ShapeError(
-            f"segment_ids length {segment_ids.shape[0]} != rows {x.shape[0]}")
-    out_shape = (num_segments,) + x.shape[1:]
-    out_data = np.zeros(out_shape, dtype=x.data.dtype)
-    np.add.at(out_data, segment_ids, x.data)
+    plan = _plan(segment_ids, num_segments)
+    out_data = plan.reduce(np.add, x.data)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad[segment_ids])
+        x._accumulate(grad[plan.ids])
 
     return Tensor._make(out_data, (x,), backward)
 
 
-def segment_mean(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    counts = np.bincount(segment_ids, minlength=num_segments).astype(x.data.dtype)
-    counts = np.maximum(counts, 1.0)
-    total = segment_sum(x, segment_ids, num_segments)
+def segment_mean(x: Tensor, segment_ids, num_segments: Optional[int] = None
+                 ) -> Tensor:
+    plan = _plan(segment_ids, num_segments)
+    counts = np.maximum(plan.counts.astype(x.data.dtype), 1.0)
+    total = segment_sum(x, plan)
     return total * Tensor(1.0 / counts.reshape((-1,) + (1,) * (x.ndim - 1)))
 
 
-def segment_max(x: Tensor, segment_ids: np.ndarray, num_segments: int,
+def segment_max(x: Tensor, segment_ids, num_segments: Optional[int] = None,
                 fill: float = -1e30) -> Tensor:
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    out_shape = (num_segments,) + x.shape[1:]
-    out_data = np.full(out_shape, fill, dtype=x.data.dtype)
-    np.maximum.at(out_data, segment_ids, x.data)
+    plan = _plan(segment_ids, num_segments)
+    out_data = plan.reduce(np.maximum, x.data, fill)
 
     def backward(grad: np.ndarray) -> None:
-        mask = (x.data == out_data[segment_ids])
+        mask = (x.data == out_data[plan.ids])
         # Split ties evenly within each segment.
-        tie_counts = np.zeros(out_shape, dtype=x.data.dtype)
-        np.add.at(tie_counts, segment_ids, mask.astype(x.data.dtype))
+        tie_counts = plan.reduce(np.add, mask.astype(x.data.dtype))
         tie_counts = np.maximum(tie_counts, 1.0)
-        x._accumulate(mask * grad[segment_ids] / tie_counts[segment_ids])
+        x._accumulate(mask * grad[plan.ids] / tie_counts[plan.ids])
 
     return Tensor._make(out_data, (x,), backward)
 
 
-def segment_softmax(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+def segment_softmax(x: Tensor, segment_ids,
+                    num_segments: Optional[int] = None) -> Tensor:
     """Softmax over rows of ``x`` grouped by segment (attention weights)."""
-    seg_max = segment_max(x, segment_ids, num_segments)
-    shifted = x - seg_max[np.asarray(segment_ids, dtype=np.int64)]
+    plan = _plan(segment_ids, num_segments)
+    seg_max = segment_max(x, plan)
+    shifted = x - gather_rows(seg_max, plan)
     exp = shifted.exp()
-    denom = segment_sum(exp, segment_ids, num_segments)
+    denom = segment_sum(exp, plan)
     denom_safe = denom + 1e-16
-    return exp / denom_safe[np.asarray(segment_ids, dtype=np.int64)]
+    return exp / gather_rows(denom_safe, plan)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.tensor import init
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, grad_enabled
 
 
 class Parameter(Tensor):
@@ -153,6 +153,12 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,)), name="bias") if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
+        if not grad_enabled():
+            # Tape-free: the same two IEEE ops, the bias added in place.
+            out = x.data @ self.weight.data
+            if self.bias is not None:
+                out += self.bias.data
+            return Tensor(out)
         out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias
@@ -170,6 +176,22 @@ class LayerNorm(Module):
         self.beta = Parameter(init.zeros((dim,)), name="beta")
 
     def forward(self, x: Tensor) -> Tensor:
+        if not grad_enabled():
+            # Tape-free: the taped ops in the same order, each written
+            # into an array this branch allocated (never into x or a
+            # parameter).
+            # ``np.float64`` promotes like the taped path's 0-d operand.
+            scale = np.float64(1.0 / x.shape[-1])
+            mean = x.data.sum(axis=-1, keepdims=True) * scale
+            out = x.data - mean
+            var = (out * out).sum(axis=-1, keepdims=True)
+            var *= scale
+            var += self.eps
+            np.sqrt(var, out=var)
+            out /= var
+            out *= self.gamma.data
+            out += self.beta.data
+            return Tensor(out)
         mean = x.mean(axis=-1, keepdims=True)
         centred = x - mean
         var = (centred * centred).mean(axis=-1, keepdims=True)

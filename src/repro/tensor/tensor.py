@@ -20,7 +20,11 @@ The engine is tape-based and runs in one of two modes:
   leaf: no parents, no closure, ``requires_grad=False``.  Forwards that
   have no backward (serving, evaluation, statistics) run this way.
 
-``Tensor._make`` is the only place that consults the mode.
+``Tensor._make`` is where every operation consults the mode.  A few
+hot modules (``Linear``, ``LayerNorm``) also read it through
+:func:`grad_enabled`: their tape-free branch runs the same IEEE
+operations in the same order but finishes in arrays it allocated
+itself, so it skips the temporaries a tape would keep.
 """
 
 from __future__ import annotations
@@ -57,6 +61,15 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _grad_enabled = previous
+
+
+def grad_enabled() -> bool:
+    """Whether operations record the tape (``False`` inside :func:`no_grad`).
+
+    Read-only: modules whose tape-free forward finishes in place branch
+    on it; only :func:`no_grad` changes the mode.
+    """
+    return _grad_enabled
 
 
 def _as_array(data: ArrayLike, dtype=None) -> np.ndarray:

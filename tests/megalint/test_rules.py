@@ -235,7 +235,7 @@ class TestHotLoops:
         }, select={"MEGA003"})
         assert len(result.violations) >= 2  # while + nested for(s)
 
-    def test_clean_on_vectorised_kernel_and_object_loops(self, lint):
+    def test_fires_on_ufunc_at_scatter(self, lint):
         result = lint({
             "repro/tensor/functional.py": '''\
                 """Doc string long enough."""
@@ -243,6 +243,45 @@ class TestHotLoops:
                 def segment_sum(x, ids, n):
                     out = np.zeros((n,) + x.shape[1:], x.dtype)
                     np.add.at(out, ids, x)
+                    return out
+                def segment_max(x, ids, n, ufunc=np.maximum):
+                    out = np.full((n,) + x.shape[1:], -1e30)
+                    ufunc.at(out, ids, x)
+                    return out
+            ''',
+        }, select={"MEGA003"})
+        assert rule_ids_of(result) == ["MEGA003"]
+        assert len(result.violations) == 2
+        assert "'np.add.at'" in result.violations[0].message
+        assert "'ufunc.at'" in result.violations[1].message
+
+    def test_ufunc_at_allowed_outside_kernel_modules(self, lint):
+        result = lint({
+            "repro/graph/graph.py": '''\
+                """Doc string long enough."""
+                import numpy as np
+                def degrees(src, n):
+                    deg = np.zeros(n, np.int64)
+                    np.add.at(deg, src, 1)
+                    return deg
+            ''',
+        }, select={"MEGA003"})
+        assert result.ok
+
+    def test_clean_on_vectorised_kernel_and_object_loops(self, lint):
+        result = lint({
+            "repro/tensor/functional.py": '''\
+                """Doc string long enough."""
+                import numpy as np
+                def segment_sum(x, order, segments, ranks, n):
+                    out = np.zeros((n,) + x.shape[1:], x.dtype)
+                    grouped = x[order]
+                    (start, stop), *later = ranks
+                    acc = out[:stop - start] + grouped[start:stop]
+                    for start, stop in later:
+                        rows = acc[:stop - start]
+                        np.add(rows, grouped[start:stop], out=rows)
+                    out[segments] = acc
                     return out
                 def backward_all(tensors, pieces):
                     for t, piece in zip(tensors, pieces):

@@ -13,11 +13,16 @@ Flagged inside kernel modules:
   (per-index element loops);
 * any ``for``/``while`` nested inside another loop (quadratic scalar
   work);
-* bare ``while`` loops.
+* bare ``while`` loops;
+* ``<ufunc>.at(...)`` calls (``np.add.at``, ``np.maximum.at``): a
+  ragged, unbuffered scatter that walks its index one element at a time.
+  Reduce through a ``SlotPlan`` instead, which folds each segment in the
+  same order with dense rank-slice sweeps.
 
-Loops over a handful of layer/tensor objects (``for t in tensors``) are
-legitimate and not flagged.  Where a scalar loop is genuinely required,
-suppress with ``# megalint: disable=MEGA003`` and a justification.
+Loops over a handful of layer/tensor objects (``for t in tensors``, or a
+plan's precomputed rank slices) are legitimate and not flagged.  Where a
+scalar loop is genuinely required, suppress with
+``# megalint: disable=MEGA003`` and a justification.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import ast
 
 from tools.megalint.registry import Rule, register
 
-_HINT = ("use numpy ufuncs / segment primitives (np.add.at, "
+_HINT = ("use numpy ufuncs / segment primitives (SlotPlan.reduce, "
          "gather_rows, segment_sum) or suppress with a justification")
 
 
@@ -35,7 +40,7 @@ class HotLoopRule(Rule):
     id = "MEGA003"
     name = "hot-loop"
     rationale = ("kernel modules must stay vectorised: no per-element "
-                 "python loops")
+                 "python loops or ragged ufunc.at scatters")
 
     def enabled_for(self, ctx) -> bool:
         return ctx.in_modules(ctx.config.kernel_modules)
@@ -55,6 +60,13 @@ class HotLoopRule(Rule):
             ctx.report(self, node,
                        f"per-index '{it.func.id}' loop in kernel module "
                        f"— {_HINT}")
+
+    def visit_Call(self, node: ast.Call, ctx) -> None:
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "at":
+            ctx.report(self, node,
+                       f"ragged '{ast.unparse(func)}' scatter in kernel "
+                       f"module — {_HINT}")
 
     def visit_While(self, node: ast.While, ctx) -> None:
         if self._inside_loop(node, ctx):
