@@ -29,10 +29,13 @@ from repro.train import Trainer, build_model
 
 
 def entry_bytes(result):
+    """Packed schedule bytes plus every derived attention-plan array."""
     return b"".join(
-        arr.tobytes()
-        for rep, plan in zip(result.paths, result.plans)
-        for arr in pack_entry(rep.schedule, plan).values())
+        [arr.tobytes() for rep in result.paths
+         for arr in pack_entry(rep.schedule).values()]
+        + [getattr(plan, name).tobytes() for plan in result.plans
+           for name in ("src_pos", "dst_pos", "edge_ids",
+                        "unique_edge_rows", "mirror_index")])
 
 
 def preprocessing_survives_crashes(dataset):

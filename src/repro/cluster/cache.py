@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import MegaConfig
+from repro.core.schedule import TraversalResult
 from repro.pipeline.cache import ScheduleCache
-from repro.pipeline.parallel import Entry
 from repro.pipeline.stats import Counters
 from repro.serve.server import ScheduleMemo, ScheduleStore
 
@@ -114,7 +114,7 @@ class TieredScheduleCache:
                  backing: Optional[ScheduleCache] = None):
         self.config = config
         self.backing = backing
-        self._memo: Dict[str, Entry] = {}
+        self._memo: Dict[str, TraversalResult] = {}
         self.seeds = 0
         self.l2_invalidations = 0
         # Every view ever handed out, in creation order — keyed
@@ -136,7 +136,7 @@ class TieredScheduleCache:
                                 (view.tier for view in self._views), own)
 
     # -- tier protocol (called by the views' resolver) -----------------
-    def get(self, key: str) -> Optional[Entry]:
+    def get(self, key: str) -> Optional[TraversalResult]:
         entry = self._memo.get(key)
         if entry is None and self.backing is not None:
             entry = self.backing.get(key)
@@ -145,10 +145,10 @@ class TieredScheduleCache:
                 self._memo[key] = entry
         return entry
 
-    def put(self, key: str, entry: Entry) -> None:
+    def put(self, key: str, entry: TraversalResult) -> None:
         self._memo[key] = entry
         if self.backing is not None:
-            self.backing.put(key, *entry)
+            self.backing.put(key, entry)
 
     # -- versioned-key protocol (called by repro.stream) ---------------
     def invalidate(self, key: str) -> Tuple[int, int, int]:
@@ -171,7 +171,7 @@ class TieredScheduleCache:
         self.l2_invalidations += l2_removed + disk_removed
         return l1_removed, l2_removed, disk_removed
 
-    def seed(self, key: str, entry: Entry) -> None:
+    def seed(self, key: str, entry: TraversalResult) -> None:
         """Install a ready-made schedule under ``key`` in the shared tier.
 
         The warm half of the protocol: a repaired (or recomputed)

@@ -1,10 +1,12 @@
 """Adaptive diagonal attention plans (Section III-C).
 
-A :class:`AttentionPlan` is the executable form of the band: index
-arrays over *path positions* that a layer iterates to compute edge
-messages and aggregate them.  Sorting by destination position makes the
-write side sequential too, so both the read and write streams the memory
-simulator sees are banded.
+Both plans here are views of one layout,
+:meth:`~repro.core.path.PathRepresentation.directed_band`: the band's
+directed messages over *path positions*, sorted by destination
+position so the read and write streams the memory simulator sees are
+both banded.  :class:`AttentionPlan` lists those messages with the
+symmetric-reuse bookkeeping; :class:`DenseBandPlan` scatters them into
+longformer-style slots.  Neither is cached: both are cheap to derive.
 """
 
 from __future__ import annotations
@@ -61,22 +63,18 @@ class AttentionPlan:
 
 def make_attention_plan(path_rep: PathRepresentation,
                         symmetric_reuse: bool = True) -> AttentionPlan:
-    """Build the diagonal attention plan from a path representation."""
+    """View the sorted directed band as a diagonal attention plan."""
     src, dst, eids = path_rep.directed_band()
-    order = np.lexsort((src, dst))
-    src, dst, eids = src[order], dst[order], eids[order]
     if symmetric_reuse:
-        # One representative row per original edge id.
-        seen = {}
+        # One representative row per original edge id: its first
+        # occurrence, numbered in order of first occurrence.
+        _, first, inverse = np.unique(eids, return_index=True,
+                                      return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
         rep_rows = np.zeros(len(eids), dtype=bool)
-        mirror = np.zeros(len(eids), dtype=np.int64)
-        next_slot = 0
-        for row, e in enumerate(eids.tolist()):
-            if e not in seen:
-                seen[e] = next_slot
-                rep_rows[row] = True
-                next_slot += 1
-            mirror[row] = seen[e]
+        rep_rows[first] = True
+        mirror = rank[inverse]
     else:
         rep_rows = np.ones(len(eids), dtype=bool)
         mirror = np.arange(len(eids), dtype=np.int64)
@@ -135,24 +133,18 @@ class DenseBandPlan:
 
 
 def make_dense_band_plan(path_rep: PathRepresentation) -> DenseBandPlan:
-    """Lay the band plan out as dense per-position slots."""
+    """Lay the directed band out as dense per-position slots.
+
+    Message ``src -> dst`` lands in destination ``dst``'s slot at offset
+    ``src - dst``; a self-loop sits on the main diagonal.
+    """
     omega = path_rep.window
-    length = path_rep.length
     offsets = np.arange(-omega, omega + 1, dtype=np.int64)
-    edge_slot = np.full((length, 2 * omega + 1), -1, dtype=np.int64)
-    i_arr, j_arr = path_rep.band.pos_src, path_rep.band.pos_dst
-    eids = path_rep.band.edge_ids
-    for i, j, e in zip(i_arr.tolist(), j_arr.tolist(), eids.tolist()):
-        d = j - i
-        if i == j:
-            edge_slot[i, omega] = e  # self loop sits on the main diagonal
-            continue
-        # Message i -> j lands in dst j's slot at offset -(d);
-        # message j -> i lands in dst i's slot at offset +d.
-        edge_slot[j, omega - d] = e
-        edge_slot[i, omega + d] = e
-    mask = edge_slot >= 0
-    return DenseBandPlan(offsets=offsets, edge_slot=edge_slot, mask=mask)
+    edge_slot = np.full((path_rep.length, 2 * omega + 1), -1, dtype=np.int64)
+    src, dst, eids = path_rep.directed_band()
+    edge_slot[dst, omega + src - dst] = eids
+    return DenseBandPlan(offsets=offsets, edge_slot=edge_slot,
+                         mask=edge_slot >= 0)
 
 
 def band_layout_matrix(path_rep: PathRepresentation) -> np.ndarray:
@@ -177,7 +169,7 @@ def bandwidth_of_plan(plan: AttentionPlan) -> int:
 
 def workload_summary(path_rep: PathRepresentation) -> dict:
     """Compute/memory workload statistics of the diagonal schedule."""
-    plan = make_attention_plan(path_rep, symmetric_reuse=True)
+    messages = len(path_rep.directed_band()[0])
     n = path_rep.graph.num_nodes
     band_slots = (path_rep.length * (2 * path_rep.window + 1)
                   - path_rep.window * (path_rep.window + 1))
@@ -185,10 +177,10 @@ def workload_summary(path_rep: PathRepresentation) -> dict:
         "path_length": path_rep.length,
         "window": path_rep.window,
         "expansion": path_rep.expansion,
-        "messages": plan.num_messages,
-        "unique_edges": plan.num_unique_edges,
+        "messages": messages,
+        "unique_edges": path_rep.band.num_edges,
         "band_slots": band_slots,
-        "band_fill": plan.num_messages / max(band_slots, 1),
+        "band_fill": messages / max(band_slots, 1),
         "dense_slots": n * n,
         "dense_saving": 1.0 - band_slots / max(n * n, 1),
     }

@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.config import MegaConfig
 from repro.core.schedule import TraversalResult, traverse
 from repro.core.window import adaptive_window
-from repro.errors import ScheduleError
+from repro.errors import GraphError, ScheduleError
 from repro.graph.graph import Graph
 
 
@@ -65,7 +65,16 @@ class PathRepresentation:
 
         edge_key_to_id: Dict[Tuple[int, int], int] = {}
         for eid, (s, d) in enumerate(zip(graph.src.tolist(), graph.dst.tolist())):
-            edge_key_to_id[(min(s, d), max(s, d))] = eid
+            key = (min(s, d), max(s, d))
+            if key in edge_key_to_id:
+                # The band holds one slot per node pair, so a repeat
+                # would be dropped and MEGA would silently compute a
+                # different function than the baseline.
+                raise GraphError(
+                    f"node pair {key} repeats as edges "
+                    f"{edge_key_to_id[key]} and {eid}; the band holds "
+                    f"one edge per node pair")
+            edge_key_to_id[key] = eid
 
         pos_src, pos_dst, eids = [], [], []
         for key, (i, j) in result.cover_positions.items():
@@ -84,6 +93,7 @@ class PathRepresentation:
         covered[self.band.edge_ids] = True
         self.covered_edge_mask = covered
         self.multiplicity = result.multiplicity(graph.num_nodes)
+        self._directed_band: Optional[Tuple[np.ndarray, ...]] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -188,17 +198,29 @@ class PathRepresentation:
         return Graph(self.graph.num_nodes, src, dst, undirected=True)
 
     def directed_band(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Both message directions of the band plan.
+        """Both message directions of the band plan, in diagonal order.
 
-        Returns ``(pos_src, pos_dst, edge_ids)`` where each covered
-        non-loop edge contributes two rows (one per direction) and each
-        self-loop one row — mirroring :meth:`Graph.directed_edges`.
+        Returns read-only ``(pos_src, pos_dst, edge_ids)`` where each
+        covered non-loop edge contributes two rows (one per direction)
+        and each self-loop one row — mirroring
+        :meth:`Graph.directed_edges`.  Rows are sorted by destination
+        position, then source position (Section III-C), so reads and
+        writes both sweep the band.  This is the one band layout: the
+        attention plan, the dense slot plan and :class:`MegaRuntime`
+        all derive from it.  Computed once per representation.
         """
-        i, j, e = self.band.pos_src, self.band.pos_dst, self.band.edge_ids
-        loops = self.graph.src[e] == self.graph.dst[e]
-        return (np.concatenate([i, j[~loops]]),
-                np.concatenate([j, i[~loops]]),
-                np.concatenate([e, e[~loops]]))
+        if self._directed_band is None:
+            i, j, e = self.band.pos_src, self.band.pos_dst, self.band.edge_ids
+            loops = self.graph.src[e] == self.graph.dst[e]
+            src = np.concatenate([i, j[~loops]])
+            dst = np.concatenate([j, i[~loops]])
+            eids = np.concatenate([e, e[~loops]])
+            order = np.lexsort((src, dst))
+            band = (src[order], dst[order], eids[order])
+            for arr in band:
+                arr.flags.writeable = False
+            self._directed_band = band
+        return self._directed_band
 
     def __repr__(self) -> str:
         return (f"PathRepresentation(n={self.graph.num_nodes}, "

@@ -23,12 +23,21 @@ class DatasetSchedules:
     """Per-split preprocessing artifacts from :meth:`GraphDataset.precompute`.
 
     ``paths[split][i]`` / ``plans[split][i]`` align with the dataset's
-    split lists; ``stats`` carries the pipeline's cache counters.
+    split lists; ``stats`` carries the pipeline's cache counters, and
+    ``symmetric_reuse`` is the run's config value ``plans`` honours.
     """
 
     paths: Dict[str, List["PathRepresentation"]]
-    plans: Dict[str, List["AttentionPlan"]]
     stats: "PipelineStats"
+    symmetric_reuse: bool = True
+
+    @property
+    def plans(self) -> Dict[str, List["AttentionPlan"]]:
+        """Attention plans, derived from ``paths`` on each access."""
+        from repro.core.diagonal import make_attention_plan
+        return {split: [make_attention_plan(rep, self.symmetric_reuse)
+                        for rep in reps]
+                for split, reps in self.paths.items()}
 
     def flat_schedules(self) -> Dict[str, "TraversalResult"]:
         """``{"split/i": TraversalResult}`` — the CLI's archive layout."""
@@ -108,14 +117,12 @@ class GraphDataset:
             cache=cache, cache_dir=cache_dir, max_bytes=max_bytes,
             retry=retry, fault_plan=fault_plan, sleep=sleep)
         paths: Dict[str, List] = {}
-        plans: Dict[str, List] = {}
         cursor = 0
         for split, graphs in self.splits.items():
             paths[split] = result.paths[cursor:cursor + len(graphs)]
-            plans[split] = result.plans[cursor:cursor + len(graphs)]
             cursor += len(graphs)
-        return DatasetSchedules(paths=paths, plans=plans,
-                                stats=result.stats)
+        return DatasetSchedules(paths=paths, stats=result.stats,
+                                symmetric_reuse=result.symmetric_reuse)
 
     def __repr__(self) -> str:
         return (f"GraphDataset({self.name}, task={self.task}, "

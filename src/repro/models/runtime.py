@@ -258,20 +258,19 @@ class MegaRuntime(AggregationRuntime):
                      if path_parts else np.array([], np.int64))
         self.path_length = int(pos_offset)
         self.window = max((rep.window for rep in paths), default=1)
-        pos_src = np.concatenate(src_parts) if src_parts else np.array([], np.int64)
-        pos_dst = np.concatenate(dst_parts) if dst_parts else np.array([], np.int64)
-        eids = np.concatenate(eid_parts) if eid_parts else np.array([], np.int64)
-        # Diagonal schedule: process messages in destination-position
-        # order so reads and writes both sweep the band.
         if edge_offset != batch.num_edges:
             raise GraphError(
                 f"paths cover {edge_offset} edge records but the batch has "
                 f"{batch.num_edges}; paths must be built from the same "
                 f"(possibly edge-dropped) graphs the batch holds")
-        order = np.lexsort((pos_src, pos_dst))
-        self.pos_src = pos_src[order]
-        self.pos_dst = pos_dst[order]
-        self.msg_edge = eids[order]
+        # Diagonal schedule: each band is in destination-position order
+        # and the position offsets grow, so the concatenation is too.
+        self.pos_src = (np.concatenate(src_parts) if src_parts
+                        else np.array([], np.int64))
+        self.pos_dst = (np.concatenate(dst_parts) if dst_parts
+                        else np.array([], np.int64))
+        self.msg_edge = (np.concatenate(eid_parts) if eid_parts
+                         else np.array([], np.int64))
         self.msg_src = self.path[self.pos_src]
         self.msg_dst = self.path[self.pos_dst]
 

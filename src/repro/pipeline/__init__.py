@@ -7,8 +7,9 @@ scale:
 - :mod:`repro.pipeline.parallel` — fan the traversal out across worker
   processes with a deterministic, input-ordered merge.
 - :mod:`repro.pipeline.cache` — content-addressed on-disk store of
-  ``TraversalResult`` + ``AttentionPlan`` arrays (atomic ``.npz``
-  writes, checksum verification, LRU size cap).
+  ``TraversalResult`` arrays, the schedule only (atomic ``.npz``
+  writes, checksum verification, LRU size cap); every plan is derived
+  from the materialised path on demand.
 - :mod:`repro.pipeline.hashing` — cache keys from (CSR bytes, config
   fields, schedule code version).
 - :mod:`repro.pipeline.stats` — hit/miss/invalidation counters the CLI

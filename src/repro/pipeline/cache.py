@@ -4,7 +4,7 @@ Layout on disk (everything lives under one cache directory)::
 
     <cache_dir>/
       index.json          key -> {size, sha256, last_used}
-      <key>.npz           TraversalResult + AttentionPlan arrays
+      <key>.npz           TraversalResult arrays (the schedule only)
 
 Guarantees
 ----------
@@ -38,12 +38,11 @@ import io
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from repro.core.atomic_io import atomic_write_bytes, sweep_stale_tmp
-from repro.core.diagonal import AttentionPlan
 from repro.core.schedule import TraversalResult
 from repro.pipeline.hashing import CACHE_FORMAT_VERSION, file_checksum
 from repro.pipeline.stats import CacheStats
@@ -63,76 +62,60 @@ def default_cache_dir() -> Path:
 
 
 # ----------------------------------------------------------------------
-# Payload packing: schedule + plan  <->  flat dict of arrays
+# Payload packing: schedule  <->  flat dict of arrays
 #
 # Exactly three archive members — per-member zipfile overhead dominates
 # the warm-path read, so the int64 payloads are concatenated into one
-# array with section lengths recorded in the meta header.
+# array with section lengths recorded in the meta header.  Only the
+# schedule is stored: every plan is a cheap view of the materialised
+# path representation's band.
 # ----------------------------------------------------------------------
-def pack_entry(result: TraversalResult, plan: AttentionPlan
-               ) -> Dict[str, np.ndarray]:
-    """Flatten one schedule + plan into .npz-ready arrays."""
+def pack_entry(result: TraversalResult) -> Dict[str, np.ndarray]:
+    """Flatten one schedule into .npz-ready arrays."""
     cover = np.asarray(
         [[u, v, i, j] for (u, v), (i, j)
          in sorted(result.cover_positions.items())],
         dtype=np.int64).reshape(-1, 4)
     path = np.asarray(result.path, np.int64)
-    plan_ints = [np.asarray(plan.src_pos, np.int64),
-                 np.asarray(plan.dst_pos, np.int64),
-                 np.asarray(plan.edge_ids, np.int64),
-                 np.asarray(plan.mirror_index, np.int64)]
     meta = np.asarray(
         [CACHE_FORMAT_VERSION,
          result.window, result.covered_edges, result.total_edges,
-         result.num_jumps, len(path), len(cover),
-         plan.num_positions, plan.window, len(plan.src_pos)],
+         result.num_jumps, len(path), len(cover)],
         np.int64)
-    ints = np.concatenate([path, cover.ravel()] + plan_ints) \
-        if len(path) or len(cover) or len(plan.src_pos) \
-        else np.array([], np.int64)
-    flags = np.concatenate([
-        np.asarray(result.virtual_mask, np.int8),
-        np.asarray(plan.unique_edge_rows, np.int8)])
-    return {"meta": meta, "ints": ints, "flags": flags}
+    return {"meta": meta,
+            "ints": np.concatenate([path, cover.ravel()]),
+            "flags": np.asarray(result.virtual_mask, np.int8)}
 
 
-def unpack_entry(arrays) -> Tuple[TraversalResult, AttentionPlan]:
+def unpack_entry(arrays) -> TraversalResult:
     """Inverse of :func:`pack_entry`; raises on version/shape drift."""
     meta = np.asarray(arrays["meta"]).ravel()
-    if len(meta) != 10 or int(meta[0]) != CACHE_FORMAT_VERSION:
+    if len(meta) != 7 or int(meta[0]) != CACHE_FORMAT_VERSION:
         raise ValueError(f"cache payload header {meta.tolist()}, "
                          f"expected version {CACHE_FORMAT_VERSION}")
-    (window, covered, total, jumps,
-     n_path, n_cover, num_positions, plan_window, n_msgs) = \
+    window, covered, total, jumps, n_path, n_cover = \
         (int(x) for x in meta[1:])
     ints = np.asarray(arrays["ints"], np.int64)
     flags = np.asarray(arrays["flags"], np.int8)
-    expect = n_path + 4 * n_cover + 4 * n_msgs
-    if len(ints) != expect or len(flags) != n_path + n_msgs:
+    if len(ints) != n_path + 4 * n_cover or len(flags) != n_path:
         raise ValueError("cache payload section lengths disagree")
-    path = ints[:n_path]
-    cover = ints[n_path:n_path + 4 * n_cover].reshape(-1, 4)
-    rest = ints[n_path + 4 * n_cover:]
-    src_pos, dst_pos, edge_ids, mirror = rest.reshape(4, n_msgs)
-    result = TraversalResult(
-        path=path.copy(),
-        virtual_mask=flags[:n_path].astype(bool),
+    cover = ints[n_path:].reshape(-1, 4)
+    return TraversalResult(
+        path=ints[:n_path].copy(),
+        virtual_mask=flags.astype(bool),
         cover_positions={(int(u), int(v)): (int(i), int(j))
                          for u, v, i, j in cover},
         window=window, covered_edges=covered,
         total_edges=total, num_jumps=jumps)
-    plan = AttentionPlan(
-        src_pos=src_pos.copy(), dst_pos=dst_pos.copy(),
-        edge_ids=edge_ids.copy(),
-        unique_edge_rows=flags[n_path:].astype(bool),
-        mirror_index=mirror.copy(),
-        num_positions=num_positions, window=plan_window)
-    return result, plan
 
 
 # ----------------------------------------------------------------------
 class ScheduleCache:
     """On-disk schedule store addressed by content hash.
+
+    ``get(key)`` / ``put(key, schedule)`` is the schedule-tier protocol
+    of :class:`repro.serve.server.ScheduleStore`, so the cache plugs in
+    as a tier as it is.
 
     Parameters
     ----------
@@ -222,8 +205,7 @@ class ScheduleCache:
         """Sum of indexed payload sizes."""
         return sum(int(e.get("size", 0)) for e in self._index.values())
 
-    def get(self, key: str
-            ) -> Optional[Tuple[TraversalResult, AttentionPlan]]:
+    def get(self, key: str) -> Optional[TraversalResult]:
         """Fetch and verify one entry; ``None`` on miss or corruption."""
         path = self.payload_path(key)
         entry = self._index.get(key)
@@ -261,7 +243,7 @@ class ScheduleCache:
         return unpacked
 
     def put(self, key: str, result: TraversalResult,
-            plan: AttentionPlan, flush: bool = True) -> None:
+            flush: bool = True) -> None:
         """Write one entry atomically, then enforce the size cap.
 
         ``flush=False`` defers the index write — batch writers (the
@@ -272,7 +254,7 @@ class ScheduleCache:
         buffer = io.BytesIO()
         # Uncompressed: entries are small index arrays and the warm-path
         # read cost is what the cache exists to minimise.
-        np.savez(buffer, **pack_entry(result, plan))
+        np.savez(buffer, **pack_entry(result))
         data = buffer.getvalue()
         self._atomic_write(self.payload_path(key), data)
         self._index[key] = {"size": len(data),

@@ -11,8 +11,8 @@ exactly those three and nothing else:
 2. **Config** — every :class:`~repro.core.config.MegaConfig` field (the
    seed participates: it changes tie-breaking and edge dropping).
 3. **Schedule code version** — :data:`SCHEDULE_CODE_VERSION`, bumped
-   whenever the traversal or plan construction changes behaviour, so
-   stale artifacts from older code can never be served.
+   whenever the traversal changes behaviour, so stale schedules from
+   older code can never be served.
 """
 
 from __future__ import annotations
@@ -26,12 +26,16 @@ from repro.core.config import MegaConfig
 from repro.graph.csr import build_csr
 from repro.graph.graph import Graph
 
-#: Bump when `repro.core.schedule.traverse`, `PathRepresentation`, or
-#: `make_attention_plan` change the arrays they produce.
+#: Bump when `repro.core.schedule.traverse` or
+#: `PathRepresentation.from_graph` (edge dropping, window choice) change
+#: the schedule they produce.  Plans are derived from the schedule on
+#: every load, never cached, so they need no bump.
 SCHEDULE_CODE_VERSION = 1
 
 #: Layout version of the cached ``.npz`` payload (see ``cache.py``).
-CACHE_FORMAT_VERSION = 1
+#: Version 2 stores the schedule only; a version-1 payload (schedule
+#: plus attention plan) reads as a ``corrupt_payload`` miss.
+CACHE_FORMAT_VERSION = 2
 
 
 def graph_fingerprint(graph: Graph) -> bytes:

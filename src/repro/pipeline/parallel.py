@@ -62,21 +62,20 @@ from repro.pipeline.hashing import schedule_cache_key
 from repro.pipeline.stats import CacheStats, PipelineStats, QuarantineRecord
 from repro.resilience import FaultPlan, RetryPolicy, call_with_retry
 
-#: One schedule+plan pair, the unit every stage below passes around.
-Entry = Tuple[TraversalResult, AttentionPlan]
-
 #: ``(global_input_index, graph)`` — indices travel with their graphs so
 #: fault injection and quarantine reports refer to input positions.
 Item = Tuple[int, Graph]
 
 
 def compute_schedule(graph: Graph, config: Optional[MegaConfig] = None
-                     ) -> Entry:
-    """Run the full preprocessing for one graph (worker body)."""
+                     ) -> TraversalResult:
+    """Run the full preprocessing for one graph (worker body).
+
+    The schedule is the unit every stage below passes around and every
+    cache tier stores; :func:`materialise` reattaches it to its graph.
+    """
     config = config or MegaConfig()
-    rep = PathRepresentation.from_graph(graph, config)
-    plan = make_attention_plan(rep, symmetric_reuse=config.symmetric_reuse)
-    return rep.schedule, plan
+    return PathRepresentation.from_graph(graph, config).schedule
 
 
 def materialise(graph: Graph, config: MegaConfig,
@@ -97,7 +96,7 @@ def materialise(graph: Graph, config: MegaConfig,
 
 def _compute_chunk(payload: Tuple[MegaConfig, List[Item],
                                   Optional[str], FrozenSet[int]]
-                   ) -> List[Entry]:
+                   ) -> List[TraversalResult]:
     """Top-level (picklable) worker: schedule every graph in the chunk.
 
     ``inject`` carries a deterministic worker-crash message decided by
@@ -137,16 +136,23 @@ class PipelineResult:
 
     Quarantined graphs (``on_error="quarantine"``) leave ``None`` at
     their positions in ``paths``/``plans``; ``stats.quarantined`` holds
-    the loud record of what failed and why.
+    the loud record of what failed and why.  ``symmetric_reuse`` is
+    the run's ``MegaConfig.symmetric_reuse``, which ``plans`` honours.
     """
 
     paths: List[Optional[PathRepresentation]]
-    plans: List[Optional[AttentionPlan]]
     stats: PipelineStats = field(default_factory=PipelineStats)
+    symmetric_reuse: bool = True
 
     @property
     def schedules(self) -> List[Optional[TraversalResult]]:
         return [p.schedule if p is not None else None for p in self.paths]
+
+    @property
+    def plans(self) -> List[Optional[AttentionPlan]]:
+        """Attention plans, derived from ``paths`` on each access."""
+        return [make_attention_plan(p, self.symmetric_reuse)
+                if p is not None else None for p in self.paths]
 
     @property
     def ok(self) -> bool:
@@ -165,16 +171,16 @@ def _compute_serial(items: Sequence[Item], config: MegaConfig, *,
                     sleep: Optional[Callable[[float], None]],
                     fault_plan: Optional[FaultPlan],
                     stats: PipelineStats,
-                    quarantine: bool) -> Dict[int, Entry]:
+                    quarantine: bool) -> Dict[int, TraversalResult]:
     """In-parent computation with per-graph retry and quarantine."""
 
     def count_retry(attempt: int, exc: BaseException) -> None:
         stats.retries += 1
 
-    out: Dict[int, Entry] = {}
+    out: Dict[int, TraversalResult] = {}
     for idx, graph in items:
         def attempt_fn(attempt: int, idx: int = idx,
-                       graph: Graph = graph) -> Entry:
+                       graph: Graph = graph) -> TraversalResult:
             if fault_plan is not None:
                 if fault_plan.is_poisoned(idx):
                     raise GraphError(f"injected pathological graph {idx}")
@@ -199,7 +205,7 @@ def _compute_parallel(items: Sequence[Item], config: MegaConfig,
                       sleep: Optional[Callable[[float], None]],
                       fault_plan: Optional[FaultPlan],
                       stats: PipelineStats,
-                      quarantine: bool) -> Dict[int, Entry]:
+                      quarantine: bool) -> Dict[int, TraversalResult]:
     """Fan chunks out with per-chunk retry; degrade to serial on a dead pool.
 
     A chunk whose retries are exhausted (or that fails non-transiently,
@@ -213,7 +219,7 @@ def _compute_parallel(items: Sequence[Item], config: MegaConfig,
     def count_retry(attempt: int, exc: BaseException) -> None:
         stats.retries += 1
 
-    out: Dict[int, Entry] = {}
+    out: Dict[int, TraversalResult] = {}
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # First wave: every chunk in flight at once (attempt 0).
@@ -228,7 +234,8 @@ def _compute_parallel(items: Sequence[Item], config: MegaConfig,
                         f"injected executor death at chunk {i}")
 
                 def attempt_fn(attempt: int, i: int = i,
-                               chunk: List[Item] = chunk) -> List[Entry]:
+                               chunk: List[Item] = chunk
+                               ) -> List[TraversalResult]:
                     if attempt == 0:
                         return first[i].result()
                     future = pool.submit(
@@ -280,7 +287,7 @@ def precompute_paths(graphs: Sequence[Graph],
                      fault_plan: Optional[FaultPlan] = None,
                      sleep: Optional[Callable[[float], None]] = None,
                      on_error: str = "raise") -> PipelineResult:
-    """Build path representations + attention plans for many graphs.
+    """Build path representations for many graphs.
 
     Parameters
     ----------
@@ -322,7 +329,7 @@ def precompute_paths(graphs: Sequence[Graph],
     counters_before = cache.stats.as_dict() if cache is not None else None
 
     n = len(graphs)
-    results: List[Optional[Entry]] = [None] * n
+    results: List[Optional[TraversalResult]] = [None] * n
 
     # Group structurally identical graphs: one compute per distinct key.
     if cache is not None:
@@ -362,7 +369,7 @@ def precompute_paths(graphs: Sequence[Graph],
             entry = computed.get(rep_idx)
             if entry is None:  # quarantined: every group member stays None
                 continue
-            cache.put(key, *entry, flush=False)
+            cache.put(key, entry, flush=False)
             for i in groups[key]:
                 results[i] = entry
         cache.flush()
@@ -377,8 +384,8 @@ def precompute_paths(graphs: Sequence[Graph],
         for idx in todo:
             results[idx] = computed.get(idx)
 
-    paths = [materialise(g, config, res[0]) if res is not None else None
+    paths = [materialise(g, config, res) if res is not None else None
              for g, res in zip(graphs, results)]
-    plans = [res[1] if res is not None else None for res in results]
     stats.total_s = time.perf_counter() - t_start
-    return PipelineResult(paths=paths, plans=plans, stats=stats)
+    return PipelineResult(paths=paths, stats=stats,
+                          symmetric_reuse=config.symmetric_reuse)

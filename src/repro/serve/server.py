@@ -13,7 +13,7 @@ Three design rules keep every run replayable:
   the analytic kernel simulator (:func:`repro.models.kernel_plans
   .simulate_batch`) on the actual :class:`~repro.models.runtime
   .MegaRuntime` of each batch.  Wall-clock never touches the stats.
-* **Schedules resolve at admission, through the PR-1 cache.**  Each
+* **Schedules resolve at admission, through the schedule cache.**  Each
   admitted graph is looked up in the :class:`~repro.pipeline.cache
   .ScheduleCache` by content key; repeat graphs skip Algorithm 1
   entirely and the hit is visible in both the serve-local counters and
@@ -52,7 +52,7 @@ from repro.models.kernel_plans import simulate_batch
 from repro.models.runtime import MegaRuntime
 from repro.pipeline.cache import ScheduleCache
 from repro.pipeline.hashing import schedule_cache_key
-from repro.pipeline.parallel import Entry, compute_schedule, materialise
+from repro.pipeline.parallel import compute_schedule, materialise
 from repro.pipeline.stats import CacheStats
 from repro.resilience import RetryPolicy
 from repro.serve.batcher import BatchingPolicy, BatchPlan, MicroBatcher
@@ -107,32 +107,17 @@ class ScheduleMemo(dict):
     put = dict.__setitem__
 
 
-class DiskTier:
-    """The tier protocol over an on-disk :class:`ScheduleCache`.
-
-    Every ``get`` re-reads and checksum-verifies the entry, so the disk
-    cache's own counters move on each lookup.
-    """
-
-    def __init__(self, cache: ScheduleCache):
-        self.cache = cache
-
-    def get(self, key: str) -> Optional[Entry]:
-        return self.cache.get(key)
-
-    def put(self, key: str, entry: Entry) -> None:
-        self.cache.put(key, *entry)
-
-
 class ScheduleStore:
     """Admission-time schedule resolution through an ordered tier list.
 
-    A tier is anything with ``get(key)`` and ``put(key, entry)``.
+    A tier is anything with ``get(key)`` and ``put(key, schedule)``
+    over :class:`~repro.core.schedule.TraversalResult` entries.
     :meth:`resolve` walks the tiers in order: a hit is copied into the
     tiers above it, a full miss runs Algorithm 1 and feeds every tier.
 
     The single-node server has one tier: the attached
-    :class:`ScheduleCache` (hits also move the pipeline cache's own
+    :class:`ScheduleCache`, which re-reads and checksum-verifies the
+    entry on every lookup (hits also move the pipeline cache's own
     counters — the observable double-entry bookkeeping the acceptance
     tests assert) or, without one, an in-process memo, so the server
     never needs a disk directory just to deduplicate repeat graphs
@@ -149,7 +134,7 @@ class ScheduleStore:
         self.config = config
         self.cache = cache
         if tiers is None:
-            tiers = (ScheduleMemo() if cache is None else DiskTier(cache),)
+            tiers = (ScheduleMemo() if cache is None else cache,)
         self.tiers = tuple(tiers)
         self.tier_hits = [0] * len(self.tiers)
         self.misses = 0
@@ -184,12 +169,12 @@ class ScheduleStore:
                 self.tier_hits[depth] += 1
                 for upper in self.tiers[:depth]:
                     upper.put(key, entry)
-                return materialise(graph, self.config, entry[0]), True
+                return materialise(graph, self.config, entry), True
         entry = compute_schedule(graph, self.config)
         for tier in self.tiers:
             tier.put(key, entry)
         self.misses += 1
-        return materialise(graph, self.config, entry[0]), False
+        return materialise(graph, self.config, entry), False
 
 
 @dataclass

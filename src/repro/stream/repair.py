@@ -26,10 +26,9 @@ crossover gate is built on these records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.config import MegaConfig
-from repro.core.diagonal import make_attention_plan
 from repro.core.incremental import IncrementalPath, RepairCostEstimate
 from repro.cluster.cache import TieredScheduleCache
 from repro.errors import StreamError
@@ -151,13 +150,6 @@ class ScheduleRepairer:
             self._trackers[name] = tracker
         return tracker
 
-    def _entry_from_tracker(self, tracker: IncrementalPath) -> Tuple:
-        """Cache entry (schedule, plan) for the tracker's current state."""
-        rep = tracker.to_representation()
-        plan = make_attention_plan(
-            rep, symmetric_reuse=self.config.symmetric_reuse)
-        return rep.schedule, plan
-
     def apply(self, batch: DeltaBatch, now_s: float) -> RepairRecord:
         """Apply one delta batch; returns the full provenance record."""
         name = batch.graph_name
@@ -189,7 +181,7 @@ class ScheduleRepairer:
                 raise StreamError(
                     f"repaired schedule for {name!r} diverged from the "
                     f"applied graph (delta {batch.delta_id})")
-            entry = self._entry_from_tracker(tracker)
+            entry = tracker.to_representation().schedule
             work_units = tracker.work_units - work_before
             applied_noops = (tracker.noop_inserts + tracker.noop_deletes
                              - noops_before)

@@ -5,9 +5,9 @@ import pytest
 
 from repro.core.config import MegaConfig
 from repro.core.path import PathRepresentation
-from repro.errors import ConfigError, ScheduleError
+from repro.errors import ConfigError, GraphError, ScheduleError
 from repro.graph.generators import erdos_renyi, molecular_like, ring_graph
-from repro.graph.graph import complete_graph
+from repro.graph.graph import Graph, complete_graph
 
 
 @pytest.fixture
@@ -124,6 +124,32 @@ class TestPartialCoverage:
         rep = PathRepresentation.from_graph(
             g, MegaConfig(window=2, edge_drop=0.3))
         assert rep.graph.num_edges < g.num_edges
+
+
+class TestRepeatedNodePairs:
+    """The band holds one edge per node pair; a repeat must not vanish."""
+
+    def test_repeated_undirected_edge_raises(self):
+        # Used to read coverage 0.667 at θ=1, and MegaRuntime had 4
+        # messages where BaselineRuntime had 6.
+        with pytest.raises(GraphError, match=r"\(0, 1\) repeats as edges "
+                                             r"0 and 1"):
+            PathRepresentation.from_graph(Graph(3, [0, 0, 1], [1, 1, 2]))
+
+    def test_directed_antiparallel_pair_raises(self):
+        # Used to read coverage 0.5: both directions keyed as (0, 1).
+        g = Graph(2, [0, 1], [1, 0], undirected=False)
+        with pytest.raises(GraphError, match=r"\(0, 1\) repeats as edges "
+                                             r"0 and 1"):
+            PathRepresentation.from_graph(g)
+
+    def test_pipeline_quarantines_the_repeat(self):
+        from repro.pipeline import precompute_paths
+
+        result = precompute_paths([Graph(3, [0, 0, 1], [1, 1, 2]),
+                                   ring_graph(5)], on_error="quarantine")
+        assert result.paths[0] is None and result.paths[1] is not None
+        assert "GraphError" in result.stats.quarantined[0].error
 
 
 class TestRepr:

@@ -1,9 +1,13 @@
 """Cache semantics: identity on hits, invalidation on change/corruption."""
 
+import io
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from repro.core import MegaConfig
+from repro.core import MegaConfig, PathRepresentation, make_attention_plan
 from repro.graph.generators import molecular_like
 from repro.graph.graph import Graph, from_edge_list
 from repro.pipeline import (
@@ -13,6 +17,9 @@ from repro.pipeline import (
     precompute_paths,
     schedule_cache_key,
 )
+from repro.pipeline.hashing import file_checksum
+from repro.serve.server import ScheduleStore
+from tests.strategies import graphs as any_graph
 
 
 @pytest.fixture
@@ -42,22 +49,21 @@ class TestRoundTrip:
         for g in graphs:
             key = schedule_cache_key(g, config)
             fresh = compute_schedule(g, config)
-            cache.put(key, *fresh)
+            cache.put(key, fresh)
             cached = cache.get(key)
             assert cached is not None
-            _assert_result_equal(fresh[0], cached[0])
-            _assert_plan_equal(fresh[1], cached[1])
+            _assert_result_equal(fresh, cached)
         assert cache.stats.hits == len(graphs)
 
     def test_hit_survives_process_restart(self, tmp_path, graphs):
         config = MegaConfig()
         key = schedule_cache_key(graphs[0], config)
         fresh = compute_schedule(graphs[0], config)
-        ScheduleCache(tmp_path).put(key, *fresh)
+        ScheduleCache(tmp_path).put(key, fresh)
         reopened = ScheduleCache(tmp_path)  # fresh index load from disk
         cached = reopened.get(key)
         assert cached is not None
-        _assert_result_equal(fresh[0], cached[0])
+        _assert_result_equal(fresh, cached)
 
     def test_pipeline_warm_run_identical(self, tmp_path, graphs):
         cold = precompute_paths(graphs, cache_dir=tmp_path)
@@ -70,6 +76,78 @@ class TestRoundTrip:
             assert np.array_equal(a.band.pos_src, b.band.pos_src)
         for a, b in zip(cold.plans, warm.plans):
             _assert_plan_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=any_graph())
+def test_put_get_round_trip_property(tmp_path_factory, graph):
+    """A schedule survives a cache write/read unchanged."""
+    cache = ScheduleCache(tmp_path_factory.mktemp("roundtrip"))
+    config = MegaConfig()
+    key = schedule_cache_key(graph, config)
+    fresh = compute_schedule(graph, config)
+    cache.put(key, fresh)
+    cached = ScheduleCache(cache.dir).get(key)
+    assert cached is not None
+    _assert_result_equal(fresh, cached)
+
+
+def _v1_payload(graph, config):
+    """One entry in the version-1 layout: schedule plus attention plan."""
+    rep = PathRepresentation.from_graph(graph, config)
+    result, plan = rep.schedule, make_attention_plan(rep)
+    cover = np.asarray([[u, v, i, j] for (u, v), (i, j)
+                        in sorted(result.cover_positions.items())],
+                       dtype=np.int64).reshape(-1, 4)
+    meta = np.asarray([1, result.window, result.covered_edges,
+                       result.total_edges, result.num_jumps,
+                       len(result.path), len(cover), plan.num_positions,
+                       plan.window, plan.num_messages], np.int64)
+    ints = np.concatenate([result.path, cover.ravel(), plan.src_pos,
+                           plan.dst_pos, plan.edge_ids, plan.mirror_index])
+    flags = np.concatenate([result.virtual_mask.astype(np.int8),
+                            plan.unique_edge_rows.astype(np.int8)])
+    buffer = io.BytesIO()
+    np.savez(buffer, meta=meta, ints=ints, flags=flags)
+    return buffer.getvalue()
+
+
+class TestVersionOnePayload:
+    """A cache directory written by the schedule-plus-plan layout."""
+
+    @pytest.fixture
+    def v1_dir(self, tmp_path, graphs):
+        config = MegaConfig()
+        key = schedule_cache_key(graphs[0], config)
+        data = _v1_payload(graphs[0], config)
+        (tmp_path / f"{key}.npz").write_bytes(data)
+        (tmp_path / "index.json").write_text(json.dumps({
+            "version": 1, "clock": 1,
+            "entries": {key: {"size": len(data),
+                              "sha256": file_checksum(data),
+                              "last_used": 1}}}))
+        return tmp_path
+
+    def test_reads_as_one_corrupt_payload_miss(self, v1_dir, graphs):
+        first = precompute_paths(graphs[:1], cache_dir=v1_dir)
+        counts = first.stats.cache
+        assert (counts.hits, counts.misses, counts.corrupt_payload,
+                counts.corrupt_checksum, counts.puts) == (0, 1, 1, 0, 1)
+        again = precompute_paths(graphs[:1], cache_dir=v1_dir)
+        assert (again.stats.cache.hits, again.stats.cache.misses) == (1, 0)
+        fresh = compute_schedule(graphs[0], MegaConfig())
+        _assert_result_equal(fresh, again.paths[0].schedule)
+
+    def test_serving_store_recomputes_and_rewrites(self, v1_dir, graphs):
+        config = MegaConfig()
+        key = schedule_cache_key(graphs[0], config)
+        cache = ScheduleCache(v1_dir)
+        store = ScheduleStore(config, cache)
+        _, hit = store.resolve(graphs[0], key)
+        assert not hit
+        assert (cache.stats.misses, cache.stats.corrupt_payload) == (1, 1)
+        _, hit = store.resolve(graphs[0], key)
+        assert hit and cache.stats.hits == 1
 
 
 class TestKeySensitivity:
@@ -122,7 +200,7 @@ class TestCorruption:
         config = MegaConfig()
         cache = ScheduleCache(tmp_path)
         key = schedule_cache_key(graphs[0], config)
-        cache.put(key, *compute_schedule(graphs[0], config))
+        cache.put(key, compute_schedule(graphs[0], config))
         # Flip one byte mid-file: still a valid-looking zip prefix, but
         # the checksum catches it.
         payload = tmp_path / f"{key}.npz"
@@ -138,7 +216,7 @@ class TestCorruption:
         config = MegaConfig()
         cache = ScheduleCache(tmp_path)
         key = schedule_cache_key(graphs[0], config)
-        cache.put(key, *compute_schedule(graphs[0], config))
+        cache.put(key, compute_schedule(graphs[0], config))
         (tmp_path / f"{key}.npz").unlink()
         assert cache.get(key) is None
         assert cache.stats.misses == 1
@@ -149,7 +227,7 @@ class TestInvalidate:
         config = MegaConfig()
         cache = ScheduleCache(tmp_path)
         key = schedule_cache_key(graphs[0], config)
-        cache.put(key, *compute_schedule(graphs[0], config))
+        cache.put(key, compute_schedule(graphs[0], config))
         assert cache.invalidate(key) is True
         assert key not in cache
         assert not cache.payload_path(key).exists()
@@ -167,7 +245,7 @@ class TestInvalidate:
         # Payload on disk, index lost: invalidate must still be final.
         config = MegaConfig()
         key = schedule_cache_key(graphs[0], config)
-        ScheduleCache(tmp_path).put(key, *compute_schedule(graphs[0],
+        ScheduleCache(tmp_path).put(key, compute_schedule(graphs[0],
                                                            config))
         (tmp_path / "index.json").unlink()
         reopened = ScheduleCache(tmp_path)
@@ -181,7 +259,7 @@ class TestInvalidate:
         keys = []
         for g in graphs[:3]:
             key = schedule_cache_key(g, config)
-            cache.put(key, *compute_schedule(g, config))
+            cache.put(key, compute_schedule(g, config))
             keys.append(key)
         cache.invalidate(keys[0])
         for survivor in keys[1:]:
@@ -192,7 +270,7 @@ class TestInvalidate:
         config = MegaConfig()
         key = schedule_cache_key(graphs[0], config)
         cache = ScheduleCache(tmp_path)
-        cache.put(key, *compute_schedule(graphs[0], config))
+        cache.put(key, compute_schedule(graphs[0], config))
         cache.invalidate(key)
         assert ScheduleCache(tmp_path).get(key) is None
 
@@ -200,7 +278,7 @@ class TestInvalidate:
         config = MegaConfig()
         cache = ScheduleCache(tmp_path)
         key = schedule_cache_key(graphs[0], config)
-        cache.put(key, *compute_schedule(graphs[0], config))
+        cache.put(key, compute_schedule(graphs[0], config))
         cache.payload_path(key).write_bytes(b"\x00garbage")
         assert cache.invalidate(key) is True
         assert not cache.payload_path(key).exists()
@@ -213,13 +291,13 @@ class TestLRU:
                     compute_schedule(g, config)) for g in graphs[:4]]
         one_size = None
         cache = ScheduleCache(tmp_path)
-        cache.put(entries[0][0], *entries[0][1])
+        cache.put(*entries[0])
         one_size = cache.total_bytes
         cache.clear()
         # Cap at ~2.5 entries: the third put must evict the oldest.
         cache = ScheduleCache(tmp_path, max_bytes=int(one_size * 2.5))
         for key, entry in entries[:3]:
-            cache.put(key, *entry)
+            cache.put(key, entry)
         assert cache.stats.evictions >= 1
         assert cache.total_bytes <= int(one_size * 2.5)
         # Most recent entry is still resident.
@@ -230,13 +308,13 @@ class TestLRU:
         entries = [(schedule_cache_key(g, config),
                     compute_schedule(g, config)) for g in graphs[:3]]
         probe = ScheduleCache(tmp_path)
-        probe.put(entries[0][0], *entries[0][1])
+        probe.put(*entries[0])
         one_size = probe.total_bytes
         probe.clear()
         cache = ScheduleCache(tmp_path, max_bytes=int(one_size * 2.5))
-        cache.put(entries[0][0], *entries[0][1])
-        cache.put(entries[1][0], *entries[1][1])
+        cache.put(*entries[0])
+        cache.put(*entries[1])
         cache.get(entries[0][0])  # entry 0 becomes most recent
-        cache.put(entries[2][0], *entries[2][1])  # evicts entry 1
+        cache.put(*entries[2])  # evicts entry 1
         assert cache.get(entries[0][0]) is not None
         assert entries[1][0] not in cache

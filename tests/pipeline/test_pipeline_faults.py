@@ -24,9 +24,14 @@ def graphs():
 
 
 def entry_bytes(result, index):
-    packed = pack_entry(result.paths[index].schedule, result.plans[index])
-    return b"".join(packed[name].tobytes()
-                    for name in ("meta", "ints", "flags"))
+    """Packed schedule bytes plus the derived plan's arrays."""
+    packed = pack_entry(result.paths[index].schedule)
+    plan = result.plans[index]
+    return b"".join(
+        [packed[name].tobytes() for name in ("meta", "ints", "flags")]
+        + [getattr(plan, name).tobytes()
+           for name in ("src_pos", "dst_pos", "edge_ids",
+                        "unique_edge_rows", "mirror_index")])
 
 
 def assert_identical(clean, faulty):

@@ -10,6 +10,8 @@ Three promises, enforced here so a PR cannot silently break them:
 3. **Docs stay honest**: every metric key documented in the
    ``docs/benchmarking.md`` reference tables appears in an emitted
    ledger, and every emitted key is documented.
+4. **One committed truth per area**: each root ``BENCH_<area>.json``
+   has the same replay surface as ``benchmarks/baselines``' copy.
 """
 
 import json
@@ -155,3 +157,13 @@ def test_committed_baselines_match_current_schema():
         path = ledger_path(baselines, area)
         assert path.is_file(), f"committed baseline missing: {path}"
         load_ledger(path)  # validates schema + structure
+
+
+@pytest.mark.parametrize("area", AREAS)
+def test_root_ledgers_match_committed_baselines(area):
+    root = load_ledger(ledger_path(REPO_ROOT, area))
+    baseline = load_ledger(ledger_path(REPO_ROOT / "benchmarks" / "baselines",
+                                       area))
+    assert replay_bytes(root) == replay_bytes(baseline), (
+        f"BENCH_{area}.json and benchmarks/baselines/BENCH_{area}.json "
+        "disagree; refresh both from one `python -m repro.bench run`")

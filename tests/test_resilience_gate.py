@@ -27,11 +27,17 @@ def graphs():
     return [molecular_like(np.random.default_rng(i), 14) for i in range(8)]
 
 
+PLAN_ARRAYS = ("src_pos", "dst_pos", "edge_ids", "unique_edge_rows",
+               "mirror_index")
+
+
 def result_bytes(result):
+    """Packed schedule bytes plus every derived plan array."""
     return b"".join(
-        arr.tobytes()
-        for rep, plan in zip(result.paths, result.plans)
-        for arr in pack_entry(rep.schedule, plan).values())
+        [arr.tobytes() for rep in result.paths
+         for arr in pack_entry(rep.schedule).values()]
+        + [getattr(plan, name).tobytes() for plan in result.plans
+           for name in PLAN_ARRAYS])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
