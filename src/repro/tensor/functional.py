@@ -186,11 +186,12 @@ class SlotPlan:
     754 leaves open, and numpy's own loops differ on it.)
 
     The ids are validated once, here; every reduction and gather then
-    only checks that the row count matches.
+    only checks that the row count matches.  The grouping is built on
+    the first reduction, so a plan that only gathers (a tape-free
+    :func:`gather_rows`, e.g. an embedding lookup) never pays for it.
     """
 
-    __slots__ = ("ids", "num_segments", "counts", "order", "segments",
-                 "ranks")
+    __slots__ = ("ids", "num_segments", "counts", "_grouping")
 
     def __init__(self, ids, num_segments: int):
         ids = np.asarray(ids)
@@ -208,21 +209,41 @@ class SlotPlan:
         self.num_segments = num_segments
         #: Messages per segment.
         self.counts = np.bincount(ids, minlength=num_segments)
-        by_id = np.argsort(ids, kind="stable")
-        starts = np.cumsum(self.counts) - self.counts
-        rank = np.empty_like(ids)
-        rank[by_id] = np.arange(len(ids)) - starts[ids[by_id]]
-        by_size = np.argsort(-self.counts, kind="stable")
-        position = np.empty_like(by_size)
-        position[by_size] = np.arange(num_segments)
-        #: Message ids grouped by rank, each rank in segment-position order.
-        self.order = np.lexsort((position[ids], rank))
-        sizes = np.bincount(rank)
-        #: Segment of each accumulator row (the non-empty segments).
-        self.segments = by_size[:sizes[0] if len(sizes) else 0]
-        bounds = np.cumsum(sizes)
-        #: ``(start, stop)`` of each rank's slice of ``order``.
-        self.ranks = tuple(zip((bounds - sizes).tolist(), bounds.tolist()))
+        self._grouping: Optional[tuple] = None
+
+    def _group(self) -> tuple:
+        """``(order, segments, ranks)``, built once on first use."""
+        if self._grouping is None:
+            ids, counts = self.ids, self.counts
+            by_id = np.argsort(ids, kind="stable")
+            starts = np.cumsum(counts) - counts
+            rank = np.empty_like(ids)
+            rank[by_id] = np.arange(len(ids)) - starts[ids[by_id]]
+            by_size = np.argsort(-counts, kind="stable")
+            position = np.empty_like(by_size)
+            position[by_size] = np.arange(self.num_segments)
+            sizes = np.bincount(rank)
+            bounds = np.cumsum(sizes)
+            self._grouping = (
+                np.lexsort((position[ids], rank)),
+                by_size[:sizes[0] if len(sizes) else 0],
+                tuple(zip((bounds - sizes).tolist(), bounds.tolist())))
+        return self._grouping
+
+    @property
+    def order(self) -> np.ndarray:
+        """Message ids grouped by rank, each rank in segment-position order."""
+        return self._group()[0]
+
+    @property
+    def segments(self) -> np.ndarray:
+        """Segment of each accumulator row (the non-empty segments)."""
+        return self._group()[1]
+
+    @property
+    def ranks(self) -> tuple:
+        """``(start, stop)`` of each rank's slice of ``order``."""
+        return self._group()[2]
 
     def reduce(self, ufunc: np.ufunc, x: np.ndarray,
                fill: float = 0.0) -> np.ndarray:
@@ -231,16 +252,17 @@ class SlotPlan:
             raise ShapeError(
                 f"segment ids length {len(self.ids)} != rows {len(x)}")
         out = np.full((self.num_segments,) + x.shape[1:], fill, dtype=x.dtype)
-        if not self.ranks:
+        order, segments, ranks = self._group()
+        if not ranks:
             return out
-        grouped = x[self.order]
-        (start, stop), *later = self.ranks
+        grouped = x[order]
+        (start, stop), *later = ranks
         # ``out`` still holds ``fill`` everywhere: this is ufunc(fill, x).
         acc = ufunc(out[:stop - start], grouped[start:stop])
         for start, stop in later:
             rows = acc[:stop - start]
             ufunc(rows, grouped[start:stop], out=rows)
-        out[self.segments] = acc
+        out[segments] = acc
         return out
 
 

@@ -13,6 +13,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ShapeError
+from repro.tensor import functional as F
 from repro.tensor import init
 from repro.tensor.tensor import Tensor, grad_enabled
 
@@ -153,16 +154,29 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,)), name="bias") if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if not grad_enabled():
-            # Tape-free: the same two IEEE ops, the bias added in place.
-            out = x.data @ self.weight.data
-            if self.bias is not None:
-                out += self.bias.data
-            return Tensor(out)
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        """One tape node: ``x @ W`` with the bias added in place.
+
+        The closure gives the bias, ``x`` and ``W`` their gradients in
+        the order the two-node ``x @ W + b`` tape would, with the same
+        IEEE operations, so the gradients are bit-identical to it.
+        """
+        weight, bias = self.weight, self.bias
+        out = x.data @ weight.data
+        if bias is not None:
+            out += bias.data
+
+        def backward(grad: np.ndarray) -> None:
+            if bias is not None:
+                bias._accumulate(grad)
+            if x.requires_grad:
+                x._accumulate(grad @ weight.data.T)
+            if weight.requires_grad:
+                weight._accumulate(
+                    np.swapaxes(x.data, -1, -2) @ grad if x.ndim > 1
+                    else np.outer(x.data, grad))
+
+        parents = (x, weight) if bias is None else (x, weight, bias)
+        return Tensor._make(out, parents, backward)
 
 
 class LayerNorm(Module):
@@ -242,11 +256,12 @@ class Embedding(Module):
                                 name="weight")
 
     def forward(self, ids: np.ndarray) -> Tensor:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
-            raise ShapeError(
-                f"embedding ids out of range [0, {self.num_embeddings})")
-        return self.weight[ids]
+        """Rows ``weight[ids]``; the backward sums repeated ids in order.
+
+        ``ids`` is a 1-D integer array; one out of ``[0,
+        num_embeddings)`` raises :class:`~repro.errors.ShapeError`.
+        """
+        return F.gather_rows(self.weight, F.SlotPlan(ids, self.num_embeddings))
 
 
 class Dropout(Module):
@@ -288,8 +303,6 @@ class MLP(Module):
     def __init__(self, in_dim: int, hidden_dim: int, out_dim: int,
                  num_layers: int = 2, rng: Optional[np.random.Generator] = None):
         super().__init__()
-        from repro.tensor import functional as F
-        self._relu = F.relu
         rng = rng or np.random.default_rng(0)
         dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
         self.linears: List[Linear] = []
@@ -300,5 +313,5 @@ class MLP(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         for layer in self.linears[:-1]:
-            x = self._relu(layer(x))
+            x = F.relu(layer(x))
         return self.linears[-1](x)

@@ -13,18 +13,26 @@ The engine is tape-based and runs in one of two modes:
   operation on a tensor that requires grad stores its parent tensors and
   a closure that propagates the output gradient to the parents.
   ``Tensor.backward()`` topologically sorts the tape and runs the
-  closures in reverse order.  The tape keeps every intermediate array
-  alive until the result is dropped.
+  closures in reverse order, releasing the tape as it goes: once an
+  interior node's closure has run, the node drops its gradient, its
+  closure and its parents, so each activation is freed as soon as the
+  last closure that reads it is done.  A released node's closure is a
+  sentinel, so a second ``backward()`` through it raises
+  :class:`~repro.errors.GradError` instead of re-propagating a stale
+  gradient.  Only leaves own their gradients: a leaf copies the first
+  gradient it receives (optimisers scale it in place), while an interior
+  gradient is read once by its own closure and may alias another's, so
+  no closure writes into the gradient it is given.
 * **Tape-free**, inside a :func:`no_grad` block.  Operations run the same
   numpy calls, so values are bit-identical, but every result is a plain
   leaf: no parents, no closure, ``requires_grad=False``.  Forwards that
   have no backward (serving, evaluation, statistics) run this way.
 
-``Tensor._make`` is where every operation consults the mode.  A few
-hot modules (``Linear``, ``LayerNorm``) also read it through
-:func:`grad_enabled`: their tape-free branch runs the same IEEE
-operations in the same order but finishes in arrays it allocated
-itself, so it skips the temporaries a tape would keep.
+``Tensor._make`` is where every operation consults the mode.
+``LayerNorm`` also reads it through :func:`grad_enabled`: its tape-free
+branch runs the same IEEE operations in the same order but finishes in
+arrays it allocated itself, so it skips the temporaries a tape would
+keep.
 """
 
 from __future__ import annotations
@@ -70,6 +78,12 @@ def grad_enabled() -> bool:
     on it; only :func:`no_grad` changes the mode.
     """
     return _grad_enabled
+
+
+def _released(grad: np.ndarray) -> None:
+    """The closure of a node whose tape ``backward()`` already released."""
+    raise GradError("graph already released by backward(); "
+                    "run the forward again to differentiate it again")
 
 
 def _as_array(data: ArrayLike, dtype=None) -> np.ndarray:
@@ -182,7 +196,9 @@ class Tensor:
             return
         grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            # A leaf owns its gradient (optimisers scale it in place); an
+            # interior one is read once by its closure, so it may alias.
+            self.grad = grad.copy() if self._backward is None else grad
         else:
             self.grad = self.grad + grad
 
@@ -192,7 +208,12 @@ class Tensor:
         ``grad`` defaults to ones (so ``loss.backward()`` works for
         scalar losses and for element-wise seeding alike).  Raises
         :class:`~repro.errors.GradError` when this tensor does not
-        require grad, e.g. a result computed inside :func:`no_grad`.
+        require grad, e.g. a result computed inside :func:`no_grad`, or
+        when the graph reaches a node an earlier ``backward()`` released.
+
+        Each interior node is released once its closure has run: its
+        ``grad`` reads ``None``, its parents ``()``.  Leaves keep (and
+        accumulate) their gradients.
         """
         if not self.requires_grad:
             raise GradError(
@@ -223,9 +244,19 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        # Popping drops the list's reference too, so a node's arrays are
+        # freed as soon as the closures that read them have run.
+        while topo:
+            node = topo.pop()
+            backward = node._backward
+            if backward is None:
+                continue
+            node_grad = node.grad
+            node.grad = None
+            node._backward = _released
+            node._parents = ()
+            if node_grad is not None:
+                backward(node_grad)
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -351,8 +382,11 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         """Indexing, including fancy-index gather.
 
-        Gradient accumulates with ``np.add.at`` so repeated indices (the
-        common case for neighbour gathers) are handled correctly.
+        Gradient accumulates with ``np.add.at`` so repeated indices are
+        handled correctly for any index numpy accepts (slices, masks,
+        tuples).  Row gathers on the model path go through
+        :func:`~repro.tensor.functional.gather_rows` with a ``SlotPlan``
+        instead, which reduces the same bits without ``ufunc.at``.
         """
         out_data = self.data[index]
         shape = self.shape
