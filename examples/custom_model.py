@@ -91,7 +91,8 @@ def main():
     from repro.memsim import GPUDevice
     from repro.models.kernel_plans import simulate_batch
 
-    # MeanSage's op profile is closest to GAT's (1 scatter, gathers, one
+    # MeanSage declares no ``OPS``, so it has no plan of its own; its op
+    # profile is closest to GAT's declared one (1 scatter, gathers, one
     # projection), so use that plan for the cost picture.
     t_base = simulate_batch("GAT", base_rt, GPUDevice(), 32, 3).total_time
     t_mega = simulate_batch("GAT", mega_rt, GPUDevice(), 32, 3).total_time

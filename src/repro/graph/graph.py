@@ -16,6 +16,24 @@ import numpy as np
 from repro.errors import GraphError
 
 
+def _endpoint_ids(values: Sequence[int], name: str) -> np.ndarray:
+    """``values`` as int64 node ids; an id the cast would change (a
+    fractional, NaN or non-numeric endpoint) is a :class:`GraphError`."""
+    raw = np.asarray(values)
+    if raw.dtype.kind in "iu":
+        return raw.astype(np.int64, copy=False)
+    try:
+        with np.errstate(invalid="ignore"):
+            ids = raw.astype(np.int64)
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"{name} ids must be integers: {exc}") from exc
+    changed = ids != raw
+    if np.any(changed):
+        raise GraphError(
+            f"{name} ids must be integers, got {raw[changed][0]!r}")
+    return ids
+
+
 class Graph:
     """A graph in COO format with optional features.
 
@@ -41,8 +59,8 @@ class Graph:
         if num_nodes < 0:
             raise GraphError(f"num_nodes must be non-negative, got {num_nodes}")
         self.num_nodes = int(num_nodes)
-        self.src = np.asarray(src, dtype=np.int64)
-        self.dst = np.asarray(dst, dtype=np.int64)
+        self.src = _endpoint_ids(src, "src")
+        self.dst = _endpoint_ids(dst, "dst")
         if self.src.shape != self.dst.shape or self.src.ndim != 1:
             raise GraphError("src and dst must be 1-D arrays of equal length")
         if self.src.size:

@@ -18,8 +18,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.models.base import GNNModel, ModelConfig
-from repro.models.runtime import AggregationRuntime
+from repro.models.base import GNNModel
+from repro.models.runtime import (AggregationRuntime, Gather, LayerOps,
+                                  Pointwise, Project, Scatter)
 from repro.tensor import Linear, Module, Parameter, Tensor
 from repro.tensor import functional as F
 from repro.tensor import init
@@ -27,6 +28,11 @@ from repro.tensor import init
 
 class GATLayer(Module):
     """Multi-head graph attention with edge-feature score bias."""
+
+    OPS = LayerOps(weights_d2=2, ops=(
+        Project("nodes"), Pointwise("nodes"),   # Wh; per-node scores
+        Scatter(2), Gather(), Gather(with_src=True),  # scores; softmax; Σ
+        Pointwise("nodes")))                    # ELU, residual
 
     def __init__(self, dim: int, num_heads: int = 4,
                  rng: Optional[np.random.Generator] = None,

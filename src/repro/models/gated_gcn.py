@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.base import GNNModel, ModelConfig
+from repro.models.base import GNNModel
 from repro.models.layers import GatedGCNLayer
 
 

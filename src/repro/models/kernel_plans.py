@@ -3,26 +3,29 @@
 A *kernel plan* replays, on the :mod:`repro.memsim` device, the sequence
 of GPU kernels one training batch launches — with the actual index
 arrays the runtime uses, so the simulated cache/coalescing behaviour is
-produced by the real schedules, not by assumption.  The plan builders
-describe kernels as :class:`~repro.memsim.device.KernelLaunch` records,
-and a batch submits all of them in one device call.  Launches that
-repeat reuse one object (each layer's plan is built once and repeated,
-``[sgemm_launch(...)] * 4`` repeats one projection), and the device
-expands each distinct trace object to sector addresses only once.
+produced by the real schedules, not by assumption.  A layer's plan is
+its declared ops (``OPS``, a :class:`~repro.models.runtime.LayerOps`)
+lowered for the runtime:
 
-Baseline plans model the DGL pipeline the paper profiles: per-batch
-``cub`` index sort and H2D memcpy, per-layer dense ``sgemm`` projections,
-an ``apply_edges`` scatter kernel reading two scattered node rows per
-message, and two ``update_all`` gather kernels with atomic stores.
+* **Baseline** (the DGL pipeline the paper profiles): a per-batch
+  ``cub`` index sort, then one launch per op — ``sgemm`` projections,
+  ``apply_edges`` scatters over scattered rows, ``update_all`` gathers
+  with atomic stores, ``elementwise`` pointwise ops.
+* **MEGA** keeps the neural ops (on the expanded path buffer, length
+  L ≥ N — the paper's accepted redundancy).  Each scatter with node
+  operands opens a banded sweep, into which the edge-aligned scatters
+  and edge pointwise ops that follow fold; each gather is a band
+  reduction, and one position→node sync follows the last.  There is
+  no sort: the schedule is precomputed on the CPU.
 
-MEGA plans keep the same neural operations (on the expanded path buffer,
-length L ≥ N — the paper's accepted redundancy), but replace graph
-kernels with banded sweeps plus a sequential position→node reduction,
-and need no per-batch sort (the schedule is precomputed on the CPU).
+A batch submits its :class:`~repro.memsim.device.KernelLaunch` records
+in one device call.  Equal ops share one launch and every layer repeats
+one plan, so the device expands each distinct trace only once.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional
 
 import numpy as np
@@ -38,7 +41,11 @@ from repro.memsim.device import DeviceSpec, GPUDevice, KernelLaunch
 from repro.memsim.kernels import (FLOAT_BYTES, cub_sort_launch,
                                   elementwise_launch, sgemm_launch)
 from repro.memsim.profiler import Profiler
-from repro.models.runtime import AggregationRuntime, BaselineRuntime, MegaRuntime
+from repro.models.gat import GATLayer
+from repro.models.layers import GatedGCNLayer, GraphTransformerLayer
+from repro.models.runtime import (AggregationRuntime, BaselineRuntime, Gather,
+                                  LayerOps, MegaRuntime, Pointwise, Project,
+                                  Scatter)
 
 # Training-step multiplier over the forward pass: forward (1x) plus a
 # backward of about twice the forward's cost.
@@ -81,36 +88,24 @@ def _imbalance(msg_dst: np.ndarray, num_nodes: int) -> float:
 # Baseline (DGL-style) kernels
 # ----------------------------------------------------------------------
 def _baseline_apply_edges(layout: MemoryLayout, rt: BaselineRuntime,
-                          dim: int, operands: int = 2) -> KernelLaunch:
-    """apply_edges: read ``operands`` scattered node rows per message.
+                          dim: int, operands: int) -> KernelLaunch:
+    """apply_edges: read ``operands`` (2, 1 or 0) scattered node rows and
+    the edge row per message.
 
     Edge-feature rows are reached through the edge-id indirection left
     by the destination sort, so they are scattered too — the redundant
     data transactions Section II-B profiles.
     """
     row = dim * FLOAT_BYTES
-    if operands == 2:
-        rows = _interleave(rt.msg_dst, rt.msg_src)
-    else:
-        rows = rt.msg_src
-    loads = AccessTrace.concatenate([
-        row_gather_trace(layout.base("nodes"), rows, row),
-        row_gather_trace(layout.base("edges"), rt.msg_edge, row),
-    ])
+    parts = [row_gather_trace(layout.base("edges"), rt.msg_edge, row)]
+    if operands:
+        rows = (_interleave(rt.msg_dst, rt.msg_src) if operands == 2
+                else rt.msg_src)
+        parts.insert(0, row_gather_trace(layout.base("nodes"), rows, row))
     stores = sequential_trace(layout.base("edges"), rt.num_messages * row)
-    flops = float(rt.num_messages * dim * (operands + 1))
-    return KernelLaunch("dgl::scatter", flops, loads=loads, stores=stores,
-                        parallel_items=rt.num_messages * dim)
-
-
-def _baseline_edge_op(layout: MemoryLayout, rt: BaselineRuntime,
-                      dim: int) -> KernelLaunch:
-    """Edge-only apply_edges: per-message op through the id indirection."""
-    row = dim * FLOAT_BYTES
-    loads = row_gather_trace(layout.base("edges"), rt.msg_edge, row)
-    stores = sequential_trace(layout.base("edges"), rt.num_messages * row)
-    flops = float(rt.num_messages * dim * 2)
-    return KernelLaunch("dgl::scatter", flops, loads=loads, stores=stores,
+    flops = float(rt.num_messages * dim * (max(operands, 1) + 1))
+    return KernelLaunch("dgl::scatter", flops,
+                        loads=AccessTrace.concatenate(parts), stores=stores,
                         parallel_items=rt.num_messages * dim)
 
 
@@ -161,14 +156,13 @@ def _band_sweep_loads(layout: MemoryLayout, rt: MegaRuntime,
 
 
 def _mega_band_kernel(layout: MemoryLayout, rt: MegaRuntime, dim: int,
-                      operands: int, name: str = "mega::band"
-                      ) -> KernelLaunch:
+                      operands: int) -> KernelLaunch:
     """Banded edge computation over a tiled sequential path sweep."""
     row = dim * FLOAT_BYTES
     loads = _band_sweep_loads(layout, rt, row, with_edges=True)
     stores = sequential_trace(layout.base("edges"), rt.num_messages * row)
     flops = _band_flops(rt, dim, per_slot=operands + 1)
-    return KernelLaunch(name, flops, loads=loads, stores=stores,
+    return KernelLaunch("mega::band", flops, loads=loads, stores=stores,
                         parallel_items=rt.path_length * dim)
 
 
@@ -201,6 +195,51 @@ def _mega_sync(layout: MemoryLayout, rt: MegaRuntime,
 
 
 # ----------------------------------------------------------------------
+# Lowering a layer declaration
+# ----------------------------------------------------------------------
+_LAYERS = {"GCN": GatedGCNLayer, "GT": GraphTransformerLayer,
+           "GAT": GATLayer}
+#: Ops that fold into an open MEGA band sweep instead of launching.
+_FOLDS = (Scatter(0), Pointwise("edges"))
+
+
+def _lower(decl: LayerOps, layout: MemoryLayout, rt: AggregationRuntime,
+           dim: int, node_rows: int, is_mega: bool,
+           gemm: float) -> List[KernelLaunch]:
+    """One layer's launches, in declaration order (see the module doc)."""
+    rows = {"nodes": node_rows, "edges": rt.num_messages}
+
+    @functools.cache    # equal ops share one launch
+    def build(op) -> KernelLaunch:
+        if isinstance(op, Project):
+            return sgemm_launch(layout, rows[op.rows], op.width * dim, dim,
+                                gemm)
+        if isinstance(op, Pointwise):
+            return elementwise_launch(layout, op.rows, rows[op.rows], dim)
+        if isinstance(op, Scatter) and is_mega:
+            return _mega_band_kernel(layout, rt, dim, op.operands)
+        if isinstance(op, Scatter):
+            return _baseline_apply_edges(layout, rt, dim, op.operands)
+        if is_mega:
+            return _mega_band_reduce(layout, rt, dim, op.with_src)
+        return _baseline_update_all(layout, rt, dim, op.with_src)
+
+    last_gather = max(i for i, op in enumerate(decl.ops)
+                      if isinstance(op, Gather))
+    plan: List[KernelLaunch] = []
+    sweep = False
+    for i, op in enumerate(decl.ops):
+        if is_mega and sweep and op in _FOLDS:
+            continue        # folds into the open band sweep
+        if isinstance(op, (Scatter, Gather)):
+            sweep = isinstance(op, Scatter)
+        plan.append(build(op))
+        if is_mega and i == last_gather:
+            plan.append(_mega_sync(layout, rt, dim))
+    return plan
+
+
+# ----------------------------------------------------------------------
 # Per-model batch plans
 # ----------------------------------------------------------------------
 def _node_rows(runtime: AggregationRuntime) -> int:
@@ -220,23 +259,22 @@ def batch_launches(model_name: str, runtime: AggregationRuntime,
     plan's launch objects, so the batch's distinct traces do not grow
     with ``num_layers``.
     """
-    if model_name not in _LAYER_PLANS:
+    if model_name not in _LAYERS:
         raise SimulationError(f"unknown model {model_name!r}")
+    decl = _LAYERS[model_name].OPS
     is_mega = isinstance(runtime, MegaRuntime)
     n = runtime.num_nodes
     m = runtime.num_messages
     length = _node_rows(runtime)
-    params_per_layer = {"GCN": 5, "GT": 14, "GAT": 2}[model_name]
-    params = params_per_layer * dim * dim * num_layers
+    params = decl.weights_d2 * dim * dim * num_layers
     layout = make_layout(n, m, length if is_mega else 1, dim, params)
-    gemm = spec.gemm_efficiency
 
     # DGL sorts edge indices per batch to fetch neighbours quickly.
     launches = [] if is_mega else [cub_sort_launch(layout, m)]
     # Every layer launches the same plan.
-    layer = _LAYER_PLANS[model_name](layout, runtime, dim, length, is_mega,
-                                     gemm)
-    launches.extend(layer * num_layers)
+    gemm = spec.gemm_efficiency
+    launches += _lower(decl, layout, runtime, dim, length, is_mega,
+                       gemm) * num_layers
     # Readout + head.
     launches.append(sgemm_launch(layout, max(n // 4, 1), dim, dim, gemm))
     launches.append(elementwise_launch(layout, "nodes", n, dim))
@@ -264,87 +302,6 @@ def simulate_batch(model_name: str, runtime: AggregationRuntime,
         profiler.record(device.memcpy(nbytes))
     profiler.extend(device.run_kernels(launches))
     return profiler
-
-
-def _plan_gcn_layer(layout: MemoryLayout, rt: AggregationRuntime, dim: int,
-                    node_rows: int, is_mega: bool,
-                    gemm: float) -> List[KernelLaunch]:
-    # Projections A, B, U, V on node rows; C on message rows.
-    plan = [sgemm_launch(layout, node_rows, dim, dim, gemm)] * 4
-    plan.append(sgemm_launch(layout, rt.num_messages, dim, dim, gemm))
-    if is_mega:
-        # Edge update + sigmoid fused into one banded sweep; the two
-        # gated reductions sweep the band again; one sync kernel.
-        plan += [_mega_band_kernel(layout, rt, dim, operands=2),
-                 _mega_band_reduce(layout, rt, dim, with_src=True),
-                 _mega_band_reduce(layout, rt, dim, with_src=False),
-                 _mega_sync(layout, rt, dim)]
-    else:
-        plan += [_baseline_apply_edges(layout, rt, dim, operands=2),
-                 elementwise_launch(layout, "edges", rt.num_messages, dim),
-                 _baseline_update_all(layout, rt, dim, with_src=True),
-                 _baseline_update_all(layout, rt, dim, with_src=False)]
-    # BN/ReLU/residual on nodes and edges.
-    plan += [elementwise_launch(layout, "nodes", node_rows, dim),
-             elementwise_launch(layout, "edges", rt.num_messages, dim)]
-    return plan
-
-
-def _plan_gat_layer(layout: MemoryLayout, rt: AggregationRuntime, dim: int,
-                    node_rows: int, is_mega: bool,
-                    gemm: float) -> List[KernelLaunch]:
-    """GAT: one projection, one score scatter, softmax + weighted gather."""
-    plan = [sgemm_launch(layout, node_rows, dim, dim, gemm),
-            elementwise_launch(layout, "nodes", node_rows, dim)]
-    if is_mega:
-        plan += [_mega_band_kernel(layout, rt, dim, operands=2),
-                 _mega_band_reduce(layout, rt, dim, with_src=False),
-                 _mega_band_reduce(layout, rt, dim, with_src=True),
-                 _mega_sync(layout, rt, dim)]
-    else:
-        plan += [_baseline_apply_edges(layout, rt, dim, operands=2),
-                 _baseline_update_all(layout, rt, dim, with_src=False),
-                 _baseline_update_all(layout, rt, dim, with_src=True)]
-    plan.append(elementwise_launch(layout, "nodes", node_rows, dim))
-    return plan
-
-
-def _plan_gt_layer(layout: MemoryLayout, rt: AggregationRuntime, dim: int,
-                   node_rows: int, is_mega: bool,
-                   gemm: float) -> List[KernelLaunch]:
-    # Q, K, V, O on node rows; E, O_e on message rows; FFNs on both.
-    plan = [sgemm_launch(layout, node_rows, dim, dim, gemm)] * 4
-    plan += [sgemm_launch(layout, rt.num_messages, dim, dim, gemm)] * 2
-    # FFN h: d->2d->d ; FFN e: d->2d->d.
-    plan += [sgemm_launch(layout, node_rows, 2 * dim, dim, gemm)] * 2
-    plan += [sgemm_launch(layout, rt.num_messages, 2 * dim, dim, gemm)] * 2
-    if is_mega:
-        # Score computation, edge mixing and V-weighting fuse into two
-        # banded sweeps; softmax + aggregation sweep the band again.
-        plan += [_mega_band_kernel(layout, rt, dim, operands=2),
-                 _mega_band_kernel(layout, rt, dim, operands=1),
-                 _mega_band_reduce(layout, rt, dim, with_src=False),
-                 _mega_band_reduce(layout, rt, dim, with_src=True),
-                 _mega_sync(layout, rt, dim)]
-    else:
-        # Five apply_edges scatters (Table I): two fetch node rows, three
-        # are edge-space ops routed through the edge-id indirection.
-        edge_op = _baseline_edge_op(layout, rt, dim)
-        plan += [_baseline_apply_edges(layout, rt, dim, operands=2),
-                 edge_op, edge_op,
-                 _baseline_apply_edges(layout, rt, dim, operands=1),
-                 edge_op,
-                 # ... and the two softmax/aggregate gathers.
-                 _baseline_update_all(layout, rt, dim, with_src=False),
-                 _baseline_update_all(layout, rt, dim, with_src=True)]
-    # Norm/residual + FFN activations.
-    plan += [elementwise_launch(layout, "nodes", node_rows, dim),
-             elementwise_launch(layout, "edges", rt.num_messages, dim)]
-    return plan
-
-
-_LAYER_PLANS = {"GCN": _plan_gcn_layer, "GT": _plan_gt_layer,
-                "GAT": _plan_gat_layer}
 
 
 def batch_time(model_name: str, runtime: AggregationRuntime,

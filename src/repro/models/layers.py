@@ -14,6 +14,10 @@ Layer definitions follow the models the paper evaluates:
 * **Graph Transformer** (Dwivedi & Bresson, [18]): multi-head attention
   with edge channels (Q, K, V, O, E, O_e) plus two 2-layer FFNs —
   14d² parameters, 5 scatters / 2 gathers per layer.
+
+Each layer's ``OPS`` declares those ops once, in launch order: the
+kernel plans price it and Table I counts it.  The numpy forward below
+is written by hand and kept to the declaration by a drift test.
 """
 
 from __future__ import annotations
@@ -23,13 +27,20 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.models.runtime import AggregationRuntime
+from repro.models.runtime import (AggregationRuntime, Gather, LayerOps,
+                                  Pointwise, Project, Scatter)
 from repro.tensor import BatchNorm1d, LayerNorm, Linear, Module, Tensor
 from repro.tensor import functional as F
 
 
 class GatedGCNLayer(Module):
     """Residual gated graph convolution over nodes and directed edges."""
+
+    OPS = LayerOps(weights_d2=5, ops=(
+        *[Project("nodes")] * 4, Project("edges"),   # A, B, U, V; C
+        Scatter(2), Pointwise("edges"),      # e' = Ah_dst + Bh_src + Ce; σ
+        Gather(with_src=True), Gather(),     # Σ σ ⊙ Vh_src; Σ σ
+        Pointwise("nodes"), Pointwise("edges")))     # BN, ReLU, residual
 
     def __init__(self, dim: int, rng: Optional[np.random.Generator] = None,
                  residual: bool = True, eps: float = 1e-6):
@@ -61,7 +72,7 @@ class GatedGCNLayer(Module):
         e_new = a_dst + b_src + self.proj_c(e)
         sigma = F.sigmoid(e_new)
         # Gated aggregation (two gathers): Σ σ⊙Vh_src / Σ σ.  The V-row
-        # fetch is fused into DGL's update_all, hence no scatter count.
+        # fetch is fused into DGL's update_all, not a scatter.
         v_src = runtime.fetch_src(vh)
         numer = runtime.aggregate_sum(sigma * v_src)
         denom = runtime.aggregate_sum(sigma)
@@ -78,6 +89,18 @@ class GatedGCNLayer(Module):
 class GraphTransformerLayer(Module):
     """Multi-head graph attention with edge features (GT layer)."""
 
+    # The edge tail (O_e, the edge FFN and its norms) is priced on every
+    # layer, though the last layer's forward skips it (``edge_out``).
+    OPS = LayerOps(weights_d2=14, ops=(
+        *[Project("nodes")] * 4,                             # Q, K, V, O
+        Project("edges"), Project("edges", edge_tail=True),  # E, O_e
+        *[Project("nodes", width=2)] * 2,                    # FFN h
+        *[Project("edges", width=2, edge_tail=True)] * 2,    # FFN e
+        # K_src/Q_dst, raw score, edge mixing, V_src, weighting V:
+        Scatter(2), Scatter(0), Scatter(0), Scatter(1), Scatter(0),
+        Gather(), Gather(with_src=True),     # softmax; aggregate
+        Pointwise("nodes"), Pointwise("edges", edge_tail=True)))
+
     def __init__(self, dim: int, num_heads: int = 4,
                  rng: Optional[np.random.Generator] = None,
                  residual: bool = True, edge_out: bool = True):
@@ -93,8 +116,8 @@ class GraphTransformerLayer(Module):
         #: Whether anything reads this layer's edge output.  The model
         #: clears it on its last layer, which then skips the m-row
         #: ``proj_oe`` → ``norm_e1`` → FFN → ``norm_e2`` tail and returns
-        #: ``None`` for ``e``; those parameters got no gradient anyway,
-        #: and scatter/gather counts are unchanged.
+        #: ``None`` for ``e``; those parameters got no gradient anyway.
+        #: ``OPS`` marks that tail ``edge_tail``.
         self.edge_out = edge_out
         self.proj_q = Linear(dim, dim, rng=rng)
         self.proj_k = Linear(dim, dim, rng=rng)
@@ -120,19 +143,16 @@ class GraphTransformerLayer(Module):
         k = self.proj_k(h)
         v = self.proj_v(h)
         e_proj = self.proj_e(e)
-        # Five scatter-to-edge steps, mirroring the DGL implementation's
-        # apply_edges call sequence (Table I's x5):
+        # The five scatters of ``OPS``; the edge-aligned ones (2, 3, 5)
+        # move no node rows.
         k_src, q_dst = runtime.scatter_to_edges(src=k, dst=q)      # 1
-        runtime.count_scatter()                                    # 2: raw score
-        w = self._split_heads(k_src) * self._split_heads(q_dst)
-        runtime.count_scatter()                                    # 3: edge mixing
-        w = w * self._split_heads(e_proj)
+        w = self._split_heads(k_src) * self._split_heads(q_dst)    # 2: raw score
+        w = w * self._split_heads(e_proj)                          # 3: edge mixing
         scores = w.sum(axis=-1) * (1.0 / np.sqrt(self.head_dim))
         scores = scores.clip(-8.0, 8.0)
         v_src, _ = runtime.scatter_to_edges(src=v)                 # 4
-        runtime.count_scatter()                                    # 5: weighting V
         attn = runtime.edge_softmax(scores)                        # gather 1
-        weighted = self._split_heads(v_src) * attn.reshape(
+        weighted = self._split_heads(v_src) * attn.reshape(        # 5: weighting V
             runtime.num_messages, self.num_heads, 1)
         agg = runtime.aggregate_sum(
             weighted.reshape(runtime.num_messages, self.dim))      # gather 2

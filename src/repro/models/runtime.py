@@ -13,8 +13,11 @@ list, so model accuracy is backend-independent at full coverage; they
 differ in which *kernel plan* they emit for the GPU simulator and in
 the message list when MEGA's coverage θ < 1 or edge dropping is active.
 
-Call counters record how many scatter/gather invocations each layer
-makes — the quantities in Table I.
+Each layer also declares, once, the ops one step of it prices
+(:class:`LayerOps`, in the vocabulary of :class:`Project`,
+:class:`Scatter`, :class:`Gather` and :class:`Pointwise`).  The kernel
+plans lower that declaration to launches, and Table I's scatter/gather
+counts are reads of it.
 
 A runtime's message list is fixed once built, so it groups the
 messages by destination (and by source) once, into cached slot plans
@@ -25,16 +28,70 @@ slices in message order, bit-identical to a ragged ``np.add.at``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import MegaConfig
 from repro.core.path import PathRepresentation
 from repro.errors import GraphError
 from repro.graph.batch import GraphBatch
 from repro.tensor import Tensor, functional as F
+
+
+# ----------------------------------------------------------------------
+# The op vocabulary layers declare themselves in
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Project:
+    """A dense projection on ``"nodes"`` or ``"edges"`` (message) rows,
+    d → ``width``·d (or back): ``width``·d² weights."""
+
+    rows: str
+    width: int = 1
+    #: Part of a tail the forward skips when nothing reads the layer's
+    #: edge output (GT's last layer), yet priced on every layer.  Not
+    #: part of the op's identity: a tail op prices like its twin.
+    edge_tail: bool = field(default=False, compare=False)
+
+
+@dataclass(frozen=True)
+class Scatter:
+    """One ``apply_edges`` call reading ``operands`` node rows per
+    message (2, 1, or 0 for an op on edge-aligned operands)."""
+
+    operands: int
+
+
+@dataclass(frozen=True)
+class Gather:
+    """One reduction of message rows onto destination nodes (a segment
+    sum or softmax), fetching source rows in the same kernel when
+    ``with_src``."""
+
+    with_src: bool = False
+
+
+@dataclass(frozen=True)
+class Pointwise:
+    """Pointwise neural ops (activation, norm, residual) on ``rows``."""
+
+    rows: str
+    edge_tail: bool = field(default=False, compare=False)
+
+
+@dataclass(frozen=True)
+class LayerOps:
+    """A layer's priced ops in launch order, and the weight volume (in
+    d²) its launches read."""
+
+    weights_d2: int
+    ops: Tuple[object, ...]
+
+    def count(self, kind: type) -> int:
+        """How many ops of ``kind`` one layer issues (Table I)."""
+        return sum(isinstance(op, kind) for op in self.ops)
 
 
 class AggregationRuntime:
@@ -49,14 +106,10 @@ class AggregationRuntime:
         self.msg_src: np.ndarray = np.array([], np.int64)
         self.msg_dst: np.ndarray = np.array([], np.int64)
         self.msg_edge: np.ndarray = np.array([], np.int64)
-        self.counters: Dict[str, int] = {"scatter": 0, "gather": 0}
 
     @property
     def num_messages(self) -> int:
         return int(len(self.msg_src))
-
-    def reset_counters(self) -> None:
-        self.counters = {"scatter": 0, "gather": 0}
 
     @cached_property
     def dst_plan(self) -> F.SlotPlan:
@@ -80,30 +133,16 @@ class AggregationRuntime:
                          dst: Optional[Tensor] = None
                          ) -> Tuple[Optional[Tensor], Optional[Tensor]]:
         """Gather node rows to message rows (one DGL apply_edges call)."""
-        self.counters["scatter"] += 1
         src_rows = (F.gather_rows(src, self.src_plan)
                     if src is not None else None)
         dst_rows = (F.gather_rows(dst, self.dst_plan)
                     if dst is not None else None)
         return src_rows, dst_rows
 
-    def count_scatter(self) -> None:
-        """Mark one fused edge-space operation as a scatter call.
-
-        DGL issues a kernel per ``apply_edges`` even when the operands
-        are already edge-aligned; layers call this to keep the Table I
-        call counts faithful without moving data twice.
-        """
-        self.counters["scatter"] += 1
-
     def fetch_src(self, values: Tensor) -> Tensor:
-        """Fetch source-node rows without counting a scatter call
-        (used when the fetch is fused into an aggregation kernel)."""
+        """Fetch source-node rows for a fused aggregation kernel
+        (a :class:`Gather` ``with_src``, not a scatter)."""
         return F.gather_rows(values, self.src_plan)
-
-    def gather_edge_features(self, per_record: Tensor) -> Tensor:
-        """Align a per-edge-record tensor with the message list."""
-        return per_record[self.msg_edge]
 
     def message_edge_types(self, edge_types: np.ndarray,
                            virtual_type: int = 0) -> np.ndarray:
@@ -117,17 +156,11 @@ class AggregationRuntime:
 
     def aggregate_sum(self, messages: Tensor) -> Tensor:
         """Segment-sum message rows onto destination nodes."""
-        self.counters["gather"] += 1
         return F.segment_sum(messages, self.dst_plan)
 
     def edge_softmax(self, scores: Tensor) -> Tensor:
         """Softmax of message scores grouped by destination node."""
-        self.counters["gather"] += 1
         return F.segment_softmax(scores, self.dst_plan)
-
-    def broadcast_to_edges(self, node_values: Tensor) -> Tensor:
-        """Fetch per-destination rows for each message (no counter: fused)."""
-        return F.gather_rows(node_values, self.dst_plan)
 
     def readout_mean(self, node_values: Tensor) -> Tensor:
         """Per-graph mean over nodes (the readout's segment mean)."""
@@ -201,13 +234,6 @@ class GlobalAttentionRuntime(AggregationRuntime):
         self.msg_edge = np.array(
             [lookup.get((int(s), int(d)), -1)
              for s, d in zip(self.msg_src, self.msg_dst)], dtype=np.int64)
-
-    @property
-    def real_edge_fraction(self) -> float:
-        """Fraction of attention pairs that are actual edges."""
-        if self.num_messages == 0:
-            return 0.0
-        return float((self.msg_edge >= 0).mean())
 
     def message_edge_types(self, edge_types: np.ndarray,
                            virtual_type: int = 0) -> np.ndarray:

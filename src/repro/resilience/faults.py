@@ -272,10 +272,25 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        """A plan from a mapping of field values (a parsed JSON object).
+
+        Raises :class:`ConfigError` on a non-mapping, an unknown field,
+        or a field of the wrong type: ``int`` fields take integers,
+        ``float`` fields any real number, tuple fields lists of
+        integers (booleans count as none of these).
+        """
+        if not isinstance(data, dict):
+            raise ConfigError(
+                f"a FaultPlan is a JSON object, got {type(data).__name__}")
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise ConfigError(f"unknown FaultPlan fields: {sorted(unknown)}")
+        for name, value in data.items():
+            if not _well_typed(value, types[name]):
+                raise ConfigError(
+                    f"FaultPlan field {name} must be {types[name]}, "
+                    f"got {value!r}")
         return cls(**data)
 
     def to_json(self) -> str:
@@ -288,6 +303,20 @@ class FaultPlan:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid FaultPlan JSON: {exc}") from exc
         return cls.from_dict(data)
+
+
+def _well_typed(value, annotation: str) -> bool:
+    """Does ``value`` fit a :class:`FaultPlan` field annotated
+    ``annotation`` (``"int"``, ``"float"`` or ``"Tuple[int, ...]"``)?"""
+    def is_int(v) -> bool:
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    if annotation == "int":
+        return is_int(value)
+    if annotation == "float":
+        return is_int(value) or isinstance(value, float)
+    return (isinstance(value, (list, tuple))
+            and all(is_int(v) for v in value))
 
 
 # ----------------------------------------------------------------------

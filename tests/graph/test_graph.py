@@ -33,6 +33,21 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(3, [0, 1], [1])
 
+    def test_fractional_endpoint_ids_are_not_truncated(self):
+        """Regression: ``Graph(3, [0.5, 1.7], [1, 2])`` was accepted with
+        its ids silently truncated to ``[0, 1]``."""
+        with pytest.raises(GraphError, match="src ids must be integers"):
+            Graph(3, [0.5, 1.7], [1, 2])
+        with pytest.raises(GraphError, match="dst ids must be integers"):
+            Graph(3, [0, 1], [1, float("nan")])
+        with pytest.raises(GraphError):
+            Graph(3, ["a"], [1])
+
+    def test_integral_float_endpoint_ids_are_accepted(self):
+        g = Graph(3, np.array([0.0, 1.0]), [1, 2])
+        assert g.src.dtype == np.int64
+        assert g.src.tolist() == [0, 1]
+
     def test_rejects_bad_feature_lengths(self):
         with pytest.raises(GraphError):
             Graph(3, [0], [1], node_features=np.zeros(2))

@@ -14,6 +14,7 @@ FAST_EXAMPLES = [
     "isomorphism_check.py",
     "path_visualization.py",
     "custom_model.py",
+    "profile_gpu_kernels.py",
 ]
 
 ARG_EXAMPLES = [

@@ -44,14 +44,6 @@ class TestMessageList:
         assert (with_self.num_messages
                 == without.num_messages + batch.num_nodes)
 
-    def test_real_edge_fraction_matches_sparsity(self, setting):
-        _, batch = setting
-        rt = GlobalAttentionRuntime(batch)
-        # Directed real edges / all ordered pairs.
-        s, _ = batch.graph.directed_edges()
-        assert rt.real_edge_fraction == pytest.approx(
-            len(s) / rt.num_messages)
-
     def test_edge_types_use_virtual_slot(self, setting):
         ds, batch = setting
         rt = GlobalAttentionRuntime(batch)

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from repro.core import MegaConfig, PathRepresentation
 from repro.graph.batch import GraphBatch
 from repro.graph.generators import erdos_renyi
+from repro.graph.graph import Graph
+from repro.models import GAT, GatedGCN, GraphTransformer, ModelConfig
 from repro.models.runtime import BaselineRuntime, MegaRuntime
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
+from tests.strategies import batches
 
 
 def build_batch(num_graphs, n, p, seed):
@@ -83,3 +86,30 @@ def test_expansion_bounded_for_sparse(n, seed):
     g = erdos_renyi(rng, n, 2.5 / n)
     rep = PathRepresentation.from_graph(g, MegaConfig())
     assert rep.expansion <= 3.0
+
+
+MODEL_CONFIG = ModelConfig(hidden_dim=8, num_layers=2, num_heads=2,
+                           num_node_types=5, num_edge_types=3)
+MODELS = [cls(MODEL_CONFIG) for cls in (GatedGCN, GraphTransformer, GAT)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(members=batches(), seed=st.integers(0, 2 ** 16))
+def test_model_predictions_equal(members, seed):
+    """At θ=1 with no edge drop, MEGA and the baseline predict the same
+    for every model, on any batch shape (empty and edgeless included)."""
+    rng = np.random.default_rng(seed)
+    graphs = [Graph(g.num_nodes, g.src, g.dst,
+                    node_features=rng.integers(0, 5, g.num_nodes),
+                    edge_features=rng.integers(0, 3, g.num_edges),
+                    label=0.0) for g in members]
+    batch = GraphBatch(graphs)
+    paths = [PathRepresentation.from_graph(g, MegaConfig(coverage=1.0))
+             for g in graphs]
+    base, mega = BaselineRuntime(batch), MegaRuntime(batch, paths)
+    for model in MODELS:
+        model.eval()
+        with no_grad():
+            a = model(batch, base).data
+            b = model(batch, mega).data
+        assert np.allclose(a, b, atol=1e-10)

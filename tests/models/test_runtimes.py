@@ -1,4 +1,4 @@
-"""Aggregation runtimes: parity, counters, message lists."""
+"""Aggregation runtimes: parity, declared op counts, message lists."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,9 @@ from repro.core.path import PathRepresentation
 from repro.errors import GraphError
 from repro.graph.batch import GraphBatch
 from repro.graph.generators import molecular_like, ring_graph
-from repro.models.runtime import BaselineRuntime, MegaRuntime
+from repro.models import GATLayer, GatedGCNLayer, GraphTransformerLayer
+from repro.models.runtime import (BaselineRuntime, Gather, MegaRuntime,
+                                  Scatter)
 from repro.tensor import Tensor
 from repro.tensor import functional as F
 
@@ -117,29 +119,16 @@ class TestMegaRuntime:
 
 
 class TestOps:
-    def test_scatter_counts(self, batch):
-        b, _ = batch
-        rt = BaselineRuntime(b)
-        h = Tensor(np.ones((b.num_nodes, 4)))
-        rt.scatter_to_edges(src=h, dst=h)
-        rt.scatter_to_edges(src=h)
-        rt.count_scatter()
-        assert rt.counters["scatter"] == 3
+    def test_scatter_counts(self):
+        """Per-layer scatters are reads of each layer's declaration;
+        edge-aligned ones count although they move no node rows."""
+        layers = (GatedGCNLayer, GraphTransformerLayer, GATLayer)
+        assert [cls.OPS.count(Scatter) for cls in layers] == [1, 5, 1]
+        assert GraphTransformerLayer.OPS.ops.count(Scatter(0)) == 3
 
-    def test_gather_counts(self, batch):
-        b, _ = batch
-        rt = BaselineRuntime(b)
-        msgs = Tensor(np.ones((rt.num_messages, 4)))
-        rt.aggregate_sum(msgs)
-        rt.edge_softmax(Tensor(np.ones(rt.num_messages)))
-        assert rt.counters["gather"] == 2
-
-    def test_reset_counters(self, batch):
-        b, _ = batch
-        rt = BaselineRuntime(b)
-        rt.count_scatter()
-        rt.reset_counters()
-        assert rt.counters == {"scatter": 0, "gather": 0}
+    def test_gather_counts(self):
+        layers = (GatedGCNLayer, GraphTransformerLayer, GATLayer)
+        assert [cls.OPS.count(Gather) for cls in layers] == [2, 2, 2]
 
     def test_aggregate_sum_matches_manual(self, batch):
         b, _ = batch
@@ -168,15 +157,3 @@ class TestOps:
         assert out.shape == (b.num_graphs, 2)
         assert np.allclose(out, 1.0)
 
-    def test_fetch_src_no_counter(self, batch):
-        b, _ = batch
-        rt = BaselineRuntime(b)
-        rt.fetch_src(Tensor(np.ones((b.num_nodes, 2))))
-        assert rt.counters["scatter"] == 0
-
-    def test_gather_edge_features(self, batch):
-        b, _ = batch
-        rt = BaselineRuntime(b)
-        per_record = Tensor(np.arange(b.num_edges, dtype=float).reshape(-1, 1))
-        out = rt.gather_edge_features(per_record).data
-        assert np.allclose(out.ravel(), rt.msg_edge)

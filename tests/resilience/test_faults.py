@@ -181,6 +181,37 @@ class TestValidationAndSerialisation:
         with pytest.raises(ConfigError):
             FaultPlan.from_json("not json {")
 
+    def test_from_json_rejects_a_non_object(self):
+        """Regression: ``'[]'`` escaped as a ``TypeError``."""
+        with pytest.raises(ConfigError, match="JSON object"):
+            FaultPlan.from_json("[]")
+
+    def test_from_json_rejects_a_string_seed(self):
+        """Regression: ``{"seed": "x"}`` was accepted, and it rolled."""
+        with pytest.raises(ConfigError, match="seed"):
+            FaultPlan.from_json('{"seed": "x"}')
+
+    def test_from_json_rejects_a_fractional_seed(self):
+        """Regression: ``{"seed": 1.5}`` was accepted."""
+        with pytest.raises(ConfigError, match="seed"):
+            FaultPlan.from_json('{"seed": 1.5}')
+
+    def test_from_json_rejects_a_string_rate(self):
+        """Regression: a string rate died as a ``TypeError`` inside
+        ``__post_init__``."""
+        with pytest.raises(ConfigError, match="io_error_rate"):
+            FaultPlan.from_json('{"io_error_rate": "x"}')
+
+    def test_from_dict_rejects_ill_typed_tuples_and_booleans(self):
+        with pytest.raises(ConfigError, match="nan_epochs"):
+            FaultPlan.from_dict({"nan_epochs": [1.5]})
+        with pytest.raises(ConfigError, match="crash_replicas"):
+            FaultPlan.from_dict({"crash_replicas": 1})
+        with pytest.raises(ConfigError, match="seed"):
+            FaultPlan.from_dict({"seed": True})
+        # Integers are real numbers: a JSON ``0`` is a valid rate.
+        assert FaultPlan.from_dict({"io_error_rate": 0}).io_error_rate == 0
+
 
 class _FakeCache:
     """Minimal duck-type of ScheduleCache's disk layout."""
