@@ -35,7 +35,6 @@ __all__ = [
     "ledger_filename",
     "ledger_path",
     "load_ledger",
-    "replay_bytes",
     "replay_surface",
     "run_area",
     "run_areas",

@@ -30,7 +30,7 @@ import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -230,9 +230,3 @@ def replay_bytes(data: Mapping) -> bytes:
     return json.dumps(replay_surface(data), sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
 
-
-def ledger_files(directory: Union[str, Path]) -> List[Path]:
-    """The ``BENCH_*.json`` files present in ``directory``, area order."""
-    directory = Path(directory)
-    return [ledger_path(directory, area) for area in AREAS
-            if ledger_path(directory, area).is_file()]

@@ -36,11 +36,9 @@ from repro.cluster.cache import (
 )
 from repro.cluster.cluster import Cluster, ClusterConfig, ClusterResult
 from repro.cluster.health import (
-    BREAKER_STATES,
     BrownoutController,
     CircuitBreaker,
     FleetHealth,
-    HEALTH_STATES,
     HealthTransition,
     RecoveryRecord,
     ReplicaHealth,
@@ -69,8 +67,6 @@ __all__ = [
     "Cluster",
     "ClusterConfig",
     "ClusterResult",
-    "HEALTH_STATES",
-    "BREAKER_STATES",
     "HealthTransition",
     "ReplicaHealth",
     "CircuitBreaker",

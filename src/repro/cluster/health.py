@@ -34,16 +34,10 @@ function of the simulated timestamps the cluster passes in and of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import ClusterError
-
-#: The replica lifecycle states, in first-reachable order.
-HEALTH_STATES = ("alive", "crashed", "recovering")
-
-#: The circuit-breaker states, in first-reachable order.
-BREAKER_STATES = ("closed", "open", "half-open")
 
 #: Legal state-machine moves; anything else is a cluster bug.
 _LEGAL_TRANSITIONS = (("alive", "crashed"),

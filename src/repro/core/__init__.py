@@ -16,12 +16,11 @@ from repro.core.diagonal import (
     AttentionPlan,
     DenseBandPlan,
     band_layout_matrix,
-    bandwidth_of_plan,
     make_attention_plan,
     make_dense_band_plan,
     workload_summary,
 )
-from repro.core.window import adaptive_window, band_density, theoretical_revisit_bound
+from repro.core.window import adaptive_window, theoretical_revisit_bound
 from repro.core.edge_drop import (
     drop_edges,
     drop_edges_by_importance,
@@ -29,22 +28,12 @@ from repro.core.edge_drop import (
 )
 from repro.core.incremental import (DELTA_OPS, IncrementalPath,
                                     RepairCostEstimate)
-from repro.core.batching import (
-    batch_padding_waste,
-    bucket_by_length,
-    bucketing_report,
-    padding_waste,
-    random_batches,
-)
+from repro.core.batching import padding_waste
 from repro.core import viz
 from repro.core.analysis import format_schedule_report, schedule_report
 from repro.core.serialize import (
-    load_schedule_json,
     load_schedules_npz,
-    rebuild_path_representation,
-    save_schedule_json,
     save_schedules_npz,
-    traversal_from_dict,
     traversal_to_dict,
 )
 from repro.core.isomorphism import (
@@ -70,35 +59,23 @@ __all__ = [
     "make_attention_plan",
     "make_dense_band_plan",
     "band_layout_matrix",
-    "bandwidth_of_plan",
     "workload_summary",
     "adaptive_window",
     "theoretical_revisit_bound",
-    "band_density",
     "drop_edges",
     "drop_edges_by_importance",
     "edge_importance",
     "DELTA_OPS",
     "IncrementalPath",
     "RepairCostEstimate",
-    "bucket_by_length",
-    "random_batches",
     "padding_waste",
-    "batch_padding_waste",
-    "bucketing_report",
     "viz",
     "schedule_report",
     "format_schedule_report",
     "traversal_to_dict",
-    "traversal_from_dict",
-    "save_schedule_json",
-    "load_schedule_json",
     "save_schedules_npz",
-    "load_schedules_npz",
-    "rebuild_path_representation",
     "wl_similarity",
     "wl_joint_labels",
-    "wl_distinguishes",
     "multiset_similarity",
     "path_similarity_profile",
     "global_similarity_profile",

@@ -1,21 +1,19 @@
-"""Path-aware batching: bucketing graphs to minimise padding waste.
+"""Path-aware batching: the padding waste of a path-length group.
 
 Section III (datasets) notes that the consistent degree distributions
 across instances allow "a similar unfolding policy across graphs within
 each dataset, enabling batching for higher parallelism while minimizing
 padding waste".  When band tensors are padded to a common length per
 batch (the dense-kernel layout), mixing short and long paths wastes
-slots; bucketing by path length keeps the padding small.
+slots; :func:`padding_waste` measures that waste for one batch
+(the serving batcher reports it per launch).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from repro.core.path import PathRepresentation
-from repro.errors import GraphError
 
 
 def padding_waste(lengths: Sequence[int]) -> float:
@@ -26,59 +24,3 @@ def padding_waste(lengths: Sequence[int]) -> float:
     total = lengths.max() * lengths.size
     return float(1.0 - lengths.sum() / total) if total else 0.0
 
-
-def batch_padding_waste(batches: Sequence[Sequence[int]]) -> float:
-    """Overall padded-slot waste across batches of path lengths."""
-    padded = sum(int(np.max(b)) * len(b) for b in batches if len(b))
-    useful = sum(int(np.sum(b)) for b in batches)
-    return 1.0 - useful / padded if padded else 0.0
-
-
-def bucket_by_length(reps: Sequence[PathRepresentation], batch_size: int,
-                     shuffle_within: Optional[np.random.Generator] = None
-                     ) -> List[List[int]]:
-    """Group graph indices into batches of similar path length.
-
-    Sorts by path length and slices consecutive runs into batches, so
-    each batch pads to a near-common length.  ``shuffle_within``
-    permutes whole batches (keeping buckets intact) to avoid presenting
-    the data in length order every epoch.
-    """
-    if batch_size <= 0:
-        raise GraphError(f"batch_size must be positive, got {batch_size}")
-    order = np.argsort([rep.length for rep in reps], kind="stable")
-    batches = [order[i:i + batch_size].tolist()
-               for i in range(0, len(order), batch_size)]
-    if shuffle_within is not None:
-        shuffle_within.shuffle(batches)
-    return batches
-
-
-def random_batches(num_items: int, batch_size: int,
-                   rng: Optional[np.random.Generator] = None
-                   ) -> List[List[int]]:
-    """Plain shuffled batching (the waste baseline)."""
-    if batch_size <= 0:
-        raise GraphError(f"batch_size must be positive, got {batch_size}")
-    order = np.arange(num_items)
-    if rng is not None:
-        rng.shuffle(order)
-    return [order[i:i + batch_size].tolist()
-            for i in range(0, num_items, batch_size)]
-
-
-def bucketing_report(reps: Sequence[PathRepresentation],
-                     batch_size: int, seed: int = 0) -> Dict[str, float]:
-    """Padding waste with random vs length-bucketed batching."""
-    rng = np.random.default_rng(seed)
-    lengths = [rep.length for rep in reps]
-    random_groups = [[lengths[i] for i in batch]
-                     for batch in random_batches(len(reps), batch_size, rng)]
-    bucket_groups = [[lengths[i] for i in batch]
-                     for batch in bucket_by_length(reps, batch_size)]
-    return {
-        "random_waste": batch_padding_waste(random_groups),
-        "bucketed_waste": batch_padding_waste(bucket_groups),
-        "mean_length": float(np.mean(lengths)) if lengths else 0.0,
-        "max_length": float(np.max(lengths)) if lengths else 0.0,
-    }

@@ -160,13 +160,6 @@ def band_layout_matrix(path_rep: PathRepresentation) -> np.ndarray:
     return mat
 
 
-def bandwidth_of_plan(plan: AttentionPlan) -> int:
-    """Maximum |src_pos − dst_pos| over messages (must be ≤ ω)."""
-    if plan.num_messages == 0:
-        return 0
-    return int(np.abs(plan.src_pos - plan.dst_pos).max())
-
-
 def workload_summary(path_rep: PathRepresentation) -> dict:
     """Compute/memory workload statistics of the diagonal schedule."""
     messages = len(path_rep.directed_band()[0])

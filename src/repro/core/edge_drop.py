@@ -112,23 +112,3 @@ def drop_edges_by_importance(graph: Graph, fraction: float,
                  edge_features=edge_feats,
                  label=graph.label)
 
-
-def drop_rate_effect(graph: Graph, fraction: float, window: int,
-                     rng: Optional[np.random.Generator] = None) -> dict:
-    """Summarise how a drop rate shrinks the traversal workload.
-
-    Returns path length, revisits, and coverage for the dropped graph —
-    the quantities behind Fig. 15's super-linear speedup.
-    """
-    from repro.core.schedule import traverse
-
-    rng = rng or np.random.default_rng(0)
-    dropped = drop_edges(graph, fraction, rng)
-    result = traverse(dropped, window=window)
-    return {
-        "edges_before": graph.num_edges,
-        "edges_after": dropped.num_edges,
-        "path_length": result.length,
-        "revisits": result.revisits,
-        "coverage": result.coverage,
-    }

@@ -15,7 +15,7 @@ band under edge insertions and deletions:
   (stale but harmless).
 
 Patches accumulate *staleness* (extra appearances and virtual jumps);
-once the expansion exceeds a threshold, :meth:`rebuild` reruns
+once the expansion exceeds a threshold, the tracker reruns
 Algorithm 1 from scratch — amortising the full cost over many updates.
 
 :meth:`IncrementalPath.repair_cost_estimate` prices a delta batch
@@ -271,10 +271,6 @@ class IncrementalPath:
         self.removals += 1
         self.work_units += 1
         return True
-
-    def rebuild(self) -> None:
-        """Force a from-scratch re-schedule of the current edge set."""
-        self._rebuild_from_edges()
 
     # ------------------------------------------------------------------
     def rebuild_cost(self) -> int:

@@ -134,10 +134,6 @@ class PathRepresentation:
     def num_virtual_edges(self) -> int:
         return int(self.virtual_mask.sum())
 
-    def position_nodes(self) -> np.ndarray:
-        """Original node id per path position (alias of ``path``)."""
-        return self.path
-
     # ------------------------------------------------------------------
     # Feature movement between node space and path space
     # ------------------------------------------------------------------

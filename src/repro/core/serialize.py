@@ -1,23 +1,19 @@
-"""Serialisation of traversal schedules and path representations.
+"""Serialisation of traversal schedules.
 
 Preprocessing is the expensive CPU stage of MEGA; a production pipeline
 computes schedules once and ships them with the dataset.  These helpers
-round-trip :class:`TraversalResult` / :class:`PathRepresentation`
-through plain dicts (JSON-able) and ``.npz`` archives.
+store :class:`TraversalResult` schedules in one ``.npz`` archive
+(``repro preprocess --output``) and read them back.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, Union
 
 import numpy as np
 
-from repro.core.path import PathRepresentation
 from repro.core.schedule import TraversalResult
-from repro.errors import ScheduleError
-from repro.graph.graph import Graph
 
 
 def traversal_to_dict(result: TraversalResult) -> dict:
@@ -33,40 +29,6 @@ def traversal_to_dict(result: TraversalResult) -> dict:
         "total_edges": int(result.total_edges),
         "num_jumps": int(result.num_jumps),
     }
-
-
-def traversal_from_dict(data: dict) -> TraversalResult:
-    """Inverse of :func:`traversal_to_dict` (validates basic shape)."""
-    required = {"path", "virtual_mask", "cover_positions", "window",
-                "covered_edges", "total_edges", "num_jumps"}
-    missing = required - set(data)
-    if missing:
-        raise ScheduleError(f"schedule dict missing keys: {sorted(missing)}")
-    path = np.asarray(data["path"], dtype=np.int64)
-    mask = np.asarray(data["virtual_mask"], dtype=bool)
-    if path.shape != mask.shape:
-        raise ScheduleError("path and virtual_mask lengths differ")
-    cover = {(int(u), int(v)): (int(i), int(j))
-             for u, v, i, j in data["cover_positions"]}
-    return TraversalResult(
-        path=path, virtual_mask=mask, cover_positions=cover,
-        window=int(data["window"]),
-        covered_edges=int(data["covered_edges"]),
-        total_edges=int(data["total_edges"]),
-        num_jumps=int(data["num_jumps"]))
-
-
-def save_schedule_json(result: TraversalResult,
-                       path: Union[str, Path]) -> None:
-    """Write one schedule to a JSON file."""
-    with open(path, "w") as handle:
-        json.dump(traversal_to_dict(result), handle)
-
-
-def load_schedule_json(path: Union[str, Path]) -> TraversalResult:
-    """Read one schedule from a JSON file."""
-    with open(path) as handle:
-        return traversal_from_dict(json.load(handle))
 
 
 def save_schedules_npz(schedules: Dict[str, TraversalResult],
@@ -102,12 +64,3 @@ def load_schedules_npz(path: Union[str, Path]) -> Dict[str, TraversalResult]:
             total_edges=int(meta[2]), num_jumps=int(meta[3]))
     return out
 
-
-def rebuild_path_representation(graph: Graph,
-                                result: TraversalResult
-                                ) -> PathRepresentation:
-    """Reattach a deserialised schedule to its graph."""
-    rep = PathRepresentation(graph, result)
-    if rep.length and rep.path.max() >= graph.num_nodes:
-        raise ScheduleError("schedule references vertices beyond the graph")
-    return rep

@@ -47,16 +47,3 @@ def theoretical_revisit_bound(degrees: np.ndarray, window: int) -> int:
     appearances = np.ceil(degrees / float(window)).astype(np.int64)
     appearances = np.maximum(appearances, 1)  # every vertex appears once
     return int(appearances.sum() - len(degrees))
-
-
-def band_density(num_nodes: int, path_length: int, window: int) -> float:
-    """Fraction of the dense n×n attention matrix the band touches.
-
-    Measures the extra compute MEGA spends relative to exact sparse
-    attention (band slots that are not real edges) and the savings
-    relative to global attention (slots outside the band).
-    """
-    if num_nodes <= 0:
-        return 0.0
-    band_slots = path_length * (2 * window + 1) - window * (window + 1)
-    return band_slots / float(num_nodes * num_nodes)

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import GraphError
 from repro.graph.graph import Graph
@@ -128,21 +126,3 @@ class GraphDataset:
         return (f"GraphDataset({self.name}, task={self.task}, "
                 f"train={len(self.train)}, val={len(self.validation)}, "
                 f"test={len(self.test)})")
-
-
-def split_graphs(graphs: Sequence[Graph], sizes: Sequence[int],
-                 rng: Optional[np.random.Generator] = None
-                 ) -> List[List[Graph]]:
-    """Partition ``graphs`` into consecutive splits of the given sizes."""
-    if sum(sizes) > len(graphs):
-        raise GraphError(
-            f"requested splits {sizes} exceed {len(graphs)} graphs")
-    order = np.arange(len(graphs))
-    if rng is not None:
-        rng.shuffle(order)
-    out: List[List[Graph]] = []
-    cursor = 0
-    for size in sizes:
-        out.append([graphs[i] for i in order[cursor:cursor + size]])
-        cursor += size
-    return out

@@ -43,30 +43,3 @@ def laplacian_pe(graph: Graph, k: int,
         signs = rng.choice([-1.0, 1.0], size=pe.shape[1])
         pe = pe * signs[None, :]
     return pe
-
-
-def random_walk_pe(graph: Graph, k: int) -> np.ndarray:
-    """Return-probability features: diag(P^t) for t = 1..k."""
-    n = graph.num_nodes
-    if k < 1:
-        raise GraphError(f"k must be >= 1, got {k}")
-    if n == 0:
-        return np.zeros((0, k))
-    adj = graph.adjacency_matrix().astype(np.float64)
-    adj = np.maximum(adj, adj.T)
-    deg = adj.sum(axis=1, keepdims=True)
-    trans = np.divide(adj, np.maximum(deg, 1.0))
-    out = np.zeros((n, k))
-    power = np.eye(n)
-    for t in range(k):
-        power = power @ trans
-        out[:, t] = np.diag(power)
-    return out
-
-
-def degree_feature(graph: Graph, max_degree: int = 16) -> np.ndarray:
-    """Clamped one-hot degree features (n, max_degree + 1)."""
-    deg = np.minimum(graph.degrees(), max_degree)
-    out = np.zeros((graph.num_nodes, max_degree + 1))
-    out[np.arange(graph.num_nodes), deg] = 1.0
-    return out

@@ -1,17 +1,11 @@
-"""Distributed-training analysis: partitioners, communication models,
-and failure/recovery replay (``failures``)."""
+"""Distributed-training analysis: partitioners, communication models
+and round simulators."""
 
 from repro.distributed.comm import (
     CommReport,
     communication_sweep,
     edge_cut_communication,
     path_partition_communication,
-)
-from repro.distributed.failures import (
-    FailureReport,
-    failure_sweep,
-    simulate_edge_cut_failures,
-    simulate_path_failures,
 )
 from repro.distributed.path_partition import (
     PathPartition,
@@ -34,10 +28,6 @@ __all__ = [
     "edge_cut_communication",
     "path_partition_communication",
     "communication_sweep",
-    "FailureReport",
-    "failure_sweep",
-    "simulate_edge_cut_failures",
-    "simulate_path_failures",
     "PathPartition",
     "partition_path",
     "path_communication",

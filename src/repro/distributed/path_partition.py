@@ -11,7 +11,7 @@ exchange an edge-cut node partition needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -25,10 +25,6 @@ class PathPartition:
 
     boundaries: np.ndarray        # k+1 cut positions
     window: int
-
-    @property
-    def num_partitions(self) -> int:
-        return int(len(self.boundaries) - 1)
 
     def chunk(self, i: int) -> Tuple[int, int]:
         return int(self.boundaries[i]), int(self.boundaries[i + 1])

@@ -54,8 +54,7 @@ class DeviceStats:
     """Per-device decomposition of one aggregation round.
 
     The round simulators reduce this to a :class:`RoundReport`
-    (slowest device wins); :mod:`repro.distributed.failures` replays it
-    per failed rank to price recovery traffic.
+    (slowest device wins).
     """
 
     method: str

@@ -1,27 +1,22 @@
 """Graph substrate: COO/CSR structures, batching, generators, traversals."""
 
-from repro.graph.graph import Graph, complete_graph, from_edge_list, to_networkx
-from repro.graph.csr import CSRAdjacency, build_csr, csr_to_edges
-from repro.graph.batch import GraphBatch, make_batches
+from repro.graph.graph import Graph, complete_graph, from_edge_list
+from repro.graph.csr import CSRAdjacency, build_csr
+from repro.graph.batch import GraphBatch
 from repro.graph import generators
 from repro.graph import traversal
 from repro.graph import reorder
 from repro.graph import partition
-from repro.graph import metrics
 
 __all__ = [
     "Graph",
     "from_edge_list",
     "complete_graph",
-    "to_networkx",
     "CSRAdjacency",
     "build_csr",
-    "csr_to_edges",
     "GraphBatch",
-    "make_batches",
     "generators",
     "traversal",
     "reorder",
     "partition",
-    "metrics",
 ]

@@ -97,21 +97,3 @@ def _stack_features(parts: List[Optional[np.ndarray]]) -> Optional[np.ndarray]:
     if any(p is None for p in parts):
         return None
     return np.concatenate([np.asarray(p) for p in parts], axis=0)
-
-
-def make_batches(graphs: Sequence[Graph], batch_size: int,
-                 rng: Optional[np.random.Generator] = None,
-                 drop_last: bool = False) -> List[GraphBatch]:
-    """Split a dataset into GraphBatch objects, optionally shuffled."""
-    if batch_size <= 0:
-        raise GraphError(f"batch_size must be positive, got {batch_size}")
-    order = np.arange(len(graphs))
-    if rng is not None:
-        rng.shuffle(order)
-    batches = []
-    for start in range(0, len(graphs), batch_size):
-        chunk = order[start:start + batch_size]
-        if drop_last and len(chunk) < batch_size:
-            break
-        batches.append(GraphBatch([graphs[i] for i in chunk]))
-    return batches

@@ -8,7 +8,6 @@ here are what those kernels read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -78,9 +77,3 @@ def build_csr(graph: Graph, by: str = "dst") -> CSRAdjacency:
     offsets = np.zeros(graph.num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return CSRAdjacency(graph.num_nodes, offsets, val, ids)
-
-
-def csr_to_edges(csr: CSRAdjacency) -> Tuple[np.ndarray, np.ndarray]:
-    """Expand CSR back to (row, col) coordinate arrays."""
-    rows = np.repeat(np.arange(csr.num_nodes), np.diff(csr.offsets))
-    return rows, csr.indices.copy()

@@ -9,7 +9,7 @@ expose symmetrised views where needed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -194,16 +194,6 @@ def from_edge_list(edges: Iterable[Tuple[int, int]], num_nodes: Optional[int] = 
     if num_nodes is None:
         num_nodes = int(max(src.max(initial=-1), dst.max(initial=-1)) + 1)
     return Graph(num_nodes, src, dst, undirected=undirected, **kwargs)
-
-
-def to_networkx(graph: Graph):
-    """Convert to a networkx graph (used for cross-validation in tests)."""
-    import networkx as nx
-
-    g = nx.Graph() if graph.undirected else nx.DiGraph()
-    g.add_nodes_from(range(graph.num_nodes))
-    g.add_edges_from(zip(graph.src.tolist(), graph.dst.tolist()))
-    return g
 
 
 def complete_graph(num_nodes: int) -> Graph:

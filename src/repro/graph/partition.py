@@ -71,10 +71,6 @@ def cut_edges(graph: Graph, assignment: np.ndarray) -> int:
     return int((assignment[graph.src] != assignment[graph.dst]).sum())
 
 
-def partition_sizes(assignment: np.ndarray, k: int) -> np.ndarray:
-    return np.bincount(np.asarray(assignment), minlength=k)
-
-
 def replication_factor(graph: Graph, assignment: np.ndarray, k: int) -> float:
     """Average number of partitions each vertex must be visible in.
 

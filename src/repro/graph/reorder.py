@@ -9,7 +9,7 @@ other, whereas MEGA changes the *schedule itself*.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -90,13 +90,6 @@ def bandwidth(graph: Graph) -> int:
     if graph.num_edges == 0:
         return 0
     return int(np.abs(graph.src - graph.dst).max())
-
-
-def mean_index_distance(graph: Graph) -> float:
-    """Average |src - dst| over edges — lower means better locality."""
-    if graph.num_edges == 0:
-        return 0.0
-    return float(np.abs(graph.src - graph.dst).mean())
 
 
 def community_order(graph: Graph, max_rounds: int = 10,

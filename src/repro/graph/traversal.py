@@ -1,4 +1,4 @@
-"""Classic graph traversals (BFS/DFS/components/eccentricity).
+"""Classic graph traversals (BFS/DFS/components/peripheral vertices).
 
 These support the MEGA scheduler (which needs connectivity facts), the
 reordering baselines, and the test suite's cross-checks.
@@ -7,7 +7,7 @@ reordering baselines, and the test suite's cross-checks.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -104,12 +104,6 @@ def bfs_distances(graph: Graph, start: int) -> np.ndarray:
                 dist[w] = dist[v] + 1
                 queue.append(int(w))
     return dist
-
-
-def eccentricity(graph: Graph, v: int) -> int:
-    """Longest shortest-path distance from ``v`` within its component."""
-    dist = bfs_distances(graph, v)
-    return int(dist.max())
 
 
 def pseudo_peripheral_vertex(graph: Graph) -> int:

@@ -11,7 +11,6 @@ from repro.memsim.access import (
     MemoryLayout,
     row_gather_trace,
     sequential_trace,
-    strided_trace,
 )
 from repro.memsim.cache import LRUCache
 from repro.memsim.device import (
@@ -25,8 +24,8 @@ from repro.memsim.device import (
     KernelStats,
 )
 from repro.memsim.profiler import KernelAggregate, Profiler
-from repro.memsim.report import compare_profiles, format_profile, time_share_chart
-from repro.memsim.trace_analysis import TraceStats, analyze_trace, compare_traces
+from repro.memsim.report import compare_profiles, format_profile
+from repro.memsim.trace_analysis import TraceStats, analyze_trace
 from repro.memsim import kernels
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "MemoryLayout",
     "row_gather_trace",
     "sequential_trace",
-    "strided_trace",
     "LRUCache",
     "DeviceSpec",
     "GPUDevice",
@@ -47,10 +45,8 @@ __all__ = [
     "Profiler",
     "format_profile",
     "compare_profiles",
-    "time_share_chart",
     "TraceStats",
     "analyze_trace",
-    "compare_traces",
     "KernelAggregate",
     "kernels",
 ]

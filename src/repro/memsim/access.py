@@ -13,8 +13,8 @@ locality are consequences of the algorithm, not assumptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -139,10 +139,3 @@ def sequential_trace(base: int, nbytes: int,
     starts = np.arange(0, nbytes, chunk_bytes, dtype=np.int64)
     lengths = np.minimum(chunk_bytes, nbytes - starts)
     return AccessTrace(base + starts, lengths)
-
-
-def strided_trace(base: int, start_row: int, num_rows: int, row_bytes: int,
-                  stride_rows: int = 1) -> AccessTrace:
-    """Trace for a regular strided sweep of rows."""
-    rows = start_row + stride_rows * np.arange(num_rows, dtype=np.int64)
-    return row_gather_trace(base, rows, row_bytes)

@@ -182,10 +182,6 @@ class KernelStats:
     sm_efficiency: float
     memory_stall_pct: float
 
-    @property
-    def total_transactions(self) -> int:
-        return self.load_transactions + self.store_transactions
-
 
 class GPUDevice:
     """Executes :class:`~repro.memsim.access.AccessTrace`-bearing kernels.

@@ -1,13 +1,13 @@
 """Human-readable profiler reports and side-by-side comparisons.
 
 Renders :class:`~repro.memsim.profiler.Profiler` contents the way the
-paper's figures present them: per-kernel tables, time-share bar charts,
-and a baseline-vs-MEGA diff with the headline normalised metrics.
+paper's figures present them: per-kernel tables and a baseline-vs-MEGA
+diff with the headline normalised metrics.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import SimulationError
 from repro.memsim.profiler import Profiler
@@ -34,16 +34,6 @@ def format_profile(profiler: Profiler, title: str = "profile") -> str:
         f"{profiler.normalized_metric('sm_efficiency'):7.2f} "
         f"{profiler.normalized_metric('memory_stall_pct'):7.2f}")
     return "\n".join(lines)
-
-
-def time_share_chart(profiler: Profiler, width: int = 40) -> str:
-    """Bar chart of per-kernel time shares (Fig. 5 style)."""
-    from repro.core.viz import render_bar_chart
-
-    rows = profiler.summary()
-    return render_bar_chart([r["kernel"] for r in rows],
-                            [r["time_pct"] * 100 for r in rows],
-                            width=width, unit="%")
 
 
 def compare_profiles(baseline: Profiler, candidate: Profiler,

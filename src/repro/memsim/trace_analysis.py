@@ -9,7 +9,6 @@ the documentation examples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 import numpy as np
 
@@ -94,10 +93,3 @@ def analyze_trace(trace: AccessTrace, line_bytes: int = 128,
         median_reuse_distance=float(np.median(distances))
         if distances else 0.0,
         reuse_fraction=reuses / n)
-
-
-def compare_traces(traces: Dict[str, AccessTrace],
-                   line_bytes: int = 128) -> Dict[str, TraceStats]:
-    """Analyze several traces (e.g. baseline vs MEGA access streams)."""
-    return {name: analyze_trace(trace, line_bytes)
-            for name, trace in traces.items()}

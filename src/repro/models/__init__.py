@@ -6,15 +6,13 @@ from repro.models.gated_gcn import GatedGCN
 from repro.models.graph_transformer import GraphTransformer
 from repro.models.layers import GatedGCNLayer, GraphTransformerLayer
 from repro.models.model_stats import ModelStats, compute_model_stats, table_one
-from repro.models.kernel_plans import BACKWARD_FACTOR, batch_time, simulate_batch
+from repro.models.kernel_plans import BACKWARD_FACTOR, simulate_batch
 from repro.models.runtime import (
     AggregationRuntime,
     BaselineRuntime,
     GlobalAttentionRuntime,
     MegaRuntime,
 )
-
-MODEL_REGISTRY = {"GCN": GatedGCN, "GT": GraphTransformer, "GAT": GAT}
 
 __all__ = [
     "GNNModel",
@@ -32,8 +30,6 @@ __all__ = [
     "ModelStats",
     "compute_model_stats",
     "table_one",
-    "MODEL_REGISTRY",
     "simulate_batch",
-    "batch_time",
     "BACKWARD_FACTOR",
 ]

@@ -302,12 +302,3 @@ def simulate_batch(model_name: str, runtime: AggregationRuntime,
         profiler.record(device.memcpy(nbytes))
     profiler.extend(device.run_kernels(launches))
     return profiler
-
-
-def batch_time(model_name: str, runtime: AggregationRuntime,
-               device: GPUDevice, dim: int, num_layers: int,
-               training: bool = True) -> float:
-    """Simulated seconds for one batch (forward, or full training step)."""
-    prof = simulate_batch(model_name, runtime, device, dim, num_layers)
-    factor = BACKWARD_FACTOR if training else 1.0
-    return prof.total_time * factor

@@ -12,7 +12,6 @@ from repro.profiling.workload import (
 
 __all__ = [
     "MAX_CACHE_ENTRIES",
-    "cache_sizes",
     "cached_dataset",
     "cached_paths",
     "clear_caches",

@@ -6,8 +6,8 @@ a corrupted cache entry, or a killed process is routine rather than
 exceptional.  This package is the shared failure story:
 
 - :mod:`repro.resilience.faults` — :class:`FaultPlan`, a seeded and
-  serialisable schedule of injected faults (worker crashes, cache
-  corruption, transient I/O, NaN losses, node failures) that makes
+  schedule of injected faults (worker crashes, cache corruption,
+  transient I/O, NaN losses, replica crashes) that makes
   every recovery path below drivable from tier-1 tests.
 - :mod:`repro.resilience.retry` — :class:`RetryPolicy` and
   :func:`call_with_retry`: bounded attempts, exponential backoff, and
@@ -17,8 +17,8 @@ Consumers: :mod:`repro.pipeline.parallel` (per-chunk retry,
 degrade-to-serial, quarantine), :mod:`repro.pipeline.cache`
 (corruption-as-a-miss plus startup crash recovery),
 :mod:`repro.train.trainer` (crash-safe checkpoints, resume, NaN
-rollback) and :mod:`repro.distributed.failures` (node failure/recovery
-rounds).  See ``docs/resilience.md`` for the full failure matrix.
+rollback) and :mod:`repro.cluster` (replica crashes, recovery and
+stragglers).  See ``docs/resilience.md`` for the full failure matrix.
 """
 
 from repro.resilience.faults import (

@@ -3,8 +3,8 @@
 Fault tolerance that cannot be exercised is a comment, not a feature.
 A :class:`FaultPlan` makes every failure mode in this repo *drivable
 from a test*: worker crashes in the preprocessing pool, corrupted cache
-entries, transient I/O errors, NaN losses mid-training, and node
-failures in the distributed round simulator.
+entries, transient I/O errors, NaN losses mid-training, and replica
+crashes and stragglers in the serving cluster.
 
 Two properties make the plan usable as a test harness:
 
@@ -18,16 +18,15 @@ Two properties make the plan usable as a test harness:
   the deliberate exception: they fail on *every* attempt, which is what
   the pipeline's quarantine path exists for.)
 
-Plans are plain frozen dataclasses and serialise to/from JSON, so a
-failing scenario can be attached to a bug report and replayed exactly.
+Plans are plain frozen dataclasses, so the same fields replay a failing
+scenario exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from repro.errors import ConfigError, FaultInjectionError
@@ -38,7 +37,7 @@ _SCALE = float(1 << 64)
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A seeded, serialisable schedule of injected faults.
+    """A seeded schedule of injected faults.
 
     Rates are probabilities in ``[0, 1]`` evaluated independently per
     site; the tuple fields pin faults to exact coordinates (epochs,
@@ -67,9 +66,6 @@ class FaultPlan:
     break_pool_chunk:
         Chunk index at which the process pool is declared broken,
         forcing the pipeline's degrade-to-serial path (-1 disables).
-    node_failure_rate:
-        Probability that a simulated device fails in a given
-        aggregation round (see :mod:`repro.distributed.failures`).
     replica_failure_rate:
         Probability that a serving-cluster replica crashes at a given
         batch launch (see :mod:`repro.cluster`).  The router fails the
@@ -115,7 +111,6 @@ class FaultPlan:
     nan_epochs: Tuple[int, ...] = field(default_factory=tuple)
     poison_graphs: Tuple[int, ...] = field(default_factory=tuple)
     break_pool_chunk: int = -1
-    node_failure_rate: float = 0.0
     replica_failure_rate: float = 0.0
     crash_replicas: Tuple[int, ...] = field(default_factory=tuple)
     crash_after_batches: int = 0
@@ -128,8 +123,8 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         for name in ("worker_crash_rate", "io_error_rate",
-                     "cache_corrupt_rate", "node_failure_rate",
-                     "replica_failure_rate", "slow_rate"):
+                     "cache_corrupt_rate", "replica_failure_rate",
+                     "slow_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {rate}")
@@ -143,7 +138,7 @@ class FaultPlan:
         if self.recover_jitter_s < 0.0:
             raise ConfigError(
                 f"recover_jitter_s must be >= 0, got {self.recover_jitter_s}")
-        # Tolerate lists from JSON round-trips.
+        # Tolerate lists for the tuple fields.
         object.__setattr__(self, "nan_epochs", tuple(self.nan_epochs))
         object.__setattr__(self, "poison_graphs", tuple(self.poison_graphs))
         object.__setattr__(self, "crash_replicas",
@@ -194,11 +189,6 @@ class FaultPlan:
     def is_poisoned(self, graph_index: int) -> bool:
         """Does graph ``graph_index`` fail on every attempt?"""
         return graph_index in self.poison_graphs
-
-    def node_fails(self, round_index: int, rank: int) -> bool:
-        """Does device ``rank`` fail during aggregation ``round_index``?"""
-        return (self.roll("node", round_index, rank)
-                < self.node_failure_rate)
 
     def replica_fails(self, replica_id: int, batch_index: int,
                       incarnation: int = 0) -> bool:
@@ -263,60 +253,6 @@ class FaultPlan:
         raise FaultInjectionError(
             f"injected fault at {site}"
             + (f" {coords}" if coords else ""))
-
-    # ------------------------------------------------------------------
-    # Serialisation (attach a failing scenario to a bug report)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        """A plan from a mapping of field values (a parsed JSON object).
-
-        Raises :class:`ConfigError` on a non-mapping, an unknown field,
-        or a field of the wrong type: ``int`` fields take integers,
-        ``float`` fields any real number, tuple fields lists of
-        integers (booleans count as none of these).
-        """
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"a FaultPlan is a JSON object, got {type(data).__name__}")
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = set(data) - set(types)
-        if unknown:
-            raise ConfigError(f"unknown FaultPlan fields: {sorted(unknown)}")
-        for name, value in data.items():
-            if not _well_typed(value, types[name]):
-                raise ConfigError(
-                    f"FaultPlan field {name} must be {types[name]}, "
-                    f"got {value!r}")
-        return cls(**data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid FaultPlan JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-
-def _well_typed(value, annotation: str) -> bool:
-    """Does ``value`` fit a :class:`FaultPlan` field annotated
-    ``annotation`` (``"int"``, ``"float"`` or ``"Tuple[int, ...]"``)?"""
-    def is_int(v) -> bool:
-        return isinstance(v, int) and not isinstance(v, bool)
-
-    if annotation == "int":
-        return is_int(value)
-    if annotation == "float":
-        return is_int(value) or isinstance(value, float)
-    return (isinstance(value, (list, tuple))
-            and all(is_int(v) for v in value))
 
 
 # ----------------------------------------------------------------------

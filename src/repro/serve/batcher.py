@@ -4,9 +4,8 @@ The MEGA runtime pads every batch member's band tensor to the longest
 path in the batch (``repro.core.batching``), so mixing short and long
 paths wastes padded slots.  The micro-batcher therefore buckets queued
 requests by ``path_length // bucket_width`` and only batches within a
-bucket — the serving-time analogue of the training-side
-:func:`repro.core.batching.bucket_by_length`, adapted to a queue that
-fills online instead of a dataset known up front.
+bucket, so a queue that fills online still pads each launch to a
+near-common length.
 
 Launch policy (all decisions pure functions of queue state + simulated
 time, so replays are exact):

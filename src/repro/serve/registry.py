@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.datasets import load_dataset
+from repro.datasets import check_scale, load_dataset
 from repro.datasets.base import GraphDataset
 from repro.errors import ConfigError, ServeError
 from repro.models.base import GNNModel
@@ -44,8 +44,7 @@ class ModelSpec:
             raise ConfigError(
                 f"unknown model {self.model!r}; "
                 f"choose from {sorted(MODEL_CLASSES)}")
-        if self.scale <= 0.0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
+        check_scale(self.scale)
 
 
 @dataclass(frozen=True)

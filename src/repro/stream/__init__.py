@@ -40,7 +40,6 @@ from repro.stream.deltas import (
 )
 from repro.stream.loadgen import StreamMix, generate_stream
 from repro.stream.repair import (
-    REPAIR_MODES,
     RepairPolicy,
     RepairRecord,
     ScheduleRepairer,
@@ -56,7 +55,6 @@ __all__ = [
     "apply_delta_ops",
     "StreamMix",
     "generate_stream",
-    "REPAIR_MODES",
     "RepairPolicy",
     "RepairRecord",
     "ScheduleRepairer",

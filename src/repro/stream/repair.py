@@ -35,9 +35,6 @@ from repro.errors import StreamError
 from repro.pipeline.parallel import compute_schedule
 from repro.stream.deltas import DeltaBatch, GraphTable, apply_delta_ops
 
-#: The two ways a delta batch can become a servable schedule.
-REPAIR_MODES = ("repair", "recompute")
-
 
 @dataclass(frozen=True)
 class RepairPolicy:

@@ -10,14 +10,12 @@ from repro.tensor import functional
 from repro.tensor import init
 from repro.tensor.nn import (
     BatchNorm1d,
-    Dropout,
     Embedding,
     LayerNorm,
     Linear,
     MLP,
     Module,
     Parameter,
-    Sequential,
 )
 from repro.tensor.optim import Adam, Optimizer, ReduceLROnPlateau, SGD
 
@@ -33,11 +31,8 @@ __all__ = [
     "LayerNorm",
     "BatchNorm1d",
     "Embedding",
-    "Dropout",
-    "Sequential",
     "MLP",
     "Optimizer",
-    "SGD",
     "Adam",
     "ReduceLROnPlateau",
 ]

@@ -58,45 +58,11 @@ def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation)."""
-    c = np.sqrt(2.0 / np.pi)
-    inner = c * (x.data + 0.044715 * x.data ** 3)
-    tanh_inner = np.tanh(inner)
-    out_data = 0.5 * x.data * (1.0 + tanh_inner)
-
-    def backward(grad: np.ndarray) -> None:
-        sech2 = 1.0 - tanh_inner ** 2
-        d_inner = c * (1.0 + 3 * 0.044715 * x.data ** 2)
-        slope = 0.5 * (1.0 + tanh_inner) + 0.5 * x.data * sech2 * d_inner
-        x._accumulate(grad * slope)
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def softplus(x: Tensor) -> Tensor:
-    out_data = np.logaddexp(0.0, x.data)
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad / (1.0 + np.exp(-x.data)))
-
-    return Tensor._make(out_data, (x,), backward)
-
-
 def sigmoid(x: Tensor) -> Tensor:
     out_data = 1.0 / (1.0 + np.exp(-np.clip(x.data, -60.0, 60.0)))
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * out_data * (1.0 - out_data))
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out_data = np.tanh(x.data)
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * (1.0 - out_data ** 2))
 
     return Tensor._make(out_data, (x,), backward)
 

@@ -1,7 +1,7 @@
 """Neural-network module system on top of the autograd engine.
 
 Mirrors the small subset of ``torch.nn`` the paper's models need:
-``Linear``, ``LayerNorm``, ``BatchNorm1d``, ``Embedding``, ``Dropout``,
+``Linear``, ``LayerNorm``, ``BatchNorm1d``, ``Embedding``, ``MLP``,
 and a ``Module`` base with parameter traversal and train/eval modes.
 """
 
@@ -262,39 +262,6 @@ class Embedding(Module):
         num_embeddings)`` raises :class:`~repro.errors.ShapeError`.
         """
         return F.gather_rows(self.weight, F.SlotPlan(ids, self.num_embeddings))
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, p: float = 0.0, rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self.rng = rng or np.random.default_rng(0)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        mask = (self.rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * Tensor(mask)
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *layers: Module):
-        super().__init__()
-        self.layers: List[Module] = []
-        for i, layer in enumerate(layers):
-            setattr(self, f"layer{i}", layer)
-            self.layers.append(layer)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
 
 
 class MLP(Module):

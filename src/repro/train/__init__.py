@@ -1,6 +1,6 @@
 """Training harness: numerics on the numpy engine, time on the GPU model."""
 
-from repro.train.checkpoint import EarlyStopping, load_checkpoint, save_checkpoint
+from repro.train.checkpoint import load_checkpoint, save_checkpoint
 from repro.train.clock import EpochCost, EpochCostModel, SimulatedClock
 from repro.train.convergence import ConvergenceResult, run_convergence
 from repro.train.metrics import (
@@ -12,7 +12,6 @@ from repro.train.metrics import (
 from repro.train.trainer import MODEL_CLASSES, Trainer, build_model
 
 __all__ = [
-    "EarlyStopping",
     "save_checkpoint",
     "load_checkpoint",
     "EpochCost",

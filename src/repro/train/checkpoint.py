@@ -24,7 +24,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.core.atomic_io import atomic_write_bytes
-from repro.errors import CheckpointError, ConfigError, ShapeError
+from repro.errors import CheckpointError, ShapeError
 from repro.models.base import GNNModel
 from repro.tensor.optim import Adam
 
@@ -109,38 +109,3 @@ def load_checkpoint(path: Union[str, Path], model: GNNModel,
         return {"epoch": int(fetch("meta/epoch")[0]),
                 "metric": float(fetch("meta/metric")[0]),
                 "extra": extra}
-
-
-class EarlyStopping:
-    """Stop training when the validation metric stops improving.
-
-    ``mode`` is ``"min"`` (MAE-style) or ``"max"`` (accuracy-style).
-    """
-
-    def __init__(self, patience: int = 10, min_delta: float = 0.0,
-                 mode: str = "min"):
-        if mode not in ("min", "max"):
-            raise ConfigError(f"mode must be 'min' or 'max', got {mode!r}")
-        if patience < 1:
-            raise ConfigError("patience must be >= 1")
-        self.patience = patience
-        self.min_delta = min_delta
-        self.mode = mode
-        self.best: Optional[float] = None
-        self.best_epoch = 0
-        self._bad = 0
-
-    def step(self, metric: float, epoch: int = 0) -> bool:
-        """Record one epoch; returns True when training should stop."""
-        improved = (self.best is None
-                    or (self.mode == "min"
-                        and metric < self.best - self.min_delta)
-                    or (self.mode == "max"
-                        and metric > self.best + self.min_delta))
-        if improved:
-            self.best = metric
-            self.best_epoch = epoch
-            self._bad = 0
-            return False
-        self._bad += 1
-        return self._bad >= self.patience

@@ -14,6 +14,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterConfig, TierStats
 from repro.errors import ClusterError, ReproError
@@ -28,6 +30,31 @@ RETRY = RetryPolicy(max_attempts=3)
 
 def stats_bytes(stats) -> str:
     return json.dumps(stats.as_dict(), sort_keys=True)
+
+
+replica_ids = st.lists(st.integers(0, 2), max_size=3, unique=True).map(tuple)
+
+#: Random fault plans over every cluster-facing knob: rate-driven and
+#: pinned crashes, recovery with jitter, and pinned or rolled stragglers.
+fault_plans = st.builds(
+    FaultPlan,
+    seed=st.integers(0, 2**16),
+    replica_failure_rate=st.sampled_from([0.0, 0.05, 0.2, 0.6]),
+    crash_replicas=replica_ids,
+    crash_after_batches=st.integers(0, 4),
+    recover_after_s=st.sampled_from([-1.0, 0.0, 0.005, 0.05]),
+    recover_jitter_s=st.sampled_from([0.0, 0.01]),
+    slow_replicas=replica_ids,
+    slow_factor=st.sampled_from([1.0, 2.0, 8.0]),
+    slow_rate=st.sampled_from([0.0, 0.3]))
+
+#: Breaker and brownout settings the fault plans run against.
+health_configs = st.fixed_dictionaries({
+    "breaker_threshold": st.integers(0, 3),
+    "breaker_cooldown_s": st.sampled_from([0.0, 0.01, 0.05]),
+    "breaker_slow_ratio": st.sampled_from([1.5, 4.0]),
+    "brownout_watermark": st.sampled_from([0.0, 0.5, 1.0]),
+})
 
 
 class TestDeterministicReplay:
@@ -108,6 +135,19 @@ class TestNoSilentDrops:
         # ClusterError is a ReproError: callers can catch broadly.
         with pytest.raises(ReproError):
             result.response_for(failure.request_id)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(plan=fault_plans, health=health_configs,
+           request_seed=st.integers(0, 3),
+           retry=st.sampled_from([None, RETRY]))
+    def test_random_fault_plans_account_for_every_request(
+            self, make_cluster, make_requests, plan, health, request_seed,
+            retry):
+        result = make_cluster(fault_plan=plan, **health).run(
+            make_requests(num=32, seed=request_seed), retry_policy=retry)
+        self.assert_accounted(result.stats)
+        assert result.stats.received == 32
 
     def test_unknown_request_id_is_typed_too(self, make_cluster,
                                              make_requests):

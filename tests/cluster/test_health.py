@@ -8,11 +8,9 @@ is reachable from a unit test with hand-picked instants.
 import pytest
 
 from repro.cluster import (
-    BREAKER_STATES,
     BrownoutController,
     CircuitBreaker,
     FleetHealth,
-    HEALTH_STATES,
     ReplicaHealth,
 )
 from repro.errors import ClusterError
@@ -52,10 +50,6 @@ class TestReplicaHealth:
             h.mark_crashed(2.0)
         with pytest.raises(ClusterError, match="illegal health"):
             h.mark_alive(2.0)        # crashed -> alive skips recovering
-
-    def test_state_vocabulary_is_closed(self):
-        assert HEALTH_STATES == ("alive", "crashed", "recovering")
-        assert BREAKER_STATES == ("closed", "open", "half-open")
 
     def test_as_dict_round_trips_through_json(self):
         import json

@@ -3,25 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    MegaConfig,
-    PathRepresentation,
-    batch_padding_waste,
-    bucket_by_length,
-    bucketing_report,
-    padding_waste,
-    random_batches,
-    viz,
-)
+from repro.core import MegaConfig, PathRepresentation, padding_waste, viz
 from repro.errors import GraphError
-from repro.graph.generators import molecular_like, ring_graph
-
-
-@pytest.fixture
-def reps(rng):
-    sizes = rng.integers(8, 40, size=24)
-    return [PathRepresentation.from_graph(molecular_like(rng, int(n)))
-            for n in sizes]
+from repro.graph.generators import ring_graph
 
 
 class TestPaddingWaste:
@@ -35,79 +19,29 @@ class TestPaddingWaste:
     def test_empty(self):
         assert padding_waste([]) == 0.0
 
-    def test_batch_waste_aggregates(self):
-        assert batch_padding_waste([[2, 4], [3, 3]]) == pytest.approx(
-            1 - 12 / 14)
-
-
-class TestBucketing:
-    def test_batches_cover_all_indices(self, reps):
-        batches = bucket_by_length(reps, 6)
-        flat = sorted(i for b in batches for i in b)
-        assert flat == list(range(len(reps)))
-
-    def test_bucketing_reduces_waste(self, reps):
-        report = bucketing_report(reps, 6)
-        assert report["bucketed_waste"] <= report["random_waste"]
-
-    def test_batches_are_length_sorted(self, reps):
-        batches = bucket_by_length(reps, 6)
-        maxima = [max(reps[i].length for i in b) for b in batches]
-        assert maxima == sorted(maxima)
-
-    def test_shuffle_within_permutes_batches(self, reps):
-        a = bucket_by_length(reps, 6)
-        b = bucket_by_length(reps, 6,
-                             shuffle_within=np.random.default_rng(0))
-        assert sorted(map(tuple, a)) == sorted(map(tuple, b))
-
-    def test_invalid_batch_size(self, reps):
-        with pytest.raises(GraphError):
-            bucket_by_length(reps, 0)
-        with pytest.raises(GraphError):
-            random_batches(5, -1)
-
 
 class TestBatchingEdgeCases:
     """Boundary behaviour the serving micro-batcher leans on."""
 
-    def test_empty_request_set(self):
-        assert bucket_by_length([], 4) == []
-        assert random_batches(0, 4) == []
-        assert batch_padding_waste([]) == 0.0
-
-    def test_single_oversized_path(self, rng):
-        # One path far longer than the rest: sorting pushes it into the
-        # final batch so it only pads its own batch, not every batch.
+    def test_single_oversized_path(self):
+        # One path far longer than the rest: sorting by length pushes it
+        # into the final batch so it only pads its own batch.
         reps = [PathRepresentation.from_graph(ring_graph(8))
                 for _ in range(7)]
         reps.append(PathRepresentation.from_graph(ring_graph(120)))
-        batches = bucket_by_length(reps, 4)
-        assert batches[-1][-1] == 7            # the giant sorts last
-        lengths = [reps[i].length for i in batches[0]]
-        assert padding_waste(lengths) == 0.0   # short batch unpolluted
+        lengths = [rep.length for rep in reps]
+        order = np.argsort(lengths, kind="stable")
+        assert order[-1] == 7                  # the giant sorts last
+        first = [lengths[i] for i in order[:4]]
+        assert padding_waste(first) == 0.0     # short batch unpolluted
         # A singleton batch pads to itself: zero waste by definition.
-        assert padding_waste([reps[7].length]) == 0.0
+        assert padding_waste([lengths[7]]) == 0.0
 
     def test_all_equal_lengths_zero_waste(self):
-        reps = [PathRepresentation.from_graph(ring_graph(10))
-                for _ in range(9)]
-        groups = [[reps[i].length for i in batch]
-                  for batch in bucket_by_length(reps, 4)]
-        assert batch_padding_waste(groups) == 0.0
-        for group in groups:
-            assert padding_waste(group) == 0.0
-
-    def test_bucket_boundary_lengths(self):
-        # Counts straddling an exact batch-size multiple: a full final
-        # batch vs a remainder singleton, with no index dropped.
-        for count in (8, 9):
-            reps = [PathRepresentation.from_graph(ring_graph(6 + i))
-                    for i in range(count)]
-            batches = bucket_by_length(reps, 4)
-            assert [len(b) for b in batches] == (
-                [4, 4] if count == 8 else [4, 4, 1])
-            assert sorted(i for b in batches for i in b) == list(range(count))
+        lengths = [PathRepresentation.from_graph(ring_graph(10)).length
+                   for _ in range(9)]
+        for start in range(0, len(lengths), 4):
+            assert padding_waste(lengths[start:start + 4]) == 0.0
 
 
 class TestViz:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.edge_drop import drop_edges, drop_rate_effect
+from repro.core.edge_drop import drop_edges
+from repro.core.schedule import traverse
 from repro.errors import GraphError
 from repro.graph.generators import erdos_renyi, molecular_like
 from repro.graph.graph import Graph
@@ -71,8 +72,8 @@ class TestDropEdges:
 class TestDropRateEffect:
     def test_workload_shrinks(self, rng):
         g = erdos_renyi(rng, 50, 0.3)
-        none = drop_rate_effect(g, 0.0, window=2)
-        heavy = drop_rate_effect(g, 0.4, window=2)
-        assert heavy["edges_after"] < none["edges_after"]
-        assert heavy["path_length"] <= none["path_length"]
-        assert heavy["coverage"] == 1.0
+        dropped = drop_edges(g, 0.4, np.random.default_rng(0))
+        full, heavy = traverse(g, window=2), traverse(dropped, window=2)
+        assert dropped.num_edges < g.num_edges
+        assert heavy.length <= full.length
+        assert heavy.coverage == 1.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.schedule import traverse
-from repro.core.window import adaptive_window, band_density, theoretical_revisit_bound
+from repro.core.window import adaptive_window, theoretical_revisit_bound
 from repro.errors import ConfigError
 from repro.graph.generators import erdos_renyi, ring_graph, star_graph
 from repro.graph.graph import Graph, complete_graph
@@ -64,14 +64,3 @@ class TestRevisitBound:
         deg = np.array([8, 8, 8, 8])
         bounds = [theoretical_revisit_bound(deg, w) for w in (1, 2, 4, 8)]
         assert bounds == sorted(bounds, reverse=True)
-
-
-class TestBandDensity:
-    def test_zero_nodes(self):
-        assert band_density(0, 0, 1) == 0.0
-
-    def test_smaller_than_dense(self):
-        assert band_density(100, 120, 3) < 1.0
-
-    def test_grows_with_window(self):
-        assert band_density(50, 60, 5) > band_density(50, 60, 1)

@@ -19,8 +19,8 @@ from repro.graph.generators import (
     ring_graph,
     star_graph,
 )
-from repro.graph.graph import to_networkx
 from repro.graph.reorder import apply_order
+from tests.nx_bridge import to_networkx
 
 HOPS = 3
 

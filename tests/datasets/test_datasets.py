@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import load_csl, load_cycles, load_dataset, load_zinc
-from repro.datasets.base import GraphDataset, split_graphs
+from repro.datasets.base import GraphDataset
 from repro.datasets.statistics import (
     directed_edge_count,
     directed_sparsity,
@@ -63,16 +63,6 @@ class TestSplits:
         for ds in (zinc, cycles):
             for g in ds.all_graphs():
                 assert g.label is not None
-
-    def test_split_graphs_helper(self):
-        graphs = [Graph(2, [0], [1], label=0.0) for _ in range(10)]
-        a, b = split_graphs(graphs, [6, 4])
-        assert len(a) == 6 and len(b) == 4
-
-    def test_split_graphs_overflow(self):
-        graphs = [Graph(2, [0], [1], label=0.0) for _ in range(3)]
-        with pytest.raises(GraphError):
-            split_graphs(graphs, [2, 2])
 
     def test_dataset_rejects_unlabelled(self):
         g = Graph(2, [0], [1])

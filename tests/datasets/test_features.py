@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.datasets.features import degree_feature, laplacian_pe, random_walk_pe
+from repro.datasets.features import laplacian_pe
 from repro.errors import GraphError
-from repro.graph.generators import circular_skip_link, ring_graph, star_graph
+from repro.graph.generators import circular_skip_link, ring_graph
 
 
 class TestLaplacianPE:
@@ -38,36 +38,3 @@ class TestLaplacianPE:
         with pytest.raises(GraphError):
             laplacian_pe(ring12, 0)
 
-
-class TestRandomWalkPE:
-    def test_shape_and_range(self, molecule):
-        pe = random_walk_pe(molecule, 4)
-        assert pe.shape == (molecule.num_nodes, 4)
-        assert np.all(pe >= 0) and np.all(pe <= 1)
-
-    def test_ring_uniform(self, ring12):
-        pe = random_walk_pe(ring12, 3)
-        # Vertex-transitivity: all rows identical.
-        assert np.allclose(pe, pe[0])
-
-    def test_return_probability_step2_ring(self, ring12):
-        pe = random_walk_pe(ring12, 2)
-        assert np.allclose(pe[:, 0], 0.0)       # no return in 1 step
-        assert np.allclose(pe[:, 1], 0.5)       # back-and-forth probability
-
-    def test_star_hub_differs(self, star10):
-        pe = random_walk_pe(star10, 2)
-        assert pe[0, 1] != pytest.approx(pe[1, 1])
-
-
-class TestDegreeFeature:
-    def test_one_hot(self, star10):
-        feat = degree_feature(star10, max_degree=16)
-        assert feat.shape == (11, 17)
-        assert np.allclose(feat.sum(axis=1), 1.0)
-        assert feat[0, 10] == 1.0
-
-    def test_clamping(self):
-        g = star_graph(30)
-        feat = degree_feature(g, max_degree=5)
-        assert feat[0, 5] == 1.0

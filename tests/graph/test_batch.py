@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.batch import GraphBatch, make_batches
+from repro.graph.batch import GraphBatch
 from repro.graph.generators import molecular_like, ring_graph
 from repro.graph.graph import Graph
 
@@ -74,26 +74,3 @@ class TestGraphBatch:
         batch = GraphBatch([ring_graph(3), ring_graph(5)])
         assert np.array_equal(np.bincount(batch.edge_graph_ids), [3, 5])
 
-
-class TestMakeBatches:
-    def test_covers_all_graphs(self, rng):
-        graphs = [labelled(ring_graph(4)) for _ in range(10)]
-        batches = make_batches(graphs, 3)
-        assert sum(b.num_graphs for b in batches) == 10
-
-    def test_drop_last(self):
-        graphs = [labelled(ring_graph(4)) for _ in range(10)]
-        batches = make_batches(graphs, 3, drop_last=True)
-        assert all(b.num_graphs == 3 for b in batches)
-        assert len(batches) == 3
-
-    def test_shuffle_changes_order(self):
-        graphs = [labelled(ring_graph(3), float(i)) for i in range(20)]
-        rng = np.random.default_rng(0)
-        batches = make_batches(graphs, 20, rng=rng)
-        assert not np.allclose(batches[0].labels, np.arange(20.0))
-        assert sorted(batches[0].labels.tolist()) == list(range(20))
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(GraphError):
-            make_batches([labelled(ring_graph(3))], 0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRAdjacency, build_csr, csr_to_edges
+from repro.graph.csr import CSRAdjacency, build_csr
 from repro.graph.graph import Graph, from_edge_list
 
 
@@ -67,7 +67,9 @@ class TestValidation:
 class TestRoundTrip:
     def test_csr_to_edges(self, ring12):
         csr = build_csr(ring12, by="dst")
-        rows, cols = csr_to_edges(csr)
+        # Expand the CSR back to (row, col) coordinates.
+        rows = np.repeat(np.arange(csr.num_nodes), np.diff(csr.offsets))
+        cols = csr.indices
         assert len(rows) == csr.nnz
         pairs = set(zip(rows.tolist(), cols.tolist()))
         s, d = ring12.directed_edges()

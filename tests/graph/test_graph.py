@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.graph import Graph, complete_graph, from_edge_list, to_networkx
+from repro.graph.graph import Graph, complete_graph, from_edge_list
+from tests.nx_bridge import to_networkx
 
 
 class TestConstruction:

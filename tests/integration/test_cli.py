@@ -30,9 +30,21 @@ class TestParser:
 
     def test_model_choices_match_model_registry(self):
         from repro.cli import MODELS
-        from repro.models import MODEL_REGISTRY
+        from repro.train.trainer import MODEL_CLASSES
 
-        assert sorted(MODELS) == sorted(MODEL_REGISTRY)
+        assert sorted(MODELS) == sorted(MODEL_CLASSES)
+
+
+class TestScaleBoundary:
+    """``--scale`` must be finite and > 0: NaN used to exit 1 with a
+    traceback from the loaders, and 0 or -1 silently built the
+    8-graphs-per-split floor."""
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
+    def test_stats_rejects_bad_scale(self, scale, capsys):
+        assert main(["stats", "--scale", scale]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: scale must be")
 
 
 class TestCommands:

@@ -33,9 +33,10 @@ def lint(tmp_path):
 def plint(tmp_path, monkeypatch):
     """Like ``lint``, but also runs the whole-program project pass.
 
-    Paths starting with ``tests/`` (or another configured reference
-    root) land outside ``src/`` and are indexed as reference-only
-    modules.  The fixture chdirs into the sandbox so the default
+    Paths starting with ``tests/`` or a configured reference root land
+    outside ``src/``.  Reference roots are indexed as reference-only
+    modules; ``tests/`` is neither linted nor indexed, as in the real
+    repo.  The fixture chdirs into the sandbox so the default
     ``reference-roots`` resolve there, never in the real repo.
     """
 
@@ -43,7 +44,8 @@ def plint(tmp_path, monkeypatch):
 
     def _lint(files, select=None, disable=None, config=None):
         cfg = config or LintConfig()
-        ref_heads = tuple(r.split("/")[0] + "/" for r in cfg.reference_roots)
+        ref_heads = ("tests/",) + tuple(r.split("/")[0] + "/"
+                                        for r in cfg.reference_roots)
         root = tmp_path / "src"
         root.mkdir(exist_ok=True)
         for rel, text in files.items():

@@ -392,10 +392,14 @@ class TestMEGA014DeadExports:
         assert "'dead'" in msgs[0]
 
     def test_reference_root_use_keeps_export_alive(self, plint):
+        # A use only under tests/ keeps nothing alive: tests are not
+        # an entry point.  A use under examples/ (a reference root) is.
         files = dict(self.FILES)
         files["tests/test_api.py"] = "from repro.api import dead\n"
-        result = plint(files, select=["MEGA014"])
-        assert rule_ids_of(result) == []
+        msgs = _messages(plint(files, select=["MEGA014"]), "MEGA014")
+        assert len(msgs) == 1 and "'dead'" in msgs[0]
+        files["examples/demo.py"] = "from repro.api import dead\n"
+        assert rule_ids_of(plint(files, select=["MEGA014"])) == []
 
     def test_function_level_import_counts(self, plint):
         files = dict(self.FILES)

@@ -9,7 +9,6 @@ from repro.memsim.access import (
     MemoryLayout,
     row_gather_trace,
     sequential_trace,
-    strided_trace,
 )
 
 
@@ -105,8 +104,3 @@ class TestTraceBuilders:
 
     def test_sequential_empty(self):
         assert sequential_trace(0, 0).num_accesses == 0
-
-    def test_strided(self):
-        t = strided_trace(0, start_row=2, num_rows=3, row_bytes=100,
-                          stride_rows=2)
-        assert t.addresses.tolist() == [200, 400, 600]

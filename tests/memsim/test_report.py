@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.memsim.device import KernelStats
 from repro.memsim.profiler import Profiler
-from repro.memsim.report import compare_profiles, format_profile, time_share_chart
+from repro.memsim.report import compare_profiles, format_profile
 
 
 def make_stats(name, time_s=1.0, sm=0.5):
@@ -34,13 +34,6 @@ class TestFormatProfile:
     def test_empty_rejected(self):
         with pytest.raises(SimulationError):
             format_profile(Profiler())
-
-
-class TestTimeShareChart:
-    def test_bars_ordered_by_time(self, prof):
-        chart = time_share_chart(prof)
-        lines = chart.splitlines()
-        assert lines[0].startswith("dgl::gather")  # biggest first
 
 
 class TestCompareProfiles:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.memsim.access import AccessTrace, row_gather_trace, sequential_trace
-from repro.memsim.trace_analysis import analyze_trace, compare_traces
+from repro.memsim.trace_analysis import analyze_trace
 
 
 class TestAnalyzeTrace:
@@ -26,10 +26,8 @@ class TestAnalyzeTrace:
     def test_stream_beats_random(self):
         rng = np.random.default_rng(1)
         idx = rng.permutation(4000)[:800]
-        out = compare_traces({
-            "stream": sequential_trace(0, 128 * 800),
-            "random": row_gather_trace(0, idx * 11, 128),
-        })
+        out = {"stream": analyze_trace(sequential_trace(0, 128 * 800)),
+               "random": analyze_trace(row_gather_trace(0, idx * 11, 128))}
         assert (out["stream"].locality_score
                 > out["random"].locality_score)
 
@@ -38,11 +36,12 @@ class TestAnalyzeTrace:
         base = np.arange(800)
         banded = base + rng.integers(-2, 3, size=800)   # small strides
         idx = rng.permutation(4000)[:800]
-        out = compare_traces({
+        traces = {
             "stream": sequential_trace(0, 128 * 800),
             "banded": row_gather_trace(0, np.clip(banded, 0, None), 128),
             "random": row_gather_trace(0, idx * 11, 128),
-        })
+        }
+        out = {name: analyze_trace(t) for name, t in traces.items()}
         assert (out["stream"].locality_score
                 >= out["banded"].locality_score
                 > out["random"].locality_score)

@@ -10,8 +10,6 @@ from repro.errors import SimulationError
 from repro.graph.batch import GraphBatch
 from repro.memsim.device import GPUDevice
 from repro.models.kernel_plans import (
-    BACKWARD_FACTOR,
-    batch_time,
     make_layout,
     simulate_batch,
 )
@@ -123,12 +121,6 @@ class TestPerformanceOrderings:
         share_mega = sum(v for k, v in p_mega.time_percentages().items()
                          if k.startswith("mega"))
         assert share_mega < share_base
-
-    def test_batch_time_training_factor(self, runtimes):
-        base, _ = runtimes
-        fwd = batch_time("GCN", base, GPUDevice(), 64, 2, training=False)
-        train = batch_time("GCN", base, GPUDevice(), 64, 2, training=True)
-        assert train == pytest.approx(BACKWARD_FACTOR * fwd, rel=0.2)
 
 
 class TestLayout:

@@ -19,8 +19,10 @@ class TestModelSpec:
             ModelSpec(model="Transformer9000")
 
     def test_bad_scale(self):
-        with pytest.raises(ConfigError):
-            ModelSpec(scale=0.0)
+        # NaN is a regression: it passed the old ``scale <= 0`` check.
+        for scale in (0.0, float("nan")):
+            with pytest.raises(ConfigError, match="scale"):
+                ModelSpec(scale=scale)
 
 
 class TestModelRegistry:

@@ -1,4 +1,4 @@
-"""ELU / GELU / softplus: values and gradients."""
+"""ELU: values and gradients."""
 
 import numpy as np
 import pytest
@@ -45,44 +45,3 @@ class TestELU:
     def test_grad(self):
         check_grad(F.elu, (7,))
 
-
-class TestGELU:
-    def test_zero_fixed_point(self):
-        assert F.gelu(Tensor([0.0])).data[0] == 0.0
-
-    def test_large_positive_identity(self):
-        assert F.gelu(Tensor([10.0])).data[0] == pytest.approx(10.0,
-                                                               rel=1e-4)
-
-    def test_large_negative_zero(self):
-        assert F.gelu(Tensor([-10.0])).data[0] == pytest.approx(0.0,
-                                                                abs=1e-4)
-
-    def test_known_value(self):
-        # gelu(1) ≈ 0.8412 for the tanh approximation.
-        assert F.gelu(Tensor([1.0])).data[0] == pytest.approx(0.8412,
-                                                              abs=1e-3)
-
-    def test_grad(self):
-        check_grad(F.gelu, (7,))
-
-
-class TestSoftplus:
-    def test_positive_everywhere(self):
-        out = F.softplus(Tensor(np.linspace(-50, 50, 11)))
-        assert np.all(out.data > 0)
-
-    def test_approaches_identity(self):
-        assert F.softplus(Tensor([30.0])).data[0] == pytest.approx(30.0,
-                                                                   abs=1e-6)
-
-    def test_value_at_zero(self):
-        assert F.softplus(Tensor([0.0])).data[0] == pytest.approx(np.log(2))
-
-    def test_grad_is_sigmoid(self):
-        x = Tensor(np.array([0.7, -1.2]), requires_grad=True)
-        F.softplus(x).sum().backward()
-        assert np.allclose(x.grad, F.sigmoid(Tensor(x.data)).data)
-
-    def test_grad(self):
-        check_grad(F.softplus, (6,))

@@ -47,9 +47,6 @@ class TestActivations:
         assert (out.data >= 0).all() and (out.data <= 1).all()
         check_grad(F.sigmoid, (5,))
 
-    def test_tanh_grad(self):
-        check_grad(F.tanh, (5,))
-
     def test_softmax_rows_sum_to_one(self):
         out = F.softmax(Tensor(np.random.default_rng(0).normal(size=(4, 6))))
         assert np.allclose(out.data.sum(axis=-1), 1.0)

@@ -6,17 +6,27 @@ import pytest
 from repro.errors import ShapeError
 from repro.tensor import (
     BatchNorm1d,
-    Dropout,
     Embedding,
     LayerNorm,
     Linear,
     MLP,
     Module,
     Parameter,
-    Sequential,
     Tensor,
 )
 from repro.tensor import functional as F
+
+
+class _Chain(Module):
+    """Two modules registered as attributes ``layer0``/``layer1``."""
+
+    def __init__(self, first: Module, second: Module):
+        super().__init__()
+        self.layer0 = first
+        self.layer1 = second
+
+    def forward(self, x):
+        return self.layer1(self.layer0(x))
 
 
 class TestModule:
@@ -26,7 +36,7 @@ class TestModule:
         assert names == ["weight", "bias"]
 
     def test_nested_registration(self):
-        seq = Sequential(Linear(3, 4), Linear(4, 2))
+        seq = _Chain(Linear(3, 4), Linear(4, 2))
         names = [n for n, _ in seq.named_parameters()]
         assert "layer0.weight" in names and "layer1.bias" in names
 
@@ -35,7 +45,7 @@ class TestModule:
         assert lin.num_parameters() == 3 * 2 + 2
 
     def test_train_eval_propagates(self):
-        seq = Sequential(Linear(2, 2), Dropout(0.5))
+        seq = _Chain(Linear(2, 2), LayerNorm(2))
         seq.eval()
         assert all(not m.training for m in seq.modules())
         seq.train()
@@ -180,30 +190,6 @@ class TestEmbedding:
         emb(np.array([1, 1, 1])).sum().backward()
         assert np.allclose(emb.weight.grad[1], 3.0)
         assert np.allclose(emb.weight.grad[0], 0.0)
-
-
-class TestDropout:
-    def test_eval_is_identity(self):
-        drop = Dropout(0.9)
-        drop.eval()
-        x = Tensor(np.ones((4, 4)))
-        assert np.allclose(drop(x).data, 1.0)
-
-    def test_train_scales_survivors(self):
-        drop = Dropout(0.5, rng=np.random.default_rng(0))
-        out = drop(Tensor(np.ones((1000,)))).data
-        survivors = out[out > 0]
-        assert np.allclose(survivors, 2.0)
-        assert 0.3 < (out > 0).mean() < 0.7
-
-    def test_p_zero_identity_in_train(self):
-        drop = Dropout(0.0)
-        x = Tensor(np.ones(5))
-        assert drop(x) is x
-
-    def test_invalid_p_rejected(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
 
 
 class TestMLP:

@@ -1,4 +1,4 @@
-"""Checkpointing and early stopping."""
+"""Checkpointing."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from repro.graph.batch import GraphBatch
 from repro.models import BaselineRuntime
 from repro.tensor.optim import Adam
 from repro.train import build_model
-from repro.train.checkpoint import EarlyStopping, load_checkpoint, save_checkpoint
+from repro.train.checkpoint import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -94,36 +94,3 @@ class TestCheckpoint:
         resumed = run(6, resume_at=3, tmp=tmp_path / "mid.npz")
         assert np.allclose(plain, resumed, atol=1e-10)
 
-
-class TestEarlyStopping:
-    def test_stops_after_patience(self):
-        stop = EarlyStopping(patience=2, mode="min")
-        assert not stop.step(1.0, 1)
-        assert not stop.step(1.1, 2)
-        assert stop.step(1.2, 3)
-
-    def test_improvement_resets(self):
-        stop = EarlyStopping(patience=2, mode="min")
-        stop.step(1.0, 1)
-        stop.step(1.1, 2)
-        assert not stop.step(0.9, 3)   # improvement
-        assert stop.best == 0.9
-        assert stop.best_epoch == 3
-
-    def test_max_mode(self):
-        stop = EarlyStopping(patience=1, mode="max")
-        stop.step(0.5, 1)
-        assert not stop.step(0.7, 2)
-        assert stop.step(0.6, 3)
-
-    def test_min_delta(self):
-        stop = EarlyStopping(patience=1, min_delta=0.1, mode="min")
-        stop.step(1.0, 1)
-        # 0.95 is within min_delta: counts as no improvement.
-        assert stop.step(0.95, 2)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            EarlyStopping(mode="sideways")
-        with pytest.raises(ConfigError):
-            EarlyStopping(patience=0)

@@ -59,12 +59,10 @@ __all__ = [
     "ConfigError",
     "all_rules",
     "apply_baseline",
-    "lint_paths",
     "load_baseline",
     "load_config",
     "module_name_for",
     "register",
-    "rule_ids",
     "violation_key",
     "write_baseline",
 ]

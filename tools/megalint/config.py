@@ -76,7 +76,7 @@ class LintConfig:
     #: Directories whose imports count as *uses* for MEGA014
     #: dead-export analysis but which are never themselves linted.
     reference_roots: List[str] = field(default_factory=lambda: [
-        "tests", "examples", "benchmarks"])
+        "examples", "benchmarks"])
 
     #: MEGA015: dotted class paths acting as structural protocols;
     #: classes duck-typing them must not drift from their method set.

@@ -2,10 +2,10 @@
 
 ``__all__`` is a promise: "this is the surface we support".  A name
 that sits in ``__all__`` but is never imported, re-exported, or
-attribute-referenced anywhere in the project — source, tools, tests,
-examples, benchmarks — is a promise nobody collects on: it widens the
-API that refactors must preserve, pads ``import *``, and usually marks
-a feature that was removed everywhere except its export line.
+attribute-referenced by an entry point — source, tools, examples,
+benchmarks — is a promise nobody collects on: it widens the API that
+refactors must preserve, pads ``import *``, and usually marks a
+feature that was removed everywhere except its export line.
 
 MEGA008 checks each ``__all__`` against its *own* module (every entry
 must be bound); this rule is its cross-module complement: every entry
@@ -14,8 +14,10 @@ the project symbol table, so importing a name from a package
 ``__init__`` keeps the defining module's export alive, and a
 star-import of a module keeps that module's whole export list alive.
 The reference universe includes the configured ``reference-roots``
-(tests/examples/benchmarks by default), which are indexed but never
-linted — public API used only by tests is still used.
+(examples/benchmarks by default), which are indexed but never linted.
+``tests/`` is not a reference root: an export used only by tests is
+reached by no entry point, so it is flagged.  A test may still import
+the name from its defining module once it leaves ``__all__``.
 """
 
 from __future__ import annotations
@@ -89,9 +91,10 @@ def _module_references(index: ProjectIndex, info: ModuleInfo) -> Set[str]:
 class DeadExportRule(ProjectRule):
     id = "MEGA014"
     name = "dead-export"
-    rationale = ("every __all__ entry must be referenced somewhere in "
-                 "the project (src, tools, or the reference roots) — "
-                 "an unused export is unsupported API surface")
+    rationale = ("every __all__ entry must be referenced by an entry "
+                 "point (src, tools, or the reference roots; tests do "
+                 "not count) — an unused export is unsupported API "
+                 "surface")
 
     def check_project(self, index, reporter) -> None:
         references: Dict[str, Set[str]] = {}
@@ -115,9 +118,9 @@ class DeadExportRule(ProjectRule):
                 reporter.report(
                     self, info, elt,
                     f"__all__ export '{export}' of '{mod_name}' is "
-                    "never referenced anywhere in the project "
-                    "(including tests/examples/benchmarks) — remove "
-                    "the export or the dead code behind it")
+                    "never referenced outside tests (src, tools, "
+                    "examples, benchmarks) — remove the export or the "
+                    "dead code behind it")
 
     @staticmethod
     def _is_referenced(references: Dict[str, Set[str]], owner: str,
