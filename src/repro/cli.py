@@ -100,17 +100,23 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_preprocess(args: argparse.Namespace) -> int:
     from repro.core import MegaConfig, save_schedules_npz
     from repro.datasets import load_dataset
+    from repro.pipeline import precompute_paths
+    from repro.resilience import RetryPolicy
 
     ds = load_dataset(args.dataset, scale=args.scale)
     config = MegaConfig(window=args.window, coverage=args.coverage)
+    retry = (RetryPolicy(max_attempts=args.max_retries)
+             if args.max_retries is not None else None)
     start = time.perf_counter()
-    pre = ds.precompute(config, workers=args.workers,
-                        cache_dir=_resolve_cache_dir(args),
-                        max_retries=args.max_retries)
+    pre = precompute_paths(ds.all_graphs(), config, workers=args.workers,
+                           cache_dir=_resolve_cache_dir(args), retry=retry)
     elapsed = time.perf_counter() - start
-    schedules = pre.flat_schedules()
-    expansions = [rep.expansion
-                  for reps in pre.paths.values() for rep in reps]
+    # Archive keys are "split/i", in split order: all_graphs() is
+    # train + validation + test.
+    keys = [f"{split}/{i}" for split, graphs in ds.splits.items()
+            for i in range(len(graphs))]
+    schedules = dict(zip(keys, pre.schedules))
+    expansions = [rep.expansion for rep in pre.paths]
     save_schedules_npz(schedules, args.output)
     print(f"scheduled {len(schedules)} graphs in {elapsed:.2f}s "
           f"(mean expansion {np.mean(expansions):.2f}) -> {args.output}")
@@ -416,7 +422,9 @@ def _print_cluster_report(stats, as_json: bool) -> None:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import InferenceRequest
+    from repro.serve.loadgen import check_rate
 
+    check_rate(args.rate)
     loaded, server = _build_server(args)
     pool = loaded.dataset.test[:args.requests]
     if not pool:
@@ -446,16 +454,16 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     from repro.resilience import RetryPolicy
     from repro.serve import ArrivalProcess, generate_requests
 
+    process = ArrivalProcess(kind=args.process, rate_rps=args.rate,
+                             seed=args.seed,
+                             burst_factor=args.burst_factor,
+                             burst_len=args.burst_len)
     clustered = args.replicas > 1
     if clustered:
         loaded, target = _build_cluster(args)
     else:
         loaded, target = _build_server(args)
     pool = loaded.dataset.test[:args.pool]
-    process = ArrivalProcess(kind=args.process, rate_rps=args.rate,
-                             seed=args.seed,
-                             burst_factor=args.burst_factor,
-                             burst_len=args.burst_len)
     requests = generate_requests(pool, args.requests, process)
     retry = (RetryPolicy(max_attempts=args.retries)
              if args.retries > 0 else None)
@@ -477,12 +485,12 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     from repro.resilience import RetryPolicy
     from repro.serve import ArrivalProcess, generate_requests
 
-    loaded, cluster = _build_cluster(args)
-    pool = loaded.dataset.test[:args.pool]
     process = ArrivalProcess(kind=args.process, rate_rps=args.rate,
                              seed=args.seed,
                              burst_factor=args.burst_factor,
                              burst_len=args.burst_len)
+    loaded, cluster = _build_cluster(args)
+    pool = loaded.dataset.test[:args.pool]
     requests = generate_requests(pool, args.requests, process)
     retry = (RetryPolicy(max_attempts=args.retries)
              if args.retries > 0 else None)
@@ -507,6 +515,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
         generate_stream,
     )
 
+    process = ArrivalProcess(kind=args.process, rate_rps=args.rate,
+                             seed=args.seed,
+                             burst_factor=args.burst_factor,
+                             burst_len=args.burst_len)
     loaded = _load_cli_model(args)
     cache_dir = _resolve_cache_dir(args)
     cache = ScheduleCache(cache_dir) if cache_dir is not None else None
@@ -516,10 +528,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
         loaded.model, graphs, config=_cluster_config(args),
         repair_policy=RepairPolicy(recompute_ratio=args.recompute_ratio),
         cache=cache, fault_plan=_cli_fault_plan(args))
-    process = ArrivalProcess(kind=args.process, rate_rps=args.rate,
-                             seed=args.seed,
-                             burst_factor=args.burst_factor,
-                             burst_len=args.burst_len)
     mix = StreamMix(delta_fraction=args.delta_fraction,
                     ops_per_delta=args.ops_per_delta,
                     delete_fraction=args.delete_fraction,

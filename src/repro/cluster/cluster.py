@@ -79,7 +79,6 @@ from repro.cluster.stats import (
     ShedRequest,
 )
 from repro.errors import ClusterError, QueueFullError
-from repro.memsim.device import DeviceSpec, GTX_1080
 from repro.models.base import GNNModel
 from repro.pipeline.cache import ScheduleCache
 from repro.pipeline.hashing import schedule_cache_key
@@ -92,6 +91,11 @@ from repro.serve.queueing import (
 )
 from repro.serve.server import EventLoop, ServerConfig, ServerEngine
 from repro.train.clock import SimulatedClock
+
+#: Observed/expected service-time ratio at which a batch completion
+#: counts as slow for the circuit breaker; above 1, so healthy batches
+#: never trip it.
+BREAKER_SLOW_RATIO = 1.5
 
 
 @dataclass(frozen=True)
@@ -110,17 +114,13 @@ class ClusterConfig:
     vnodes:
         Virtual nodes per replica on the consistent-hash ring.
     server:
-        Per-replica serving configuration (queue bound, batching,
-        miss penalty).
+        Per-replica serving configuration (queue bound, batching).
     breaker_threshold:
         Consecutive slow batch completions that trip a replica's
         circuit breaker (0 disables the breaker).
     breaker_cooldown_s:
         Base cooldown before a tripped breaker half-opens; stretched
         per trip and seeded-jittered by the fault plan.
-    breaker_slow_ratio:
-        Observed/expected service-time ratio at which a completion
-        counts as slow (must exceed 1 so healthy batches never trip).
     brownout_watermark:
         Alive fraction of the fleet below which brownout admission
         sheds load (0 disables brownout).
@@ -134,7 +134,6 @@ class ClusterConfig:
     server: ServerConfig = field(default_factory=ServerConfig)
     breaker_threshold: int = 0
     breaker_cooldown_s: float = 0.05
-    breaker_slow_ratio: float = 1.5
     brownout_watermark: float = 0.0
     shed_retry_after_s: float = 0.01
 
@@ -152,10 +151,6 @@ class ClusterConfig:
             raise ClusterError(
                 f"breaker_cooldown_s must be >= 0, "
                 f"got {self.breaker_cooldown_s}")
-        if self.breaker_slow_ratio <= 1.0:
-            raise ClusterError(
-                f"breaker_slow_ratio must be > 1, "
-                f"got {self.breaker_slow_ratio}")
         if not 0.0 <= self.brownout_watermark <= 1.0:
             raise ClusterError(
                 f"brownout_watermark must be in [0, 1], "
@@ -203,7 +198,9 @@ class Cluster:
     one L2 schedule tier; ``cache`` optionally backs that tier with an
     on-disk :class:`~repro.pipeline.cache.ScheduleCache`.
     ``fault_plan`` drives seeded replica crashes, recoveries and
-    stragglers; the default plan injects nothing.
+    stragglers; the default plan injects nothing.  A plan that pins a
+    crash or a straggler on a replica id outside the fleet is a
+    :class:`~repro.errors.ClusterError`, not a fault that never fires.
     """
 
     def __init__(self, model: GNNModel, config: Optional[ClusterConfig]
@@ -211,15 +208,21 @@ class Cluster:
                  mega_config: Optional[MegaConfig] = None,
                  cache: Optional[ScheduleCache] = None,
                  clock: Optional[SimulatedClock] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 device_spec: DeviceSpec = GTX_1080):
+                 fault_plan: Optional[FaultPlan] = None):
         self.model = model
         self.model.eval()
         self.config = config or ClusterConfig()
+        if fault_plan is not None:
+            for field_name in ("crash_replicas", "slow_replicas"):
+                for rid in getattr(fault_plan, field_name):
+                    if not 0 <= rid < self.config.num_replicas:
+                        raise ClusterError(
+                            f"fault plan pins replica {rid} in "
+                            f"{field_name}, but the fleet has replicas "
+                            f"0..{self.config.num_replicas - 1}")
         self.mega_config = mega_config or MegaConfig()
         self.clock = clock if clock is not None else SimulatedClock()
         self.fault_plan = fault_plan
-        self.device_spec = device_spec
         self.tiered = TieredScheduleCache(self.mega_config, backing=cache)
 
     # ------------------------------------------------------------------
@@ -264,8 +267,7 @@ class Cluster:
         views: Dict[int, ReplicaScheduleView] = {
             rid: self.tiered.view(rid) for rid in replica_ids}
         engines: Dict[int, ServerEngine] = {
-            rid: ServerEngine(self.model, cfg.server, views[rid],
-                              device_spec=self.device_spec)
+            rid: ServerEngine(self.model, cfg.server, views[rid])
             for rid in replica_ids}
         lifetime_batches: Dict[int, int] = {rid: 0 for rid in replica_ids}
         last_crash_s: Dict[int, float] = {}
@@ -364,9 +366,7 @@ class Cluster:
             stats.recovered_replicas += 1
             stats.rebalanced_arcs -= ring.add(rid)
             views[rid] = self.tiered.view(rid)
-            engines[rid] = ServerEngine(self.model, cfg.server,
-                                        views[rid],
-                                        device_spec=self.device_spec)
+            engines[rid] = ServerEngine(self.model, cfg.server, views[rid])
             health.recoveries.append(RecoveryRecord(
                 replica_id=rid, incarnation=h.incarnation,
                 crashed_at_s=last_crash_s[rid], recovered_at_s=now_s))
@@ -428,7 +428,7 @@ class Cluster:
                 launch_plan, now_s, service_scale=scale)
             lifetime_batches[rid] += 1
             loop.push(done_s, "done",
-                      (rid, batch_responses, scale >= cfg.breaker_slow_ratio))
+                      (rid, batch_responses, scale >= BREAKER_SLOW_RATIO))
 
         def complete(payload: Tuple[int, List[InferenceResponse], bool],
                      now_s: float) -> None:

@@ -1,47 +1,12 @@
-"""Dataset container, split handling, and the batch-preprocessing hook."""
+"""Dataset container and split handling."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import GraphError
 from repro.graph.graph import Graph
-
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.core.config import MegaConfig
-    from repro.core.diagonal import AttentionPlan
-    from repro.core.path import PathRepresentation
-    from repro.core.schedule import TraversalResult
-    from repro.pipeline.stats import PipelineStats
-
-
-@dataclass
-class DatasetSchedules:
-    """Per-split preprocessing artifacts from :meth:`GraphDataset.precompute`.
-
-    ``paths[split][i]`` / ``plans[split][i]`` align with the dataset's
-    split lists; ``stats`` carries the pipeline's cache counters, and
-    ``symmetric_reuse`` is the run's config value ``plans`` honours.
-    """
-
-    paths: Dict[str, List["PathRepresentation"]]
-    stats: "PipelineStats"
-    symmetric_reuse: bool = True
-
-    @property
-    def plans(self) -> Dict[str, List["AttentionPlan"]]:
-        """Attention plans, derived from ``paths`` on each access."""
-        from repro.core.diagonal import make_attention_plan
-        return {split: [make_attention_plan(rep, self.symmetric_reuse)
-                        for rep in reps]
-                for split, reps in self.paths.items()}
-
-    def flat_schedules(self) -> Dict[str, "TraversalResult"]:
-        """``{"split/i": TraversalResult}`` — the CLI's archive layout."""
-        return {f"{split}/{i}": rep.schedule
-                for split, reps in self.paths.items()
-                for i, rep in enumerate(reps)}
 
 
 @dataclass
@@ -90,37 +55,6 @@ class GraphDataset:
 
     def all_graphs(self) -> List[Graph]:
         return self.train + self.validation + self.test
-
-    def precompute(self, config: Optional["MegaConfig"] = None, *,
-                   workers: int = 1, cache=None, cache_dir=None,
-                   max_bytes: Optional[int] = None,
-                   max_retries: Optional[int] = None,
-                   fault_plan=None, sleep=None) -> DatasetSchedules:
-        """Run MEGA preprocessing for every graph in every split.
-
-        Delegates to :func:`repro.pipeline.precompute_paths`: misses fan
-        out across ``workers`` processes and, when ``cache`` or
-        ``cache_dir`` is given, schedules persist on disk so later
-        processes skip the traversal entirely.  ``max_retries``,
-        ``fault_plan``, and ``sleep`` feed the pipeline's fault-tolerance
-        layer (see ``docs/resilience.md``).
-        """
-        from repro.pipeline import precompute_paths
-        from repro.resilience import RetryPolicy
-
-        retry = (RetryPolicy(max_attempts=max_retries)
-                 if max_retries is not None else None)
-        result = precompute_paths(
-            self.all_graphs(), config, workers=workers,
-            cache=cache, cache_dir=cache_dir, max_bytes=max_bytes,
-            retry=retry, fault_plan=fault_plan, sleep=sleep)
-        paths: Dict[str, List] = {}
-        cursor = 0
-        for split, graphs in self.splits.items():
-            paths[split] = result.paths[cursor:cursor + len(graphs)]
-            cursor += len(graphs)
-        return DatasetSchedules(paths=paths, stats=result.stats,
-                                symmetric_reuse=result.symmetric_reuse)
 
     def __repr__(self) -> str:
         return (f"GraphDataset({self.name}, task={self.task}, "

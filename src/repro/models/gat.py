@@ -34,9 +34,11 @@ class GATLayer(Module):
         Scatter(2), Gather(), Gather(with_src=True),  # scores; softmax; Σ
         Pointwise("nodes")))                    # ELU, residual
 
+    #: LeakyReLU slope of the attention logits (the GAT paper's 0.2).
+    NEGATIVE_SLOPE = 0.2
+
     def __init__(self, dim: int, num_heads: int = 4,
-                 rng: Optional[np.random.Generator] = None,
-                 negative_slope: float = 0.2, residual: bool = True):
+                 rng: Optional[np.random.Generator] = None):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         if dim % num_heads != 0:
@@ -45,8 +47,6 @@ class GATLayer(Module):
         self.dim = dim
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
-        self.negative_slope = negative_slope
-        self.residual = residual
         self.proj = Linear(dim, dim, rng=rng)
         self.attn_src = Parameter(
             init.xavier_uniform(rng, (num_heads, self.head_dim)),
@@ -71,7 +71,7 @@ class GATLayer(Module):
         src_part, dst_part = runtime.scatter_to_edges(src=score_src,
                                                       dst=score_dst)
         logits = F.leaky_relu(src_part + dst_part + score_edge,
-                              self.negative_slope)
+                              self.NEGATIVE_SLOPE)
         attn = runtime.edge_softmax(logits)                # gather 1
         values = runtime.fetch_src(wh).reshape(
             runtime.num_messages, self.num_heads, self.head_dim)
@@ -79,10 +79,7 @@ class GATLayer(Module):
                                          self.num_heads, 1)
         agg = runtime.aggregate_sum(                        # gather 2
             weighted.reshape(runtime.num_messages, self.dim))
-        out = F.elu(agg)
-        if self.residual:
-            out = out + h
-        return out, e
+        return F.elu(agg) + h, e
 
 
 class GAT(GNNModel):

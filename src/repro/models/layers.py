@@ -42,13 +42,13 @@ class GatedGCNLayer(Module):
         Gather(with_src=True), Gather(),     # Σ σ ⊙ Vh_src; Σ σ
         Pointwise("nodes"), Pointwise("edges")))     # BN, ReLU, residual
 
-    def __init__(self, dim: int, rng: Optional[np.random.Generator] = None,
-                 residual: bool = True, eps: float = 1e-6):
+    #: Keeps the gate denominator of a degree-0 node away from zero.
+    EPS = 1e-6
+
+    def __init__(self, dim: int, rng: Optional[np.random.Generator] = None):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.dim = dim
-        self.residual = residual
-        self.eps = eps
         self.proj_a = Linear(dim, dim, rng=rng)   # A h_i   (dst)
         self.proj_b = Linear(dim, dim, rng=rng)   # B h_j   (src)
         self.proj_c = Linear(dim, dim, rng=rng)   # C e_ij
@@ -76,14 +76,11 @@ class GatedGCNLayer(Module):
         v_src = runtime.fetch_src(vh)
         numer = runtime.aggregate_sum(sigma * v_src)
         denom = runtime.aggregate_sum(sigma)
-        agg = numer / (denom + self.eps)
+        agg = numer / (denom + self.EPS)
         h_new = self.proj_u(h) + agg
         h_new = F.relu(self.bn_h(h_new))
         e_out = F.relu(self.bn_e(e_new))
-        if self.residual:
-            h_new = h + h_new
-            e_out = e + e_out
-        return h_new, e_out
+        return h + h_new, e + e_out
 
 
 class GraphTransformerLayer(Module):
@@ -103,7 +100,7 @@ class GraphTransformerLayer(Module):
 
     def __init__(self, dim: int, num_heads: int = 4,
                  rng: Optional[np.random.Generator] = None,
-                 residual: bool = True, edge_out: bool = True):
+                 edge_out: bool = True):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         if dim % num_heads != 0:
@@ -112,7 +109,6 @@ class GraphTransformerLayer(Module):
         self.dim = dim
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
-        self.residual = residual
         #: Whether anything reads this layer's edge output.  The model
         #: clears it on its last layer, which then skips the m-row
         #: ``proj_oe`` → ``norm_e1`` → FFN → ``norm_e2`` tail and returns
@@ -157,14 +153,14 @@ class GraphTransformerLayer(Module):
         agg = runtime.aggregate_sum(
             weighted.reshape(runtime.num_messages, self.dim))      # gather 2
         h_attn = self.proj_o(agg)
-        h_new = self.norm_h1(h + h_attn) if self.residual else self.norm_h1(h_attn)
+        h_new = self.norm_h1(h + h_attn)
         h_ffn = self.ffn_h2(F.relu(self.ffn_h1(h_new)))
-        h_out = self.norm_h2(h_new + h_ffn) if self.residual else self.norm_h2(h_ffn)
+        h_out = self.norm_h2(h_new + h_ffn)
         if not self.edge_out:
             return h_out, None
 
         e_attn = self.proj_oe(w.reshape(runtime.num_messages, self.dim))
-        e_new = self.norm_e1(e + e_attn) if self.residual else self.norm_e1(e_attn)
+        e_new = self.norm_e1(e + e_attn)
         e_ffn = self.ffn_e2(F.relu(self.ffn_e1(e_new)))
-        e_out = self.norm_e2(e_new + e_ffn) if self.residual else self.norm_e2(e_ffn)
+        e_out = self.norm_e2(e_new + e_ffn)
         return h_out, e_out

@@ -197,29 +197,26 @@ class GlobalAttentionRuntime(AggregationRuntime):
 
     The comparator the paper's Fig. 1 motivates: dense all-pairs
     attention with no graph indexing.  Messages enumerate every ordered
-    vertex pair within each member graph (never across graphs); pairs
-    that are real edges carry their edge features, the rest map to the
-    reserved virtual edge type (id = ``num_edge_types``), so the same
-    model layers run unmodified.
+    pair of distinct vertices within each member graph (never across
+    graphs, never a self-pair); pairs that are real edges carry their
+    edge features, the rest map to the reserved virtual edge type
+    (id = ``num_edge_types``), so the same model layers run unmodified.
 
     Complexity is O(Σ n_i²) per batch — use small graphs.
     """
 
     name = "global"
 
-    def __init__(self, batch: GraphBatch, include_self: bool = False):
+    def __init__(self, batch: GraphBatch):
         super().__init__(batch)
         src_parts: List[np.ndarray] = []
         dst_parts: List[np.ndarray] = []
         for i in range(batch.num_graphs):
             nodes = batch.nodes_of(i)
             s, d = np.meshgrid(nodes, nodes, indexing="ij")
-            s, d = s.ravel(), d.ravel()
-            if not include_self:
-                keep = s != d
-                s, d = s[keep], d[keep]
-            src_parts.append(s)
-            dst_parts.append(d)
+            keep = s != d
+            src_parts.append(s[keep])
+            dst_parts.append(d[keep])
         self.msg_src = (np.concatenate(src_parts)
                         if src_parts else np.array([], np.int64))
         self.msg_dst = (np.concatenate(dst_parts)

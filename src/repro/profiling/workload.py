@@ -19,7 +19,7 @@ from repro.datasets import load_dataset
 from repro.errors import SimulationError
 from repro.graph.batch import GraphBatch
 from repro.graph.graph import Graph, complete_graph
-from repro.memsim.device import DeviceSpec, GPUDevice, GTX_1080
+from repro.memsim.device import GPUDevice, GTX_1080
 from repro.memsim.profiler import Profiler
 from repro.models.kernel_plans import simulate_batch
 from repro.models.runtime import BaselineRuntime, MegaRuntime
@@ -80,8 +80,8 @@ def cached_paths(name: str, scale: float, count: int,
 
 def profile_configuration(dataset: str, model: str, method: str,
                           batch_size: int = 64, hidden_dim: int = 128,
-                          num_layers: int = 4, scale: float = 0.02,
-                          device_spec: DeviceSpec = GTX_1080) -> Profiler:
+                          num_layers: int = 4, scale: float = 0.02
+                          ) -> Profiler:
     """Simulate one forward batch and return its kernel profile."""
     ds = cached_dataset(dataset, scale)
     graphs = ds.train[:batch_size]
@@ -97,13 +97,12 @@ def profile_configuration(dataset: str, model: str, method: str,
                               cached_paths(dataset, scale, batch_size))
     else:
         raise SimulationError(f"unknown method {method!r}")
-    device = GPUDevice(device_spec)
+    device = GPUDevice(GTX_1080)
     return simulate_batch(model, runtime, device, hidden_dim, num_layers)
 
 
 def attention_time_ratio(num_nodes: int, feature_dim: int,
-                         sparsity: float = 0.05, seed: int = 0,
-                         device_spec: DeviceSpec = GTX_1080) -> float:
+                         sparsity: float = 0.05, seed: int = 0) -> float:
     """Fig. 1b: graph-attention time over global-attention time.
 
     Graph attention walks the sparse edge list with scattered gathers;
@@ -120,7 +119,7 @@ def attention_time_ratio(num_nodes: int, feature_dim: int,
     sparse = erdos_renyi_with_sparsity(rng, num_nodes, sparsity)
     batch = GraphBatch([sparse])
     rt = BaselineRuntime(batch)
-    device = GPUDevice(device_spec)
+    device = GPUDevice(GTX_1080)
     layout = make_layout(num_nodes, rt.num_messages, 1, feature_dim,
                          feature_dim * feature_dim)
     row = feature_dim * FLOAT_BYTES

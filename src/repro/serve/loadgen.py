@@ -34,6 +34,17 @@ from repro.serve.queueing import InferenceRequest
 ARRIVAL_PROCESSES = ("poisson", "bursty")
 
 
+def check_rate(rate_rps: float) -> None:
+    """Raise :class:`ConfigError` unless ``rate_rps`` is finite and > 0.
+
+    Zero divides by zero in the inter-arrival gap, a negative rate
+    submits requests at negative times, infinity collapses every
+    arrival onto one instant and NaN poisons the clock.
+    """
+    if not (math.isfinite(rate_rps) and rate_rps > 0.0):
+        raise ConfigError(f"rate must be finite and > 0, got {rate_rps!r}")
+
+
 @dataclass(frozen=True)
 class ArrivalProcess:
     """A seeded arrival-time generator."""
@@ -49,9 +60,7 @@ class ArrivalProcess:
             raise ConfigError(
                 f"unknown arrival process {self.kind!r}; "
                 f"one of {ARRIVAL_PROCESSES}")
-        if self.rate_rps <= 0.0:
-            raise ConfigError(
-                f"rate_rps must be positive, got {self.rate_rps}")
+        check_rate(self.rate_rps)
         if self.burst_factor < 1.0:
             raise ConfigError(
                 f"burst_factor must be >= 1, got {self.burst_factor}")

@@ -46,7 +46,7 @@ from repro.core.config import MegaConfig
 from repro.core.path import PathRepresentation
 from repro.graph.batch import GraphBatch
 from repro.graph.graph import Graph
-from repro.memsim.device import DeviceSpec, GPUDevice, GTX_1080
+from repro.memsim.device import GPUDevice, GTX_1080
 from repro.models.base import GNNModel
 from repro.models.kernel_plans import simulate_batch
 from repro.models.runtime import MegaRuntime
@@ -67,6 +67,10 @@ from repro.errors import QueueFullError, ServeError
 from repro.tensor import no_grad
 from repro.train.clock import SimulatedClock
 
+#: Retry-after hint before any batch has executed (afterwards the hint
+#: is the last batch's service time).
+RETRY_AFTER_DEFAULT_S = 0.005
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -78,27 +82,15 @@ class ServerConfig:
         Bound of the admission queue (backpressure threshold).
     policy:
         Micro-batching policy (size, wait, bucket width).
-    miss_penalty_s:
-        Simulated seconds added to a batch's service time per member
-        whose schedule was *not* served from the cache — makes the
-        preprocessing cost of cold graphs visible in latency.
-    retry_after_default_s:
-        Retry-after hint before any batch has executed (afterwards the
-        hint is the last batch's service time).
     """
 
     queue_capacity: int = 32
     policy: BatchingPolicy = field(default_factory=BatchingPolicy)
-    miss_penalty_s: float = 0.0
-    retry_after_default_s: float = 0.005
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
             raise ServeError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}")
-        if self.miss_penalty_s < 0.0 or self.retry_after_default_s < 0.0:
-            raise ServeError(
-                "miss_penalty_s and retry_after_default_s must be >= 0")
 
 
 class ScheduleMemo(dict):
@@ -213,12 +205,10 @@ class ServerEngine:
     caller, which computed it once for the whole dispatch.
     """
 
-    def __init__(self, model: GNNModel, config: ServerConfig, store,
-                 device_spec: DeviceSpec = GTX_1080):
+    def __init__(self, model: GNNModel, config: ServerConfig, store):
         self.model = model
         self.config = config
         self.store = store
-        self.device_spec = device_spec
         self.stats = ServerStats()
         self.queue = BoundedRequestQueue(config.queue_capacity)
         self.batcher = MicroBatcher(config.policy)
@@ -243,7 +233,7 @@ class ServerEngine:
         """Deterministic hint: the last batch's service time."""
         if self.stats.batches:
             return self.stats.batches[-1].service_s
-        return self.config.retry_after_default_s
+        return RETRY_AFTER_DEFAULT_S
 
     def admit(self, request: InferenceRequest, now_s: float,
               key: str) -> None:
@@ -303,11 +293,9 @@ class ServerEngine:
         with no_grad():
             predictions = np.asarray(self.model(batch, runtime).data)
         profiler = simulate_batch(
-            self.model.model_name, runtime, GPUDevice(self.device_spec),
+            self.model.model_name, runtime, GPUDevice(GTX_1080),
             self.model.config.hidden_dim, self.model.config.num_layers)
-        service_s = (profiler.total_time
-                     + self.config.miss_penalty_s
-                     * plan.schedule_misses) * service_scale
+        service_s = profiler.total_time * service_scale
         batch_id = len(self.stats.batches)
         self.stats.batches.append(BatchRecord(
             batch_id=batch_id, launch_s=now_s, service_s=service_s,
@@ -454,14 +442,12 @@ class InferenceServer:
                  mega_config: Optional[MegaConfig] = None,
                  cache: Optional[ScheduleCache] = None,
                  clock: Optional[SimulatedClock] = None,
-                 config: Optional[ServerConfig] = None,
-                 device_spec: DeviceSpec = GTX_1080):
+                 config: Optional[ServerConfig] = None):
         self.model = model
         self.model.eval()
         self.mega_config = mega_config or MegaConfig()
         self.config = config or ServerConfig()
         self.clock = clock if clock is not None else SimulatedClock()
-        self.device_spec = device_spec
         self.store = ScheduleStore(self.mega_config, cache=cache)
 
     # ------------------------------------------------------------------
@@ -474,8 +460,7 @@ class InferenceServer:
         until the policy's attempt budget is spent, then counted as
         dropped.  ``None`` drops rejected requests immediately.
         """
-        engine = ServerEngine(self.model, self.config, self.store,
-                              device_spec=self.device_spec)
+        engine = ServerEngine(self.model, self.config, self.store)
         stats = engine.stats
         stats.received = len(requests)
         responses: List[InferenceResponse] = []

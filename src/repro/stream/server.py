@@ -39,7 +39,6 @@ from repro.cluster.cluster import Cluster, ClusterConfig, ClusterResult
 from repro.core.config import MegaConfig
 from repro.errors import StreamError
 from repro.graph.graph import Graph
-from repro.memsim.device import DeviceSpec, GTX_1080
 from repro.models.base import GNNModel
 from repro.pipeline.cache import ScheduleCache
 from repro.resilience import FaultPlan, RetryPolicy
@@ -73,8 +72,7 @@ class StreamServer:
                  repair_policy: Optional[RepairPolicy] = None,
                  cache: Optional[ScheduleCache] = None,
                  clock: Optional[SimulatedClock] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 device_spec: DeviceSpec = GTX_1080):
+                 fault_plan: Optional[FaultPlan] = None):
         mega_config = mega_config or MegaConfig()
         if mega_config.edge_drop > 0.0:
             raise StreamError(
@@ -82,8 +80,7 @@ class StreamServer:
                 "decouple the working graph from the delta-applied one, "
                 f"got edge_drop={mega_config.edge_drop}")
         self.cluster = Cluster(model, config, mega_config, cache=cache,
-                               clock=clock, fault_plan=fault_plan,
-                               device_spec=device_spec)
+                               clock=clock, fault_plan=fault_plan)
         self.table = GraphTable(graphs, mega_config)
         self.repairer = ScheduleRepairer(self.table, self.cluster.tiered,
                                          repair_policy)

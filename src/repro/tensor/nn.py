@@ -144,14 +144,14 @@ class Linear(Module):
     """Affine map ``y = x W + b`` (W stored as (in, out))."""
 
     def __init__(self, in_features: int, out_features: int,
-                 bias: bool = True, rng: Optional[np.random.Generator] = None):
+                 rng: Optional[np.random.Generator] = None):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(
             init.xavier_uniform(rng, (in_features, out_features)), name="weight")
-        self.bias = Parameter(init.zeros((out_features,)), name="bias") if bias else None
+        self.bias = Parameter(init.zeros((out_features,)), name="bias")
 
     def forward(self, x: Tensor) -> Tensor:
         """One tape node: ``x @ W`` with the bias added in place.
@@ -162,12 +162,10 @@ class Linear(Module):
         """
         weight, bias = self.weight, self.bias
         out = x.data @ weight.data
-        if bias is not None:
-            out += bias.data
+        out += bias.data
 
         def backward(grad: np.ndarray) -> None:
-            if bias is not None:
-                bias._accumulate(grad)
+            bias._accumulate(grad)
             if x.requires_grad:
                 x._accumulate(grad @ weight.data.T)
             if weight.requires_grad:
@@ -175,17 +173,18 @@ class Linear(Module):
                     np.swapaxes(x.data, -1, -2) @ grad if x.ndim > 1
                     else np.outer(x.data, grad))
 
-        parents = (x, weight) if bias is None else (x, weight, bias)
-        return Tensor._make(out, parents, backward)
+        return Tensor._make(out, (x, weight, bias), backward)
 
 
 class LayerNorm(Module):
     """Layer normalisation over the last dimension."""
 
-    def __init__(self, dim: int, eps: float = 1e-5):
+    #: Variance floor inside the square root.
+    EPS = 1e-5
+
+    def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
-        self.eps = eps
         self.gamma = Parameter(init.ones((dim,)), name="gamma")
         self.beta = Parameter(init.zeros((dim,)), name="beta")
 
@@ -200,7 +199,7 @@ class LayerNorm(Module):
             out = x.data - mean
             var = (out * out).sum(axis=-1, keepdims=True)
             var *= scale
-            var += self.eps
+            var += self.EPS
             np.sqrt(var, out=var)
             out /= var
             out *= self.gamma.data
@@ -209,18 +208,21 @@ class LayerNorm(Module):
         mean = x.mean(axis=-1, keepdims=True)
         centred = x - mean
         var = (centred * centred).mean(axis=-1, keepdims=True)
-        normed = centred / (var + self.eps).sqrt()
+        normed = centred / (var + self.EPS).sqrt()
         return normed * self.gamma + self.beta
 
 
 class BatchNorm1d(Module):
     """Batch normalisation over the row dimension with running stats."""
 
-    def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1):
+    #: Variance floor inside the square root.
+    EPS = 1e-5
+    #: Weight of the current batch in the running-statistics update.
+    MOMENTUM = 0.1
+
+    def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Parameter(init.ones((dim,)), name="gamma")
         self.beta = Parameter(init.zeros((dim,)), name="beta")
         self.register_buffer("running_mean", np.zeros(dim))
@@ -231,15 +233,15 @@ class BatchNorm1d(Module):
             mean = x.mean(axis=0, keepdims=True)
             centred = x - mean
             var = (centred * centred).mean(axis=0, keepdims=True)
-            self.running_mean = ((1 - self.momentum) * self.running_mean
-                                 + self.momentum * mean.data.ravel())
-            self.running_var = ((1 - self.momentum) * self.running_var
-                                + self.momentum * var.data.ravel())
+            self.running_mean = ((1 - self.MOMENTUM) * self.running_mean
+                                 + self.MOMENTUM * mean.data.ravel())
+            self.running_var = ((1 - self.MOMENTUM) * self.running_var
+                                + self.MOMENTUM * var.data.ravel())
         else:
             mean = Tensor(self.running_mean.reshape(1, -1))
             centred = x - mean
             var = Tensor(self.running_var.reshape(1, -1))
-        normed = centred / (var + self.eps).sqrt()
+        normed = centred / (var + self.EPS).sqrt()
         return normed * self.gamma + self.beta
 
 

@@ -73,45 +73,46 @@ class SGD(Optimizer):
 class Adam(Optimizer):
     """Adam (Kingma & Ba) with bias correction."""
 
-    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
-                 betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3):
         super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self._step += 1
-        bc1 = 1.0 - self.beta1 ** self._step
-        bc2 = 1.0 - self.beta2 ** self._step
+        bc1 = 1.0 - self.BETA1 ** self._step
+        bc2 = 1.0 - self.BETA2 ** self._step
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
             grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            m *= self.beta1
-            m += (1 - self.beta1) * grad
-            v *= self.beta2
-            v += (1 - self.beta2) * grad * grad
+            m *= self.BETA1
+            m += (1 - self.BETA1) * grad
+            v *= self.BETA2
+            v += (1 - self.BETA2) * grad * grad
             m_hat = m / bc1
             v_hat = v / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 class ReduceLROnPlateau:
-    """Halve the learning rate when the monitored metric stops improving."""
+    """Halve the learning rate when the monitored metric stops improving.
 
-    def __init__(self, optimizer: Optimizer, factor: float = 0.5,
-                 patience: int = 5, min_lr: float = 1e-6):
+    The rate drops once more than :attr:`PATIENCE` consecutive epochs
+    fail to improve on the best metric, never below :attr:`MIN_LR`.
+    """
+
+    FACTOR = 0.5
+    PATIENCE = 5
+    MIN_LR = 1e-6
+
+    def __init__(self, optimizer: Optimizer):
         self.optimizer = optimizer
-        self.factor = factor
-        self.patience = patience
-        self.min_lr = min_lr
         self._best: Optional[float] = None
         self._bad_epochs = 0
 
@@ -122,8 +123,8 @@ class ReduceLROnPlateau:
             self._bad_epochs = 0
             return False
         self._bad_epochs += 1
-        if self._bad_epochs > self.patience:
-            new_lr = max(self.optimizer.lr * self.factor, self.min_lr)
+        if self._bad_epochs > self.PATIENCE:
+            new_lr = max(self.optimizer.lr * self.FACTOR, self.MIN_LR)
             reduced = new_lr < self.optimizer.lr
             self.optimizer.lr = new_lr
             self._bad_epochs = 0

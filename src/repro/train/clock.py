@@ -23,10 +23,16 @@ from repro.core.path import PathRepresentation
 from repro.errors import SimulationError
 from repro.graph.batch import GraphBatch
 from repro.graph.graph import Graph
-from repro.memsim.device import DeviceSpec, GPUDevice, GTX_1080
+from repro.memsim.device import GPUDevice, GTX_1080
 from repro.memsim.profiler import Profiler
 from repro.models.kernel_plans import BACKWARD_FACTOR, simulate_batch
 from repro.models.runtime import BaselineRuntime, MegaRuntime
+
+
+#: Representative batches an :class:`EpochCostModel` simulates per
+#: measurement; more would average out batch-composition noise at
+#: simulation cost.
+SAMPLE_BATCHES = 2
 
 
 class SimulatedClock:
@@ -38,14 +44,13 @@ class SimulatedClock:
     forward: ``advance_to`` with a timestamp in the past is a no-op, so
     callers can re-announce deadlines without rewinding history.
 
-    Tests inject their own instance (or a subclass) to start at an
-    offset or to record every advance.
+    Every clock starts at 0.  Tests inject their own instance (or a
+    subclass) to start at an offset, by advancing it first, or to record
+    every advance.
     """
 
-    def __init__(self, start_s: float = 0.0):
-        if not np.isfinite(start_s):
-            raise SimulationError(f"clock start must be finite, got {start_s}")
-        self._now_s = float(start_s)
+    def __init__(self) -> None:
+        self._now_s = 0.0
 
     def now(self) -> float:
         """Current simulated time in seconds."""
@@ -83,34 +88,23 @@ class EpochCost:
 class EpochCostModel:
     """Estimates simulated epoch time for a (dataset, model, method) trio.
 
-    Parameters
-    ----------
-    method:
-        ``"baseline"`` or ``"mega"``.
-    sample_batches:
-        How many representative batches to simulate (>=1).  More samples
-        average out batch-composition noise at simulation cost.
+    ``method`` is ``"baseline"`` or ``"mega"``.  Each :meth:`measure`
+    simulates :data:`SAMPLE_BATCHES` representative batches.
     """
 
     def __init__(self, model_name: str, method: str,
                  hidden_dim: int, num_layers: int,
                  batch_size: int,
                  mega_config: Optional[MegaConfig] = None,
-                 device_spec: DeviceSpec = GTX_1080,
-                 sample_batches: int = 2,
                  seed: int = 0):
         if method not in ("baseline", "mega"):
             raise SimulationError(f"unknown method {method!r}")
-        if sample_batches < 1:
-            raise SimulationError("sample_batches must be >= 1")
         self.model_name = model_name
         self.method = method
         self.hidden_dim = hidden_dim
         self.num_layers = num_layers
         self.batch_size = batch_size
         self.mega_config = mega_config or MegaConfig()
-        self.device_spec = device_spec
-        self.sample_batches = sample_batches
         self.seed = seed
         self._cache: Dict[str, EpochCost] = {}
 
@@ -140,9 +134,9 @@ class EpochCostModel:
         num_batches = int(np.ceil(len(graphs) / self.batch_size))
         rng = np.random.default_rng(self.seed)
         profiler = Profiler()
-        device = GPUDevice(self.device_spec)
+        device = GPUDevice(GTX_1080)
         times: List[float] = []
-        for _ in range(self.sample_batches):
+        for _ in range(SAMPLE_BATCHES):
             idx = rng.choice(len(graphs),
                              size=min(self.batch_size, len(graphs)),
                              replace=False)

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.core.config import MegaConfig
 from repro.datasets.base import GraphDataset
-from repro.memsim.device import DeviceSpec, GTX_1080
 from repro.train.metrics import History, speedup_to_target
 from repro.train.trainer import Trainer, build_model
 
@@ -39,7 +38,6 @@ def run_convergence(dataset: GraphDataset, model_name: str,
                     batch_size: int = 64, num_epochs: int = 20,
                     lr: float = 1e-3,
                     mega_config: Optional[MegaConfig] = None,
-                    device_spec: DeviceSpec = GTX_1080,
                     seed: int = 0,
                     shared_numerics: bool = True,
                     workers: int = 1,
@@ -57,8 +55,7 @@ def run_convergence(dataset: GraphDataset, model_name: str,
     model = build_model(model_name, dataset, hidden_dim=hidden_dim,
                         num_layers=num_layers, seed=seed)
     base_trainer = Trainer(model, dataset, method="baseline",
-                           batch_size=batch_size, lr=lr,
-                           device_spec=device_spec, seed=seed)
+                           batch_size=batch_size, lr=lr, seed=seed)
     base_history = base_trainer.fit(num_epochs)
 
     if shared_numerics:
@@ -66,8 +63,8 @@ def run_convergence(dataset: GraphDataset, model_name: str,
             build_model(model_name, dataset, hidden_dim=hidden_dim,
                         num_layers=num_layers, seed=seed),
             dataset, method="mega", batch_size=batch_size, lr=lr,
-            mega_config=mega_config, device_spec=device_spec, seed=seed,
-            workers=workers, cache_dir=cache_dir, max_retries=max_retries)
+            mega_config=mega_config, seed=seed, workers=workers,
+            cache_dir=cache_dir, max_retries=max_retries)
         train_cost = mega_trainer._epoch_cost_seconds("train")
         val_cost = mega_trainer._epoch_cost_seconds("validation")
         mega_history = History(method="mega", model_name=model_name,
@@ -86,8 +83,7 @@ def run_convergence(dataset: GraphDataset, model_name: str,
                                  num_layers=num_layers, seed=seed)
         mega_trainer = Trainer(mega_model, dataset, method="mega",
                                batch_size=batch_size, lr=lr,
-                               mega_config=mega_config,
-                               device_spec=device_spec, seed=seed,
+                               mega_config=mega_config, seed=seed,
                                workers=workers, cache_dir=cache_dir,
                                max_retries=max_retries)
         mega_history = mega_trainer.fit(num_epochs)

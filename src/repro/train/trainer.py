@@ -33,7 +33,6 @@ from repro.core.config import MegaConfig
 from repro.datasets.base import GraphDataset
 from repro.errors import ConfigError, DivergenceError
 from repro.graph.batch import GraphBatch
-from repro.memsim.device import DeviceSpec, GTX_1080
 from repro.models.base import GNNModel, ModelConfig
 from repro.models.gat import GAT
 from repro.models.gated_gcn import GatedGCN
@@ -51,6 +50,9 @@ MODEL_CLASSES = {"GCN": GatedGCN, "GT": GraphTransformer, "GAT": GAT}
 
 #: File name of the rolling checkpoint inside ``checkpoint_dir``.
 CHECKPOINT_NAME = "checkpoint.npz"
+
+#: Global gradient-norm bound applied before every optimiser step.
+GRAD_CLIP = 5.0
 
 
 def build_model(model_name: str, dataset: GraphDataset,
@@ -73,9 +75,6 @@ class Trainer:
                  method: str = "baseline", batch_size: int = 64,
                  lr: float = 1e-3,
                  mega_config: Optional[MegaConfig] = None,
-                 device_spec: DeviceSpec = GTX_1080,
-                 clock_samples: int = 2,
-                 grad_clip: float = 5.0,
                  seed: int = 0,
                  workers: int = 1,
                  cache_dir=None,
@@ -88,7 +87,6 @@ class Trainer:
         self.dataset = dataset
         self.method = method
         self.batch_size = batch_size
-        self.grad_clip = grad_clip
         self.rng = np.random.default_rng(seed)
         self.mega_config = mega_config or MegaConfig()
         self.optimizer = Adam(model.parameters(), lr=lr)
@@ -123,7 +121,6 @@ class Trainer:
             hidden_dim=model.config.hidden_dim,
             num_layers=model.config.num_layers,
             batch_size=batch_size, mega_config=self.mega_config,
-            device_spec=device_spec, sample_batches=clock_samples,
             seed=seed)
 
     # ------------------------------------------------------------------
@@ -158,7 +155,7 @@ class Trainer:
             loss = self.model.loss(predictions, batch.labels)
             self.optimizer.zero_grad()
             loss.backward()
-            self.optimizer.clip_grad_norm(self.grad_clip)
+            self.optimizer.clip_grad_norm(GRAD_CLIP)
             self.optimizer.step()
             losses.append(loss.item())
         return float(np.mean(losses))

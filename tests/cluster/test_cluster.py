@@ -52,7 +52,6 @@ fault_plans = st.builds(
 health_configs = st.fixed_dictionaries({
     "breaker_threshold": st.integers(0, 3),
     "breaker_cooldown_s": st.sampled_from([0.0, 0.01, 0.05]),
-    "breaker_slow_ratio": st.sampled_from([1.5, 4.0]),
     "brownout_watermark": st.sampled_from([0.0, 0.5, 1.0]),
 })
 
@@ -653,8 +652,19 @@ class TestConfigValidation:
             ClusterConfig(breaker_threshold=-1)
         with pytest.raises(ClusterError, match="breaker_cooldown_s"):
             ClusterConfig(breaker_cooldown_s=-0.1)
-        with pytest.raises(ClusterError, match="breaker_slow_ratio"):
-            ClusterConfig(breaker_slow_ratio=1.0)
+
+    @pytest.mark.parametrize("plan", [
+        FaultPlan(crash_replicas=(7,)),
+        FaultPlan(crash_replicas=(0, 3)),
+        FaultPlan(slow_replicas=(3,)),
+        FaultPlan(slow_replicas=(-1,)),
+    ], ids=["crash-7", "crash-3", "slow-3", "slow-negative"])
+    def test_fault_pin_outside_the_fleet_rejected(self, model, plan):
+        """Such a pin used to be ignored silently (never fired)."""
+        pinned = (plan.crash_replicas + plan.slow_replicas)[-1]
+        with pytest.raises(ClusterError,
+                           match=rf"pins replica {pinned} .*0\.\.2"):
+            Cluster(model, ClusterConfig(num_replicas=3), fault_plan=plan)
 
     def test_bad_brownout_knobs_rejected(self):
         with pytest.raises(ClusterError, match="brownout_watermark"):

@@ -47,6 +47,39 @@ class TestScaleBoundary:
         assert len(err) == 1 and err[0].startswith("error: scale must be")
 
 
+class TestRateBoundary:
+    """``--rate`` must be finite and > 0: ``serve --rate 0`` used to die
+    with a ZeroDivisionError traceback, ``serve --rate -5`` served
+    requests submitted at negative times, ``loadtest --rate inf`` was
+    accepted and NaN failed deep inside the clock."""
+
+    @pytest.mark.parametrize("rate", ["0", "-5", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["serve", "loadtest"])
+    def test_bad_rate_exits_2(self, command, rate, tmp_path, capsys):
+        assert main([command, "--rate", rate, "--scale", "0.004",
+                     "--cache-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: rate must be")
+
+
+class TestFaultPinBoundary:
+    """A fault pinned on a replica outside the fleet used to be ignored:
+    the run exited 0 as if no fault had been asked for."""
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--replicas", "3", "--crash-replica", "7"],
+        ["cluster", "--replicas", "3", "--slow-replica", "7"],
+        ["stream", "--replicas", "2", "--crash-replica", "5"],
+    ], ids=["cluster-crash", "cluster-slow", "stream-crash"])
+    def test_out_of_fleet_pin_exits_2(self, argv, tmp_path, capsys):
+        assert main([*argv, "--scale", "0.004",
+                     "--cache-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: fault plan pins replica")
+        assert f"replica {argv[-1]} " in err[0]
+
+
 class TestCommands:
     def test_stats(self, capsys):
         assert main(["stats", "--scale", "0.005"]) == 0

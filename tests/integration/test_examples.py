@@ -15,6 +15,8 @@ FAST_EXAMPLES = [
     "path_visualization.py",
     "custom_model.py",
     "profile_gpu_kernels.py",
+    "heterogeneous_paths.py",
+    "serving_loadtest.py",
 ]
 
 ARG_EXAMPLES = [

@@ -37,13 +37,6 @@ class TestMessageList:
         gid_dst = batch.graph_ids[rt.msg_dst]
         assert np.array_equal(gid_src, gid_dst)
 
-    def test_include_self_adds_diagonal(self, setting):
-        _, batch = setting
-        without = GlobalAttentionRuntime(batch, include_self=False)
-        with_self = GlobalAttentionRuntime(batch, include_self=True)
-        assert (with_self.num_messages
-                == without.num_messages + batch.num_nodes)
-
     def test_edge_types_use_virtual_slot(self, setting):
         ds, batch = setting
         rt = GlobalAttentionRuntime(batch)

@@ -35,15 +35,6 @@ class TestGatedGCNLayer:
         assert (ops.count(Scatter), ops.count(Gather)) == (1, 2)
         assert ops.weights_d2 == 5
 
-    def test_residual_toggle(self, setting, rng):
-        batch, rt, h, e = setting
-        with_res = GatedGCNLayer(16, rng=np.random.default_rng(0))
-        without = GatedGCNLayer(16, rng=np.random.default_rng(0),
-                                residual=False)
-        h_res, _ = with_res(h, e, rt)
-        h_no, _ = without(h, e, rt)
-        assert np.allclose(h_res.data - h_no.data, h.data, atol=1e-9)
-
     def test_gradient_flow(self, setting, rng):
         batch, rt, h, e = setting
         layer = GatedGCNLayer(16, rng=rng)
@@ -87,8 +78,7 @@ class TestGraphTransformerLayer:
         g.label = 0.0
         batch = GraphBatch([g])
         rt = BaselineRuntime(batch)
-        layer = GraphTransformerLayer(8, num_heads=2, rng=rng,
-                                      residual=False)
+        layer = GraphTransformerLayer(8, num_heads=2, rng=rng)
         h = Tensor(rng.normal(size=(7, 8)))
         e = Tensor(np.zeros((rt.num_messages, 8)))
         h2, _ = layer(h, e, rt)

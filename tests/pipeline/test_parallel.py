@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import MegaConfig, PathRepresentation, make_attention_plan
+from repro.cli import main
+from repro.core import (MegaConfig, PathRepresentation, load_schedules_npz,
+                        make_attention_plan)
 from repro.datasets import load_dataset
 from repro.graph.generators import erdos_renyi, molecular_like
 from repro.pipeline import precompute_paths
@@ -71,24 +73,32 @@ class TestWorkerDeterminism:
 
 
 class TestDatasetHook:
+    """Whole-dataset preprocessing: ``repro preprocess`` and its pipeline."""
+
     def test_precompute_splits_align(self, tmp_path):
+        out = tmp_path / "schedules.npz"
+        assert main(["preprocess", "--dataset", "ZINC", "--scale", "0.01",
+                     "--workers", "2", "--cache-dir", str(tmp_path / "c"),
+                     "--output", str(out)]) == 0
         ds = load_dataset("ZINC", scale=0.01)
-        pre = ds.precompute(workers=2, cache_dir=tmp_path)
+        expected = [f"{split}/{i}" for split, graphs in ds.splits.items()
+                    for i in range(len(graphs))]
+        with np.load(out) as archive:
+            keys = list(dict.fromkeys(name.rsplit("/", 1)[0]
+                                      for name in archive.files))
+        assert keys == expected
+        schedules = load_schedules_npz(out)
         for split, graphs in ds.splits.items():
-            assert len(pre.paths[split]) == len(graphs)
-            assert len(pre.plans[split]) == len(graphs)
-            for g, rep in zip(graphs, pre.paths[split]):
-                assert rep.graph is g or rep.graph.num_nodes == g.num_nodes
-        flat = pre.flat_schedules()
-        assert len(flat) == ds.num_graphs
-        assert f"train/0" in flat and "test/0" in flat
+            for i, g in enumerate(graphs):
+                path = schedules[f"{split}/{i}"].path
+                assert set(path.tolist()) == set(range(g.num_nodes))
 
     def test_dataset_warm_second_call(self, tmp_path):
-        ds = load_dataset("ZINC", scale=0.01)
-        cold = ds.precompute(cache_dir=tmp_path)
-        warm = ds.precompute(cache_dir=tmp_path)
+        graphs = load_dataset("ZINC", scale=0.01).all_graphs()
+        cold = precompute_paths(graphs, cache_dir=tmp_path)
+        warm = precompute_paths(graphs, cache_dir=tmp_path)
         assert cold.stats.cache.misses > 0
-        assert warm.stats.cache.hits == ds.num_graphs
+        assert warm.stats.cache.hits == len(graphs)
         assert warm.stats.computed == 0
 
 

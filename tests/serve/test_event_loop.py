@@ -151,6 +151,7 @@ class TestStalls:
             loop.run(lambda: [(0, engine)], None, {})
 
     def test_empty_loop_returns_without_moving_the_clock(self):
-        clock = SimulatedClock(start_s=4.0)
+        clock = SimulatedClock()
+        clock.advance(4.0)
         EventLoop(clock).run(lambda: [], None, {})
         assert clock.now() == 4.0

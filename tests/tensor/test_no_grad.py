@@ -133,7 +133,7 @@ class TestTapeFreeModules:
         norm = LayerNorm(6)
         norm.gamma.data = rng.normal(size=6)
         norm.beta.data = rng.normal(size=6)
-        return [linear, Linear(6, 5, bias=False, rng=rng), norm]
+        return [linear, Linear(6, 5, rng=rng), norm]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("rows", [0, 1, 37])
