@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.datasets import load_dataset
-from repro.pipeline import ScheduleCache, pack_entry, precompute_paths, \
+from repro.pipeline import ScheduleCache, encode_entry, precompute_paths, \
     schedule_cache_key
 from repro.core import MegaConfig
 from repro.resilience import FaultPlan, corrupt_cache_entry
@@ -29,10 +29,9 @@ from repro.train import Trainer, build_model
 
 
 def entry_bytes(result):
-    """Packed schedule bytes plus every derived attention-plan array."""
+    """Encoded schedule bytes plus every derived attention-plan array."""
     return b"".join(
-        [arr.tobytes() for rep in result.paths
-         for arr in pack_entry(rep.schedule).values()]
+        [encode_entry(rep.schedule) for rep in result.paths]
         + [getattr(plan, name).tobytes() for plan in result.plans
            for name in ("src_pos", "dst_pos", "edge_ids",
                         "unique_edge_rows", "mirror_index")])

@@ -4,7 +4,7 @@ A torn write is the root cause behind most "restart after crash"
 corruption: a process dies between opening the destination and
 finishing the payload, and the next reader sees half a file under the
 real name.  Both durable subsystems in this repo (the schedule cache's
-``.npz`` payloads and the trainer's checkpoints) therefore funnel every
+payloads and the trainer's ``.npz`` checkpoints) therefore funnel every
 write through :func:`atomic_write_bytes`:
 
 1. write the full payload to a uniquely-named sibling

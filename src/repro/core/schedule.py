@@ -116,9 +116,16 @@ def traverse(graph: Graph, window: int, coverage: float = 1.0,
 
     # Uncovered-neighbour sets: N in the paper's notation.  Self-loops are
     # trivially covered by any appearance, so they never enter the sets.
+    # ``adjacency`` is the graph's own edge relation (one direction per
+    # record when directed); it decides which transitions are virtual.
     uncovered: List[Set[int]] = [set() for _ in range(n)]
+    adjacency: List[Set[int]] = [set() for _ in range(n)]
     loops: Set[Tuple[int, int]] = set()
+    undirected = graph.undirected
     for s, d in zip(graph.src.tolist(), graph.dst.tolist()):
+        adjacency[s].add(d)
+        if undirected:
+            adjacency[d].add(s)
         if s == d:
             loops.add((s, d))
             continue
@@ -127,6 +134,17 @@ def traverse(graph: Graph, window: int, coverage: float = 1.0,
     total_countable = sum(len(x) for x in uncovered) // 2
     target_covered = int(np.ceil(coverage * total_countable))
 
+    # Jump order: odd-degree vertices first (better path endpoints,
+    # Section III-B's first objective), then high degree, then low id.
+    # A jump happens only with the stack empty, when no path entry has an
+    # uncovered edge left, so equation 2 scores every candidate 0; and an
+    # unvisited vertex still has all its edges uncovered.  The order
+    # therefore never changes, and one sort serves every jump.
+    jump_order = sorted(range(n), reverse=True,
+                        key=lambda v: (len(uncovered[v]) % 2 == 1,
+                                       len(uncovered[v]), -v))
+    next_jump = 0
+
     rng = rng or np.random.default_rng(0)
     start_vertex = resolve_start(graph, start)
 
@@ -134,10 +152,10 @@ def traverse(graph: Graph, window: int, coverage: float = 1.0,
     virtual: List[bool] = []
     cover_positions: Dict[Tuple[int, int], Tuple[int, int]] = {}
     stack: List[int] = []
-    unvisited: Set[int] = set(range(n))
+    visited = [False] * n
+    unvisited = n
     covered = 0
     jumps = 0
-    adjacency_sets = [set(a.tolist()) for a in graph.adjacency_lists()]
 
     def correlate(v: int, recent: List[int]) -> int:
         """Equation 2: |N(v) ∩ P[i-ω : i]| over uncovered edges."""
@@ -145,7 +163,7 @@ def traverse(graph: Graph, window: int, coverage: float = 1.0,
 
     def append(v: int, is_virtual: bool) -> None:
         """Add v to the path and mark every newly band-covered edge."""
-        nonlocal covered
+        nonlocal covered, unvisited
         i = len(path)
         path.append(v)
         virtual.append(is_virtual)
@@ -157,7 +175,9 @@ def traverse(graph: Graph, window: int, coverage: float = 1.0,
                 uncovered[u].discard(v)
                 covered += 1
                 cover_positions[(min(u, v), max(u, v))] = (j, i)
-        unvisited.discard(v)
+        if not visited[v]:
+            visited[v] = True
+            unvisited -= 1
         if uncovered[v]:
             stack.append(v)
 
@@ -174,13 +194,13 @@ def traverse(graph: Graph, window: int, coverage: float = 1.0,
                 f"traversal exceeded {max_steps} steps "
                 f"(n={n}, m={total_countable}, covered={covered})")
         curr = path[-1]
-        recent = path[-window:]
-        neighbours = [v for v in uncovered[curr]]
-        if neighbours:
+        if uncovered[curr]:
             # Continue the walk: strongest band correlation first, then
             # unvisited vertices, then low id for determinism.
-            best = max(neighbours,
-                       key=lambda v: (correlate(v, recent), v in unvisited, -v))
+            recent = path[-window:]
+            best = max(uncovered[curr],
+                       key=lambda v: (correlate(v, recent), not visited[v],
+                                      -v))
             append(best, is_virtual=False)
             continue
         # Dead end: pop the stack until a revisitable vertex surfaces.
@@ -188,28 +208,17 @@ def traverse(graph: Graph, window: int, coverage: float = 1.0,
             stack.pop()
         if stack:
             resume = stack.pop()
-            jumps += int(resume not in adjacency_sets[curr])
-            append(resume, is_virtual=resume not in adjacency_sets[curr])
+            is_virtual = resume not in adjacency[curr]
+            jumps += int(is_virtual)
+            append(resume, is_virtual)
             continue
-        if unvisited:
-            # Commence a new path: prefer odd-degree vertices (better path
-            # endpoints, Section III-B's first objective), then high degree.
-            candidates = sorted(unvisited)
-            best = max(candidates,
-                       key=lambda v: (correlate(v, recent),
-                                      len(uncovered[v]) % 2 == 1,
-                                      len(uncovered[v]), -v))
-            jumps += 1
-            append(best, is_virtual=True)
-            continue
-        # All vertices seen but coverage target unmet: jump to any vertex
-        # that still has uncovered edges.
-        remaining = [v for v in range(n) if uncovered[v]]
-        if not remaining:
-            break  # nothing coverable is left (coverage target met)
-        best = max(remaining, key=lambda v: (len(uncovered[v]), -v))
+        # Empty stack: every uncovered edge has an unvisited endpoint, so
+        # the loop condition left an unvisited vertex.  Commence a new
+        # path at the first one in jump order.
+        while visited[jump_order[next_jump]]:
+            next_jump += 1
         jumps += 1
-        append(best, is_virtual=True)
+        append(jump_order[next_jump], is_virtual=True)
 
     # Self-loops: covered by the first appearance of their vertex.
     first_pos: Dict[int, int] = {}

@@ -7,8 +7,8 @@ scale:
 - :mod:`repro.pipeline.parallel` — fan the traversal out across worker
   processes with a deterministic, input-ordered merge.
 - :mod:`repro.pipeline.cache` — content-addressed on-disk store of
-  ``TraversalResult`` arrays, the schedule only (atomic ``.npz``
-  writes, checksum verification, LRU size cap); every plan is derived
+  ``TraversalResult`` schedules as flat payloads (atomic writes,
+  checksum verification, LRU size cap); every plan is derived
   from the materialised path on demand.
 - :mod:`repro.pipeline.hashing` — cache keys from (CSR bytes, config
   fields, schedule code version).
@@ -29,8 +29,8 @@ See ``docs/preprocessing.md`` for the user guide,
 from repro.pipeline.cache import (
     ScheduleCache,
     default_cache_dir,
-    pack_entry,
-    unpack_entry,
+    decode_entry,
+    encode_entry,
 )
 from repro.pipeline.hashing import (
     CACHE_FORMAT_VERSION,
@@ -50,8 +50,8 @@ from repro.pipeline.stats import CacheStats, PipelineStats, QuarantineRecord
 __all__ = [
     "ScheduleCache",
     "default_cache_dir",
-    "pack_entry",
-    "unpack_entry",
+    "encode_entry",
+    "decode_entry",
     "SCHEDULE_CODE_VERSION",
     "CACHE_FORMAT_VERSION",
     "schedule_cache_key",

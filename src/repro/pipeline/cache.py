@@ -4,7 +4,8 @@ Layout on disk (everything lives under one cache directory)::
 
     <cache_dir>/
       index.json          key -> {size, sha256, last_used}
-      <key>.npz           TraversalResult arrays (the schedule only)
+      <key>.npz           one flat payload: the schedule only (see
+                          encode_entry; the suffix predates the layout)
 
 Guarantees
 ----------
@@ -14,8 +15,8 @@ Guarantees
   crash mid-write leaves the previous state.
 * **Corruption is a miss, never a crash** — every read re-hashes the
   file and compares against the recorded checksum; mismatches,
-  unreadable archives, and payload-version drift all delete the entry,
-  count an invalidation (split into ``corrupt_checksum`` /
+  payloads that fail to decode, and payload-version drift all delete
+  the entry, count an invalidation (split into ``corrupt_checksum`` /
   ``corrupt_payload`` in :class:`CacheStats`), and fall back to
   recomputation.
 * **Crash recovery** — opening a cache sweeps ``.tmp.`` litter left by
@@ -34,9 +35,9 @@ parent process.
 
 from __future__ import annotations
 
-import io
 import json
 import os
+import zlib
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -62,49 +63,74 @@ def default_cache_dir() -> Path:
 
 
 # ----------------------------------------------------------------------
-# Payload packing: schedule  <->  flat dict of arrays
+# Payload codec: schedule  <->  one flat little-endian byte string
 #
-# Exactly three archive members — per-member zipfile overhead dominates
-# the warm-path read, so the int64 payloads are concatenated into one
-# array with section lengths recorded in the meta header.  Only the
-# schedule is stored: every plan is a cheap view of the materialised
-# path representation's band.
+#   header   7 x int64   version, window, covered, total, jumps,
+#                        n_path, n_cover
+#   path     n_path x int64
+#   cover    n_cover x 4 x int64   (u, v, i, j), sorted by edge key
+#   mask     n_path x int8         virtual_mask
+#   crc      1 x uint32            zlib.crc32 of everything before it
+#
+# Only the schedule is stored: every plan is a cheap view of the
+# materialised path representation's band.  The trailer guards orphan
+# payloads, which are adopted without an index checksum to compare.
 # ----------------------------------------------------------------------
-def pack_entry(result: TraversalResult) -> Dict[str, np.ndarray]:
-    """Flatten one schedule into .npz-ready arrays."""
+_INT = np.dtype("<i8")
+_HEADER_WORDS = 7
+_HEADER_BYTES = _HEADER_WORDS * _INT.itemsize
+_CRC_BYTES = 4
+
+
+def encode_entry(result: TraversalResult) -> bytes:
+    """One schedule as a flat cache payload."""
     cover = np.asarray(
-        [[u, v, i, j] for (u, v), (i, j)
+        [(u, v, i, j) for (u, v), (i, j)
          in sorted(result.cover_positions.items())],
-        dtype=np.int64).reshape(-1, 4)
-    path = np.asarray(result.path, np.int64)
-    meta = np.asarray(
+        dtype=_INT).reshape(-1, 4)
+    path = np.asarray(result.path, _INT)
+    header = np.asarray(
         [CACHE_FORMAT_VERSION,
          result.window, result.covered_edges, result.total_edges,
-         result.num_jumps, len(path), len(cover)],
-        np.int64)
-    return {"meta": meta,
-            "ints": np.concatenate([path, cover.ravel()]),
-            "flags": np.asarray(result.virtual_mask, np.int8)}
+         result.num_jumps, len(path), len(cover)], _INT)
+    body = b"".join([header.tobytes(), path.tobytes(), cover.tobytes(),
+                     np.asarray(result.virtual_mask, np.int8).tobytes()])
+    return body + zlib.crc32(body).to_bytes(_CRC_BYTES, "little")
 
 
-def unpack_entry(arrays) -> TraversalResult:
-    """Inverse of :func:`pack_entry`; raises on version/shape drift."""
-    meta = np.asarray(arrays["meta"]).ravel()
-    if len(meta) != 7 or int(meta[0]) != CACHE_FORMAT_VERSION:
-        raise ValueError(f"cache payload header {meta.tolist()}, "
-                         f"expected version {CACHE_FORMAT_VERSION}")
-    window, covered, total, jumps, n_path, n_cover = \
-        (int(x) for x in meta[1:])
-    ints = np.asarray(arrays["ints"], np.int64)
-    flags = np.asarray(arrays["flags"], np.int8)
-    if len(ints) != n_path + 4 * n_cover or len(flags) != n_path:
-        raise ValueError("cache payload section lengths disagree")
-    cover = ints[n_path:].reshape(-1, 4)
+def decode_entry(data: bytes) -> TraversalResult:
+    """Inverse of :func:`encode_entry`; ``ValueError`` on any drift.
+
+    The version, both section lengths, the exact total length and the
+    checksum must all agree.  The arrays returned are owned copies.
+    """
+    if len(data) < _HEADER_BYTES + _CRC_BYTES:
+        raise ValueError(f"cache payload of {len(data)} bytes is shorter "
+                         "than its header")
+    version, window, covered, total, jumps, n_path, n_cover = \
+        np.frombuffer(data, _INT, _HEADER_WORDS).tolist()
+    if version != CACHE_FORMAT_VERSION:
+        raise ValueError(f"cache payload version {version}, "
+                         f"expected {CACHE_FORMAT_VERSION}")
+    if n_path < 0 or n_cover < 0:
+        raise ValueError(f"cache payload section lengths {n_path}, "
+                         f"{n_cover}")
+    n_ints = n_path + 4 * n_cover
+    size = _HEADER_BYTES + n_ints * _INT.itemsize + n_path + _CRC_BYTES
+    if len(data) != size:
+        raise ValueError(f"cache payload of {len(data)} bytes, header "
+                         f"says {size}")
+    if zlib.crc32(data[:-_CRC_BYTES]) != \
+            int.from_bytes(data[-_CRC_BYTES:], "little"):
+        raise ValueError("cache payload checksum mismatch")
+    ints = np.frombuffer(data, _INT, n_ints, _HEADER_BYTES)
+    flags = np.frombuffer(data, np.int8, n_path,
+                          _HEADER_BYTES + n_ints * _INT.itemsize)
     return TraversalResult(
-        path=ints[:n_path].copy(),
+        path=ints[:n_path].astype(np.int64),
         virtual_mask=flags.astype(bool),
-        cover_positions={(int(u), int(v)): (int(i), int(j))
-                         for u, v, i, j in cover},
+        cover_positions={(u, v): (i, j) for u, v, i, j
+                         in ints[n_path:].reshape(-1, 4).tolist()},
         window=window, covered_edges=covered,
         total_edges=total, num_jumps=jumps)
 
@@ -186,7 +212,11 @@ class ScheduleCache:
     # Public API
     # ------------------------------------------------------------------
     def payload_path(self, key: str) -> Path:
-        """On-disk location of one entry's ``.npz`` payload.
+        """On-disk location of one entry's payload.
+
+        The ``.npz`` suffix is kept from the zip-archive layout, so a
+        payload an older tree left behind is found, rejected by the
+        version check and overwritten rather than orphaned.
 
         Public so the fault-injection harness
         (:func:`repro.resilience.corrupt_cache_entry`) and tests can
@@ -224,10 +254,9 @@ class ScheduleCache:
             self.stats.misses += 1
             return None
         try:
-            with np.load(io.BytesIO(data)) as archive:
-                unpacked = unpack_entry(archive)
-        except Exception:
-            # Truncated zip, missing arrays, version drift, bad shapes.
+            unpacked = decode_entry(data)
+        except ValueError:
+            # Truncation, version drift, bad lengths, flipped bytes.
             self._invalidate(key)
             self.stats.corrupt_payload += 1
             self.stats.misses += 1
@@ -251,11 +280,7 @@ class ScheduleCache:
         per entry.  Payloads are durable either way; an unflushed index
         only costs a re-adoption on the next ``get``.
         """
-        buffer = io.BytesIO()
-        # Uncompressed: entries are small index arrays and the warm-path
-        # read cost is what the cache exists to minimise.
-        np.savez(buffer, **pack_entry(result))
-        data = buffer.getvalue()
+        data = encode_entry(result)
         self._atomic_write(self.payload_path(key), data)
         self._index[key] = {"size": len(data),
                             "sha256": file_checksum(data),

@@ -32,10 +32,12 @@ from repro.graph.graph import Graph
 #: every load, never cached, so they need no bump.
 SCHEDULE_CODE_VERSION = 1
 
-#: Layout version of the cached ``.npz`` payload (see ``cache.py``).
-#: Version 2 stores the schedule only; a version-1 payload (schedule
-#: plus attention plan) reads as a ``corrupt_payload`` miss.
-CACHE_FORMAT_VERSION = 2
+#: Layout version of the cached schedule payload (see ``cache.py``).
+#: Version 3 is one flat little-endian byte string.  Versions 1
+#: (schedule plus attention plan) and 2 (the schedule alone) were
+#: ``.npz`` zip archives; either reads as a ``corrupt_payload`` miss
+#: and is overwritten.
+CACHE_FORMAT_VERSION = 3
 
 
 def graph_fingerprint(graph: Graph) -> bytes:

@@ -1,5 +1,7 @@
 """Algorithm 1 invariants: coverage, adjacency, termination, determinism."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.graph import Graph, complete_graph, from_edge_list
+from tests.core.alg1_oracle import traverse_oracle
+from tests.strategies import directed_graphs, graphs
 
 
 def check_invariants(graph, result: TraversalResult):
@@ -168,20 +172,47 @@ class TestCoverageAccounting:
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(4, 24), p=st.floats(0.05, 0.6), seed=st.integers(0, 99))
-def test_random_graph_invariants(n, p, seed):
-    """Property: full coverage and adjacency hold on arbitrary ER graphs."""
-    g = erdos_renyi(np.random.default_rng(seed), n, p)
-    res = traverse(g, window=2)
-    check_invariants(g, res)
+@given(graph=graphs(max_nodes=24))
+def test_random_graph_invariants(graph):
+    """Property: full coverage and adjacency hold on arbitrary graphs."""
+    res = traverse(graph, window=2)
+    check_invariants(graph, res)
     assert res.coverage == 1.0
 
 
 @settings(max_examples=15, deadline=None)
-@given(n=st.integers(5, 20), window=st.integers(1, 5),
-       seed=st.integers(0, 50))
-def test_window_bound_respected(n, window, seed):
-    g = erdos_renyi(np.random.default_rng(seed), n, 0.3)
-    res = traverse(g, window=window)
+@given(graph=graphs(max_nodes=20), window=st.integers(1, 5))
+def test_window_bound_respected(graph, window):
+    res = traverse(graph, window=window)
     for (_, _), (i, j) in res.cover_positions.items():
         assert abs(j - i) <= window
+
+
+ORACLE_GRID = list(itertools.product((1, 2, 3, 5), (0.6, 1.0),
+                                     ("max_degree", "peripheral", "zero")))
+
+
+def assert_same_as_oracle(graph):
+    """The static jump order returns the rescanning oracle's schedule."""
+    for window, coverage, start in ORACLE_GRID:
+        got = traverse(graph, window, coverage, start)
+        want = traverse_oracle(graph, window, coverage, start)
+        where = (window, coverage, start)
+        assert np.array_equal(got.path, want.path), where
+        assert np.array_equal(got.virtual_mask, want.virtual_mask), where
+        assert list(got.cover_positions.items()) == \
+            list(want.cover_positions.items()), where
+        assert (got.covered_edges, got.total_edges, got.num_jumps) == \
+            (want.covered_edges, want.total_edges, want.num_jumps), where
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=graphs(max_nodes=18))
+def test_matches_rescanning_oracle(graph):
+    assert_same_as_oracle(graph)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=directed_graphs(max_nodes=14))
+def test_matches_rescanning_oracle_directed(graph):
+    assert_same_as_oracle(graph)

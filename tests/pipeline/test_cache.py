@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MegaConfig, PathRepresentation, make_attention_plan
 from repro.graph.generators import molecular_like
@@ -13,6 +14,8 @@ from repro.graph.graph import Graph, from_edge_list
 from repro.pipeline import (
     ScheduleCache,
     compute_schedule,
+    decode_entry,
+    encode_entry,
     graph_fingerprint,
     precompute_paths,
     schedule_cache_key,
@@ -148,6 +151,138 @@ class TestVersionOnePayload:
         assert (cache.stats.misses, cache.stats.corrupt_payload) == (1, 1)
         _, hit = store.resolve(graphs[0], key)
         assert hit and cache.stats.hits == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=any_graph(), window=st.integers(1, 4))
+def test_encode_decode_round_trip_property(graph, window):
+    """decode(encode(r)) == r, empty paths included; arrays are owned."""
+    fresh = compute_schedule(graph, MegaConfig(window=window))
+    decoded = decode_entry(encode_entry(fresh))
+    _assert_result_equal(fresh, decoded)
+    for array in (decoded.path, decoded.virtual_mask):
+        assert array.flags.owndata and array.flags.writeable
+
+
+def _v2_payload(graph, config):
+    """One entry in the version-2 layout: a three-member ``.npz``."""
+    result = compute_schedule(graph, config)
+    cover = np.asarray([[u, v, i, j] for (u, v), (i, j)
+                        in sorted(result.cover_positions.items())],
+                       dtype=np.int64).reshape(-1, 4)
+    meta = np.asarray([2, result.window, result.covered_edges,
+                       result.total_edges, result.num_jumps,
+                       len(result.path), len(cover)], np.int64)
+    buffer = io.BytesIO()
+    np.savez(buffer, meta=meta,
+             ints=np.concatenate([result.path, cover.ravel()]),
+             flags=result.virtual_mask.astype(np.int8))
+    return buffer.getvalue()
+
+
+def _assert_corrupt_orphan(cache_dir, key, data):
+    """``data`` written as an orphan (no index, so no checksum to catch
+    it) reads as one ``corrupt_payload`` miss and is deleted."""
+    payload = cache_dir / f"{key}.npz"
+    payload.write_bytes(data)
+    cache = ScheduleCache(cache_dir)
+    assert cache.get(key) is None
+    counts = cache.stats
+    assert (counts.hits, counts.misses, counts.corrupt_payload,
+            counts.invalidations) == (0, 1, 1, 1)
+    assert not payload.exists()
+    assert not (cache_dir / "index.json").exists()
+
+
+class TestOrphanPayloadMutations:
+    """Every damaged byte string fails decode, whatever part it hits."""
+
+    @pytest.fixture
+    def orphan(self, graphs):
+        config = MegaConfig()
+        return (schedule_cache_key(graphs[0], config),
+                encode_entry(compute_schedule(graphs[0], config)))
+
+    def test_intact_orphan_is_adopted(self, tmp_path, orphan):
+        key, data = orphan
+        (tmp_path / f"{key}.npz").write_bytes(data)
+        cache = ScheduleCache(tmp_path)
+        assert cache.get(key) is not None
+        assert (cache.stats.hits, cache.stats.corrupt_payload) == (1, 0)
+
+    def test_every_truncation(self, tmp_path, orphan):
+        key, data = orphan
+        for cut in range(len(data)):
+            _assert_corrupt_orphan(tmp_path, key, data[:cut])
+
+    def test_appended_bytes(self, tmp_path, orphan):
+        key, data = orphan
+        for tail in (b"\x00", b"\x00" * 4, b"\x00" * 8, data):
+            _assert_corrupt_orphan(tmp_path, key, data + tail)
+
+    def test_every_flipped_byte(self, tmp_path, orphan):
+        key, data = orphan
+        for pos in range(len(data)):
+            mutated = bytearray(data)
+            mutated[pos] ^= 0xFF
+            _assert_corrupt_orphan(tmp_path, key, bytes(mutated))
+
+    # Shrunk fuzz counterexamples: each decodes cleanly into a schedule
+    # Algorithm 1 never produced unless the checksum trailer is checked.
+    def test_empty_schedule_window_word_changed(self, tmp_path):
+        graph = Graph(0, [], [])
+        config = MegaConfig()
+        data = bytearray(encode_entry(compute_schedule(graph, config)))
+        data[8] ^= 1  # window 1 -> 0
+        _assert_corrupt_orphan(tmp_path, schedule_cache_key(graph, config),
+                               bytes(data))
+
+    def test_path_vertex_changed(self, tmp_path):
+        graph = from_edge_list([(0, 1)])
+        config = MegaConfig()
+        data = bytearray(encode_entry(compute_schedule(graph, config)))
+        data[56] ^= 1  # path[0]: vertex 0 <-> 1
+        _assert_corrupt_orphan(tmp_path, schedule_cache_key(graph, config),
+                               bytes(data))
+
+    def test_version_two_npz(self, tmp_path, graphs):
+        config = MegaConfig()
+        key = schedule_cache_key(graphs[0], config)
+        _assert_corrupt_orphan(tmp_path, key, _v2_payload(graphs[0], config))
+
+
+@st.composite
+def _mutations(draw, data):
+    """``data`` truncated, extended, or with one byte changed."""
+    kind = draw(st.sampled_from(("truncate", "append", "flip")))
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "append":
+        return data + draw(st.binary(min_size=1, max_size=16))
+    mutated = bytearray(data)
+    mutated[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(mutated)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=any_graph(), data=st.data())
+def test_mutated_orphan_is_recomputed_and_rewritten(tmp_path_factory,
+                                                     graph, data):
+    """A damaged orphan is a miss, never a raise; the next pipeline run
+    rewrites it and the run after that hits."""
+    config = MegaConfig()
+    key = schedule_cache_key(graph, config)
+    fresh = compute_schedule(graph, config)
+    mutated = data.draw(_mutations(encode_entry(fresh)))
+    cache_dir = tmp_path_factory.mktemp("mutated")
+    _assert_corrupt_orphan(cache_dir, key, mutated)
+    (cache_dir / f"{key}.npz").write_bytes(mutated)
+    rewrite = precompute_paths([graph], config, cache_dir=cache_dir)
+    counts = rewrite.stats.cache
+    assert (counts.hits, counts.corrupt_payload, counts.puts) == (0, 1, 1)
+    _assert_result_equal(fresh, rewrite.paths[0].schedule)
+    again = precompute_paths([graph], config, cache_dir=cache_dir)
+    assert (again.stats.cache.hits, again.stats.cache.misses) == (1, 0)
 
 
 class TestKeySensitivity:

@@ -2,7 +2,7 @@
 
 The contract under test (docs/resilience.md): **corruption is a miss,
 never a crash**.  Each scenario damages the on-disk store a different
-way — truncated ``.npz``, flipped payload byte, stale ``.tmp`` litter,
+way — truncated payload, flipped payload byte, stale ``.tmp`` litter,
 the whole directory deleted mid-run — then re-runs the pipeline and
 asserts it recomputes, repopulates, and counts the damage in
 :class:`CacheStats`.
@@ -57,8 +57,8 @@ class TestTruncatedPayload:
     def test_orphan_truncation_counts_payload_corruption(self, warm,
                                                          graphs):
         cache_dir, keys = warm
-        # No index -> no recorded checksum: the torn zip itself must be
-        # detected at decode time (the corrupt_payload path).
+        # No index -> no recorded checksum: the torn payload itself must
+        # be detected at decode time (the corrupt_payload path).
         (cache_dir / _INDEX_NAME).unlink()
         corrupt_cache_entry(ScheduleCache(cache_dir), keys[0], "truncate")
         result = rerun(graphs, cache_dir)

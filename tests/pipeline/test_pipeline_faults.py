@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import FaultInjectionError, GraphError
 from repro.graph.generators import molecular_like
-from repro.pipeline import pack_entry, precompute_paths
+from repro.pipeline import encode_entry, precompute_paths
 from repro.resilience import FaultPlan, RetryPolicy
 
 pytestmark = pytest.mark.faultinject
@@ -24,11 +24,10 @@ def graphs():
 
 
 def entry_bytes(result, index):
-    """Packed schedule bytes plus the derived plan's arrays."""
-    packed = pack_entry(result.paths[index].schedule)
+    """Encoded schedule bytes plus the derived plan's arrays."""
     plan = result.plans[index]
     return b"".join(
-        [packed[name].tobytes() for name in ("meta", "ints", "flags")]
+        [encode_entry(result.paths[index].schedule)]
         + [getattr(plan, name).tobytes()
            for name in ("src_pos", "dst_pos", "edge_ids",
                         "unique_edge_rows", "mirror_index")])

@@ -5,7 +5,7 @@ in one of :data:`SHAPES`: empty (no nodes), a single node, a star, a
 long path, an Erdős–Rényi draw, or a disjoint union of smaller draws
 (disconnected).  Any shape may carry self-loops.  Edge records come
 shuffled and in random orientation, so nothing downstream may rely on
-input order.
+input order.  :func:`directed_graphs` reads such a draw as directed.
 """
 
 import numpy as np
@@ -59,6 +59,20 @@ def graphs(draw, max_nodes: int = 14, shapes=SHAPES) -> Graph:
     loops = (draw(st.lists(st.integers(0, n - 1), unique=True, max_size=2))
              if n else [])
     return _shuffled(n, pairs, loops, rng)
+
+
+@st.composite
+def directed_graphs(draw, max_nodes: int = 14) -> Graph:
+    """A :func:`graphs` draw read as directed, some pairs both ways.
+
+    Each record keeps its drawn orientation; a drawn subset of the
+    non-loop records also gains its reverse record.
+    """
+    g = draw(graphs(max_nodes=max_nodes))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    back = (rng.random(g.num_edges) < 0.3) & (g.src != g.dst)
+    return Graph(g.num_nodes, np.concatenate([g.src, g.dst[back]]),
+                 np.concatenate([g.dst, g.src[back]]), undirected=False)
 
 
 @st.composite

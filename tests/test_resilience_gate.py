@@ -14,7 +14,7 @@ import pytest
 
 from repro.datasets import load_dataset
 from repro.graph.generators import molecular_like
-from repro.pipeline import ScheduleCache, pack_entry, precompute_paths
+from repro.pipeline import ScheduleCache, encode_entry, precompute_paths
 from repro.resilience import CORRUPTION_MODES, FaultPlan, corrupt_cache_entry
 from repro.train import Trainer, build_model
 
@@ -32,10 +32,9 @@ PLAN_ARRAYS = ("src_pos", "dst_pos", "edge_ids", "unique_edge_rows",
 
 
 def result_bytes(result):
-    """Packed schedule bytes plus every derived plan array."""
+    """Encoded schedule bytes plus every derived plan array."""
     return b"".join(
-        [arr.tobytes() for rep in result.paths
-         for arr in pack_entry(rep.schedule).values()]
+        [encode_entry(rep.schedule) for rep in result.paths]
         + [getattr(plan, name).tobytes() for plan in result.plans
            for name in PLAN_ARRAYS])
 
