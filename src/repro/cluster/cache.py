@@ -32,8 +32,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import MegaConfig
-from repro.core.schedule import TraversalResult
+from repro.core.path import PathRepresentation
+from repro.graph.graph import Graph
 from repro.pipeline.cache import ScheduleCache
+from repro.pipeline.parallel import materialise
 from repro.pipeline.stats import Counters
 from repro.serve.server import ScheduleMemo, ScheduleStore
 
@@ -41,7 +43,7 @@ from repro.serve.server import ScheduleMemo, ScheduleStore
 # benchmarks/perf tracer patches these names in this module by
 # attribute, so they must stay bound here.
 from repro.pipeline.hashing import schedule_cache_key
-from repro.pipeline.parallel import compute_schedule, materialise
+from repro.pipeline.parallel import compute_schedule
 
 
 @dataclass
@@ -100,10 +102,13 @@ class TierStats(Counters):
 class TieredScheduleCache:
     """The fleet's shared L2 tier plus a factory for per-replica views.
 
+    Both tiers hold path representations, so an L1 or L2 hit rebinds
+    one to the requesting graph instead of rebuilding its band.
     ``backing`` attaches an on-disk :class:`ScheduleCache` under the
-    L2 memo (cross-run persistence, corruption handling and all);
-    without it the L2 is a plain in-process table, which is what the
-    bench workloads and most tests want — no tmpdir needed.
+    L2 memo (cross-run persistence, corruption handling and all), which
+    stores the bare schedule; without it the L2 is a plain in-process
+    table, which is what the bench workloads and most tests want — no
+    tmpdir needed.
 
     The tier counts only what no view sees: ``seeds`` and
     ``l2_invalidations``.  :attr:`tier` folds them with every view's
@@ -114,7 +119,7 @@ class TieredScheduleCache:
                  backing: Optional[ScheduleCache] = None):
         self.config = config
         self.backing = backing
-        self._memo: Dict[str, TraversalResult] = {}
+        self._memo: Dict[str, PathRepresentation] = {}
         self.seeds = 0
         self.l2_invalidations = 0
         # Every view ever handed out, in creation order — keyed
@@ -136,19 +141,24 @@ class TieredScheduleCache:
                                 (view.tier for view in self._views), own)
 
     # -- tier protocol (called by the views' resolver) -----------------
-    def get(self, key: str) -> Optional[TraversalResult]:
-        entry = self._memo.get(key)
-        if entry is None and self.backing is not None:
-            entry = self.backing.get(key)
-            if entry is not None:
-                # Memo the disk read so repeat L2 hits stay in-process.
-                self._memo[key] = entry
-        return entry
+    def lookup(self, key: str, graph: Graph
+               ) -> Optional[PathRepresentation]:
+        rep = self._memo.get(key)
+        if rep is not None:
+            return rep.rebind(graph, self.config)
+        if self.backing is None:
+            return None
+        entry = self.backing.get(key)
+        if entry is None:
+            return None
+        # Memo the disk read so repeat L2 hits stay in-process.
+        rep = self._memo[key] = materialise(graph, self.config, entry)
+        return rep
 
-    def put(self, key: str, entry: TraversalResult) -> None:
-        self._memo[key] = entry
+    def put(self, key: str, rep: PathRepresentation) -> None:
+        self._memo[key] = rep
         if self.backing is not None:
-            self.backing.put(key, entry)
+            self.backing.put(key, rep.schedule)
 
     # -- versioned-key protocol (called by repro.stream) ---------------
     def invalidate(self, key: str) -> Tuple[int, int, int]:
@@ -171,15 +181,16 @@ class TieredScheduleCache:
         self.l2_invalidations += l2_removed + disk_removed
         return l1_removed, l2_removed, disk_removed
 
-    def seed(self, key: str, entry: TraversalResult) -> None:
-        """Install a ready-made schedule under ``key`` in the shared tier.
+    def seed(self, key: str, rep: PathRepresentation) -> None:
+        """Install a ready-made representation under ``key`` in L2.
 
         The warm half of the protocol: a repaired (or recomputed)
-        schedule goes straight into L2 — and the disk backing when one
-        is attached — so the first admission against the new epoch
-        promotes it into a replica's L1 instead of running Algorithm 1.
+        path representation goes straight into L2 — and its schedule
+        into the disk backing when one is attached — so the first
+        admission against the new epoch promotes it into a replica's
+        L1 instead of running Algorithm 1.
         """
-        self.put(key, entry)
+        self.put(key, rep)
         self.seeds += 1
 
 
@@ -194,7 +205,8 @@ class ReplicaScheduleView(ScheduleStore):
     """
 
     def __init__(self, parent: TieredScheduleCache, replica_id: int):
-        super().__init__(parent.config, tiers=(ScheduleMemo(), parent))
+        super().__init__(parent.config,
+                         tiers=(ScheduleMemo(parent.config), parent))
         self.replica_id = replica_id
         self.l1_invalidations = 0
         parent._views.append(self)

@@ -8,7 +8,8 @@ payloads and the trainer's ``.npz`` checkpoints) therefore funnel every
 write through :func:`atomic_write_bytes`:
 
 1. write the full payload to a uniquely-named sibling
-   (``<name>.tmp.<random>``) in the destination directory,
+   (``<name>.tmp.<pid>.<n>``, created exclusively) in the destination
+   directory,
 2. optionally ``fsync`` it so the bytes are durable before they become
    visible,
 3. ``os.replace`` it into place — atomic on POSIX within a filesystem,
@@ -22,14 +23,36 @@ litter.  It must only run when no concurrent writer can be mid-write
 
 from __future__ import annotations
 
+import itertools
 import os
-import tempfile
 from pathlib import Path
-from typing import Union
+from typing import Tuple, Union
 
 #: Marker embedded in every temporary sibling's name.  The sweep keys
 #: on it, so the marker may never appear in a real payload file name.
 TMP_MARKER = ".tmp."
+
+#: Per-process sequence for temporary names.  ``<pid>.<n>`` is unique
+#: among live writers; a name left by a dead one is skipped on EEXIST.
+_tmp_sequence = itertools.count(1)
+
+#: Taken names skipped before giving up: only litter from dead writers
+#: whose pid this process now has can collide, so a few suffice.
+_TMP_ATTEMPTS = 64
+
+
+def _create_tmp(dest: str) -> Tuple[int, str]:
+    """Exclusively create ``dest``'s next free temporary sibling."""
+    pid = os.getpid()
+    for _ in range(_TMP_ATTEMPTS):
+        tmp = f"{dest}{TMP_MARKER}{pid}.{next(_tmp_sequence)}"
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                           0o644), tmp
+        except FileExistsError:
+            continue
+    raise FileExistsError(f"{_TMP_ATTEMPTS} temporary names for {dest} "
+                          "are all taken")
 
 
 def atomic_write_bytes(dest: Union[str, Path], data: bytes,
@@ -40,18 +63,24 @@ def atomic_write_bytes(dest: Union[str, Path], data: bytes,
     storage before the rename, so even a machine crash cannot leave the
     new name pointing at unwritten blocks.  High-volume writers of
     recomputable data (the schedule cache) pass ``fsync=False`` and
-    accept that a power loss may drop the newest entries.
+    accept that a power loss may drop the newest entries.  A missing
+    parent directory is created.
     """
-    dest = Path(dest)
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(dest.parent),
-                               prefix=dest.name + TMP_MARKER)
+    dest = os.fspath(dest)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        fd, tmp = _create_tmp(dest)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(dest) or ".", exist_ok=True)
+        fd, tmp = _create_tmp(dest)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
             if fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
+                os.fsync(fd)
+        finally:
+            os.close(fd)
         os.replace(tmp, dest)
     except BaseException:
         try:

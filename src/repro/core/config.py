@@ -32,7 +32,8 @@ class MegaConfig:
     max_window:
         Upper clamp for the adaptive window.
     seed:
-        RNG seed for tie-breaking and edge dropping.
+        RNG seed for edge dropping.  Algorithm 1 itself draws no
+        random numbers: it breaks every tie by vertex id.
     symmetric_reuse:
         Reuse per-edge computations across both directions of an
         undirected edge (Section III-C's bidirectional-redundancy

@@ -345,9 +345,16 @@ class IncrementalPath:
                 raise GraphError(
                     f"vertex {x} out of range [0, {self._num_nodes})")
 
-    def to_representation(self) -> PathRepresentation:
-        """Materialise the current state as a PathRepresentation."""
-        graph = self._current_graph()
+    def to_representation(self, graph: Optional[Graph] = None
+                          ) -> PathRepresentation:
+        """Materialise the current state as a PathRepresentation.
+
+        ``graph`` must hold the tracker's current edge set; its edge
+        order becomes the band's edge ids.  By default the tracker
+        builds that graph from its own edge set.
+        """
+        if graph is None:
+            graph = self._current_graph()
         covered = sum(1 for k in self._cover if k in self._edges)
         result = TraversalResult(
             path=self.path_array(),

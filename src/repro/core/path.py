@@ -9,6 +9,8 @@ GPU (simulator) sees is sequential instead of index-scattered.
 
 from __future__ import annotations
 
+import copy
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -41,6 +43,69 @@ class BandPlan:
         return int(len(self.edge_ids))
 
 
+def _band_plan(graph: Graph,
+               cover_positions: Dict[Tuple[int, int], Tuple[int, int]]
+               ) -> BandPlan:
+    """Bind each covered node pair to its edge id, in edge-id order.
+
+    Node pairs become one integer ``min * n + max``; a stable sort of
+    the edges by that integer groups repeats in edge order, and a
+    binary search finds each covered pair's edge.
+    """
+    src, dst, n = graph.src, graph.dst, graph.num_nodes
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    pair = lo * n + hi
+    by_pair = np.argsort(pair, kind="stable")
+    sorted_pairs = pair[by_pair]
+    repeats = by_pair[1:][sorted_pairs[1:] == sorted_pairs[:-1]]
+    if repeats.size:
+        # The band holds one slot per node pair, so a repeat would be
+        # dropped and MEGA would silently compute a different function
+        # than the baseline.  Name the first repeat an edge-order scan
+        # meets, and the edge that holds its pair.
+        eid = int(repeats.min())
+        first = int(by_pair[np.searchsorted(sorted_pairs, pair[eid])])
+        key = (int(lo[eid]), int(hi[eid]))
+        raise GraphError(
+            f"node pair {key} repeats as edges {first} and {eid}; the "
+            f"band holds one edge per node pair")
+    if not cover_positions:
+        empty = np.array([], np.int64)
+        return BandPlan(pos_src=empty, pos_dst=empty.copy(),
+                        edge_ids=empty.copy())
+    rows = np.fromiter(
+        itertools.chain.from_iterable(
+            key + pos for key, pos in cover_positions.items()),
+        np.int64, 4 * len(cover_positions)).reshape(-1, 4)
+    u, v = rows[:, 0], rows[:, 1]
+    found = np.zeros(len(rows), dtype=bool)
+    if len(pair):
+        at = np.searchsorted(sorted_pairs, u * n + v)
+        eids = by_pair[np.minimum(at, len(pair) - 1)]
+        found = (lo[eids] == u) & (hi[eids] == v)
+    if not found.all():
+        missing = int(np.argmin(found))
+        raise ScheduleError(
+            f"covered edge {(int(u[missing]), int(v[missing]))} "
+            f"not in graph")
+    order = np.argsort(eids)
+    return BandPlan(pos_src=rows[order, 2], pos_dst=rows[order, 3],
+                    edge_ids=eids[order])
+
+
+def working_graph(graph: Graph, config: MegaConfig) -> Graph:
+    """The graph Algorithm 1 schedules: ``graph`` after edge dropping.
+
+    ``config.seed`` seeds the drop, so the same graph and config always
+    give the same working graph; without dropping it is ``graph``.
+    """
+    if config.edge_drop == 0.0:
+        return graph
+    from repro.core.edge_drop import drop_edges
+    return drop_edges(graph, config.edge_drop,
+                      np.random.default_rng(config.seed))
+
+
 class PathRepresentation:
     """A graph reorganised along its traversal path.
 
@@ -63,31 +128,7 @@ class PathRepresentation:
         self.virtual_mask = result.virtual_mask
         self.length = result.length
 
-        edge_key_to_id: Dict[Tuple[int, int], int] = {}
-        for eid, (s, d) in enumerate(zip(graph.src.tolist(), graph.dst.tolist())):
-            key = (min(s, d), max(s, d))
-            if key in edge_key_to_id:
-                # The band holds one slot per node pair, so a repeat
-                # would be dropped and MEGA would silently compute a
-                # different function than the baseline.
-                raise GraphError(
-                    f"node pair {key} repeats as edges "
-                    f"{edge_key_to_id[key]} and {eid}; the band holds "
-                    f"one edge per node pair")
-            edge_key_to_id[key] = eid
-
-        pos_src, pos_dst, eids = [], [], []
-        for key, (i, j) in result.cover_positions.items():
-            if key not in edge_key_to_id:
-                raise ScheduleError(f"covered edge {key} not in graph")
-            pos_src.append(i)
-            pos_dst.append(j)
-            eids.append(edge_key_to_id[key])
-        order = np.argsort(eids) if eids else []
-        self.band = BandPlan(
-            pos_src=np.asarray(pos_src, np.int64)[order] if eids else np.array([], np.int64),
-            pos_dst=np.asarray(pos_dst, np.int64)[order] if eids else np.array([], np.int64),
-            edge_ids=np.asarray(eids, np.int64)[order] if eids else np.array([], np.int64))
+        self.band = _band_plan(graph, result.cover_positions)
 
         covered = np.zeros(graph.num_edges, dtype=bool)
         covered[self.band.edge_ids] = True
@@ -105,15 +146,29 @@ class PathRepresentation:
         when ``config.window`` is None, and runs Algorithm 1.
         """
         config = config or MegaConfig()
-        rng = np.random.default_rng(config.seed)
-        work = graph
-        if config.edge_drop > 0.0:
-            from repro.core.edge_drop import drop_edges
-            work = drop_edges(graph, config.edge_drop, rng)
+        work = working_graph(graph, config)
         window = config.window or adaptive_window(work, config.max_window)
         result = traverse(work, window=window, coverage=config.coverage,
-                          start=config.start, rng=rng)
+                          start=config.start)
         return cls(work, result)
+
+    def rebind(self, graph: Graph, config: MegaConfig) -> "PathRepresentation":
+        """This representation bound to ``graph``, whose content key it has.
+
+        Equal content keys (:func:`repro.pipeline.hashing
+        .schedule_cache_key`) mean equal edge records, so the band, the
+        covered mask and the multiplicity carry over unchanged: the
+        twin shares every array and differs only in :attr:`graph` (the
+        working graph, after ``config``'s edge dropping).  Without edge
+        dropping this is O(1), and a graph that is already bound
+        returns ``self``.
+        """
+        work = working_graph(graph, config)
+        if work is self.graph:
+            return self
+        twin = copy.copy(self)
+        twin.graph = work
+        return twin
 
     # ------------------------------------------------------------------
     @property

@@ -15,8 +15,8 @@ diagonal attention of Section III-C will actually process that edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -98,12 +98,12 @@ def resolve_start(graph: Graph, policy) -> int:
 
 
 def traverse(graph: Graph, window: int, coverage: float = 1.0,
-             start="max_degree",
-             rng: Optional[np.random.Generator] = None) -> TraversalResult:
+             start="max_degree") -> TraversalResult:
     """Run Algorithm 1 and return the traversal schedule.
 
-    Parameters mirror :class:`repro.core.config.MegaConfig`; ``rng`` only
-    breaks ties, so two calls with equal seeds are identical.
+    Parameters mirror :class:`repro.core.config.MegaConfig`.  The walk
+    draws no random numbers: every tie is broken by vertex id, so equal
+    inputs always give the same schedule.
     """
     if window < 1:
         raise ScheduleError(f"window must be >= 1, got {window}")
@@ -131,7 +131,8 @@ def traverse(graph: Graph, window: int, coverage: float = 1.0,
             continue
         uncovered[s].add(d)
         uncovered[d].add(s)
-    total_countable = sum(len(x) for x in uncovered) // 2
+    degree = np.fromiter(map(len, uncovered), np.int64, n)
+    total_countable = int(degree.sum()) // 2
     target_covered = int(np.ceil(coverage * total_countable))
 
     # Jump order: odd-degree vertices first (better path endpoints,
@@ -140,12 +141,9 @@ def traverse(graph: Graph, window: int, coverage: float = 1.0,
     # uncovered edge left, so equation 2 scores every candidate 0; and an
     # unvisited vertex still has all its edges uncovered.  The order
     # therefore never changes, and one sort serves every jump.
-    jump_order = sorted(range(n), reverse=True,
-                        key=lambda v: (len(uncovered[v]) % 2 == 1,
-                                       len(uncovered[v]), -v))
+    jump_order = np.lexsort((np.arange(n), -degree, -(degree & 1))).tolist()
     next_jump = 0
 
-    rng = rng or np.random.default_rng(0)
     start_vertex = resolve_start(graph, start)
 
     path: List[int] = []
@@ -159,26 +157,29 @@ def traverse(graph: Graph, window: int, coverage: float = 1.0,
 
     def correlate(v: int, recent: List[int]) -> int:
         """Equation 2: |N(v) ∩ P[i-ω : i]| over uncovered edges."""
-        return sum(1 for u in recent if u in uncovered[v])
+        return sum(map(uncovered[v].__contains__, recent))
 
     def append(v: int, is_virtual: bool) -> None:
         """Add v to the path and mark every newly band-covered edge."""
         nonlocal covered, unvisited
         i = len(path)
+        pending = uncovered[v]
+        # Only entries in v's uncovered set can close an edge, so a
+        # vertex with none left skips the window entirely.
+        if pending:
+            for j in range(i - window if i > window else 0, i):
+                u = path[j]
+                if u in pending:
+                    pending.discard(u)
+                    uncovered[u].discard(v)
+                    covered += 1
+                    cover_positions[(u, v) if u < v else (v, u)] = (j, i)
         path.append(v)
         virtual.append(is_virtual)
-        lo = max(0, i - window)
-        for j in range(lo, i):
-            u = path[j]
-            if u in uncovered[v]:
-                uncovered[v].discard(u)
-                uncovered[u].discard(v)
-                covered += 1
-                cover_positions[(min(u, v), max(u, v))] = (j, i)
         if not visited[v]:
             visited[v] = True
             unvisited -= 1
-        if uncovered[v]:
+        if pending:
             stack.append(v)
 
     append(start_vertex, is_virtual=False)
@@ -194,13 +195,18 @@ def traverse(graph: Graph, window: int, coverage: float = 1.0,
                 f"traversal exceeded {max_steps} steps "
                 f"(n={n}, m={total_countable}, covered={covered})")
         curr = path[-1]
-        if uncovered[curr]:
+        candidates = uncovered[curr]
+        if candidates:
             # Continue the walk: strongest band correlation first, then
-            # unvisited vertices, then low id for determinism.
-            recent = path[-window:]
-            best = max(uncovered[curr],
-                       key=lambda v: (correlate(v, recent), not visited[v],
-                                      -v))
+            # unvisited vertices, then low id for determinism.  A lone
+            # candidate needs no ranking.
+            if len(candidates) == 1:
+                (best,) = candidates
+            else:
+                recent = path[-window:]
+                best = max(candidates,
+                           key=lambda v: (correlate(v, recent),
+                                          not visited[v], -v))
             append(best, is_virtual=False)
             continue
         # Dead end: pop the stack until a revisitable vertex surfaces.
@@ -221,12 +227,9 @@ def traverse(graph: Graph, window: int, coverage: float = 1.0,
         append(jump_order[next_jump], is_virtual=True)
 
     # Self-loops: covered by the first appearance of their vertex.
-    first_pos: Dict[int, int] = {}
-    for i, v in enumerate(path):
-        if v not in first_pos:
-            first_pos[v] = i
     for (s, d) in loops:
-        cover_positions[(s, d)] = (first_pos[s], first_pos[s])
+        first = path.index(s)
+        cover_positions[(s, d)] = (first, first)
 
     return TraversalResult(
         path=np.asarray(path, dtype=np.int64),

@@ -99,18 +99,20 @@ class Graph:
         return self.num_edges / full
 
     def degrees(self) -> np.ndarray:
-        """Vertex degrees (undirected: both endpoints count)."""
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        np.add.at(deg, self.src, 1)
+        """Vertex degrees (undirected: both endpoints count).
+
+        Directed graphs report out-degree + in-degree; an undirected
+        self-loop counts once.
+        """
+        n = self.num_nodes
+        deg = (np.bincount(self.src, minlength=n)
+               + np.bincount(self.dst, minlength=n)).astype(np.int64,
+                                                            copy=False)
         if self.undirected:
-            np.add.at(deg, self.dst, 1)
             # Self loops were counted twice.
             loops = self.src == self.dst
             if loops.any():
-                np.add.at(deg, self.src[loops], -1)
-        else:
-            # For directed graphs report out-degree + in-degree.
-            np.add.at(deg, self.dst, 1)
+                deg -= np.bincount(self.src[loops], minlength=n)
         return deg
 
     def directed_edges(self) -> Tuple[np.ndarray, np.ndarray]:

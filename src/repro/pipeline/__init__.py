@@ -8,8 +8,9 @@ scale:
   processes with a deterministic, input-ordered merge.
 - :mod:`repro.pipeline.cache` — content-addressed on-disk store of
   ``TraversalResult`` schedules as flat payloads (atomic writes,
-  checksum verification, LRU size cap); every plan is derived
-  from the materialised path on demand.
+  checksum verification, LRU size cap).  A cold pass keeps the path
+  representation Algorithm 1 built; a warm hit binds the stored
+  schedule to its graph once per distinct key.
 - :mod:`repro.pipeline.hashing` — cache keys from (CSR bytes, config
   fields, schedule code version).
 - :mod:`repro.pipeline.stats` — hit/miss/invalidation counters the CLI

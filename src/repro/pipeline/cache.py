@@ -72,9 +72,9 @@ def default_cache_dir() -> Path:
 #   mask     n_path x int8         virtual_mask
 #   crc      1 x uint32            zlib.crc32 of everything before it
 #
-# Only the schedule is stored: every plan is a cheap view of the
-# materialised path representation's band.  The trailer guards orphan
-# payloads, which are adopted without an index checksum to compare.
+# Only the schedule is stored: the path representation's band and every
+# plan are rebuilt from it when the payload is read.  The trailer guards
+# orphan payloads, which are adopted without an index checksum to compare.
 # ----------------------------------------------------------------------
 _INT = np.dtype("<i8")
 _HEADER_WORDS = 7
@@ -139,9 +139,9 @@ def decode_entry(data: bytes) -> TraversalResult:
 class ScheduleCache:
     """On-disk schedule store addressed by content hash.
 
-    ``get(key)`` / ``put(key, schedule)`` is the schedule-tier protocol
-    of :class:`repro.serve.server.ScheduleStore`, so the cache plugs in
-    as a tier as it is.
+    The one store that keeps the bare :class:`TraversalResult`: every
+    in-memory tier holds the path representation itself.  The serving
+    resolver reaches it through :class:`repro.serve.server.DiskTier`.
 
     Parameters
     ----------

@@ -8,8 +8,10 @@ exactly those three and nothing else:
    reordering of the COO lists *per destination row*, and cheap to
    build; features and labels are deliberately excluded because
    Algorithm 1 never reads them.
-2. **Config** — every :class:`~repro.core.config.MegaConfig` field (the
-   seed participates: it changes tie-breaking and edge dropping).
+2. **Config** — every :class:`~repro.core.config.MegaConfig` field.
+   The seed participates although only edge dropping reads it
+   (Algorithm 1 breaks every tie by vertex id); keeping it leaves
+   every existing key valid.
 3. **Schedule code version** — :data:`SCHEDULE_CODE_VERSION`, bumped
    whenever the traversal changes behaviour, so stale schedules from
    older code can never be served.

@@ -49,11 +49,9 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from repro.core.config import MegaConfig
 from repro.core.diagonal import AttentionPlan, make_attention_plan
-from repro.core.path import PathRepresentation
+from repro.core.path import PathRepresentation, working_graph
 from repro.core.schedule import TraversalResult
 from repro.errors import ConfigError, FaultInjectionError, GraphError
 from repro.graph.graph import Graph
@@ -68,35 +66,35 @@ Item = Tuple[int, Graph]
 
 
 def compute_schedule(graph: Graph, config: Optional[MegaConfig] = None
-                     ) -> TraversalResult:
+                     ) -> PathRepresentation:
     """Run the full preprocessing for one graph (worker body).
 
-    The schedule is the unit every stage below passes around and every
-    cache tier stores; :func:`materialise` reattaches it to its graph.
+    The path representation Algorithm 1 built is the unit every stage
+    below passes around and every in-memory tier holds; another graph
+    with the same content key takes it over with
+    :meth:`PathRepresentation.rebind`.  Only the on-disk
+    :class:`ScheduleCache` stores the bare schedule
+    (``representation.schedule``), which :func:`materialise` binds
+    back to a graph.
     """
     config = config or MegaConfig()
-    return PathRepresentation.from_graph(graph, config).schedule
+    return PathRepresentation.from_graph(graph, config)
 
 
 def materialise(graph: Graph, config: MegaConfig,
                 result: TraversalResult) -> PathRepresentation:
-    """Reattach a (possibly cached) schedule to its graph.
+    """Reattach a schedule read from disk to its graph.
 
     Edge dropping is re-derived from ``config.seed`` exactly as
     :meth:`PathRepresentation.from_graph` does, so the representation is
     bound to the same working graph the schedule was computed on.
     """
-    work = graph
-    if config.edge_drop > 0.0:
-        from repro.core.edge_drop import drop_edges
-        rng = np.random.default_rng(config.seed)
-        work = drop_edges(graph, config.edge_drop, rng)
-    return PathRepresentation(work, result)
+    return PathRepresentation(working_graph(graph, config), result)
 
 
 def _compute_chunk(payload: Tuple[MegaConfig, List[Item],
                                   Optional[str], FrozenSet[int]]
-                   ) -> List[TraversalResult]:
+                   ) -> List[PathRepresentation]:
     """Top-level (picklable) worker: schedule every graph in the chunk.
 
     ``inject`` carries a deterministic worker-crash message decided by
@@ -171,16 +169,16 @@ def _compute_serial(items: Sequence[Item], config: MegaConfig, *,
                     sleep: Optional[Callable[[float], None]],
                     fault_plan: Optional[FaultPlan],
                     stats: PipelineStats,
-                    quarantine: bool) -> Dict[int, TraversalResult]:
+                    quarantine: bool) -> Dict[int, PathRepresentation]:
     """In-parent computation with per-graph retry and quarantine."""
 
     def count_retry(attempt: int, exc: BaseException) -> None:
         stats.retries += 1
 
-    out: Dict[int, TraversalResult] = {}
+    out: Dict[int, PathRepresentation] = {}
     for idx, graph in items:
         def attempt_fn(attempt: int, idx: int = idx,
-                       graph: Graph = graph) -> TraversalResult:
+                       graph: Graph = graph) -> PathRepresentation:
             if fault_plan is not None:
                 if fault_plan.is_poisoned(idx):
                     raise GraphError(f"injected pathological graph {idx}")
@@ -205,7 +203,7 @@ def _compute_parallel(items: Sequence[Item], config: MegaConfig,
                       sleep: Optional[Callable[[float], None]],
                       fault_plan: Optional[FaultPlan],
                       stats: PipelineStats,
-                      quarantine: bool) -> Dict[int, TraversalResult]:
+                      quarantine: bool) -> Dict[int, PathRepresentation]:
     """Fan chunks out with per-chunk retry; degrade to serial on a dead pool.
 
     A chunk whose retries are exhausted (or that fails non-transiently,
@@ -219,7 +217,7 @@ def _compute_parallel(items: Sequence[Item], config: MegaConfig,
     def count_retry(attempt: int, exc: BaseException) -> None:
         stats.retries += 1
 
-    out: Dict[int, TraversalResult] = {}
+    out: Dict[int, PathRepresentation] = {}
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # First wave: every chunk in flight at once (attempt 0).
@@ -235,7 +233,7 @@ def _compute_parallel(items: Sequence[Item], config: MegaConfig,
 
                 def attempt_fn(attempt: int, i: int = i,
                                chunk: List[Item] = chunk
-                               ) -> List[TraversalResult]:
+                               ) -> List[PathRepresentation]:
                     if attempt == 0:
                         return first[i].result()
                     future = pool.submit(
@@ -329,9 +327,10 @@ def precompute_paths(graphs: Sequence[Graph],
     counters_before = cache.stats.as_dict() if cache is not None else None
 
     n = len(graphs)
-    results: List[Optional[TraversalResult]] = [None] * n
+    paths: List[Optional[PathRepresentation]] = [None] * n
 
     # Group structurally identical graphs: one compute per distinct key.
+    # Every member of a group shares its representative's arrays.
     if cache is not None:
         keys = [schedule_cache_key(g, config) for g in graphs]
         groups: Dict[str, List[int]] = {}
@@ -342,8 +341,9 @@ def precompute_paths(graphs: Sequence[Graph],
         for key, members in groups.items():
             entry = cache.get(key)
             if entry is not None:
+                rep = materialise(graphs[members[0]], config, entry)
                 for i in members:
-                    results[i] = entry
+                    paths[i] = rep.rebind(graphs[i], config)
             else:
                 miss_keys.append(key)
         todo = [groups[k][0] for k in miss_keys]
@@ -363,15 +363,17 @@ def precompute_paths(graphs: Sequence[Graph],
     stats.compute_s = time.perf_counter() - t_compute
     stats.computed = len(computed)
 
-    # Deterministic merge + single-writer cache population.
+    # Deterministic merge + single-writer cache population.  A worker's
+    # representation is bound to its own copy of the graph; rebinding
+    # hands every caller back its own graph object.
     if cache is not None:
         for key, rep_idx in zip(miss_keys, todo):
-            entry = computed.get(rep_idx)
-            if entry is None:  # quarantined: every group member stays None
+            rep = computed.get(rep_idx)
+            if rep is None:  # quarantined: every group member stays None
                 continue
-            cache.put(key, entry, flush=False)
+            cache.put(key, rep.schedule, flush=False)
             for i in groups[key]:
-                results[i] = entry
+                paths[i] = rep.rebind(graphs[i], config)
         cache.flush()
         # Report only this run's counters even on a shared cache object.
         after = cache.stats.as_dict()
@@ -381,11 +383,9 @@ def precompute_paths(graphs: Sequence[Graph],
         stats.from_cache = sum(
             len(m) for k, m in groups.items() if k not in missed)
     else:
-        for idx in todo:
-            results[idx] = computed.get(idx)
+        for idx, rep in computed.items():
+            paths[idx] = rep.rebind(graphs[idx], config)
 
-    paths = [materialise(g, config, res) if res is not None else None
-             for g, res in zip(graphs, results)]
     stats.total_s = time.perf_counter() - t_start
     return PipelineResult(paths=paths, stats=stats,
                           symmetric_reuse=config.symmetric_reuse)

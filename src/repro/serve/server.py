@@ -94,27 +94,68 @@ class ServerConfig:
 
 
 class ScheduleMemo(dict):
-    """In-process schedule tier: a dict with the tier protocol."""
+    """In-process tier: path representations by content key.
+
+    A hit rebinds the stored representation to the requesting graph
+    (:meth:`~repro.core.path.PathRepresentation.rebind`), so no band
+    is rebuilt.
+    """
+
+    def __init__(self, config: MegaConfig):
+        super().__init__()
+        self.config = config
+
+    def lookup(self, key: str, graph: Graph
+               ) -> Optional[PathRepresentation]:
+        rep = self.get(key)
+        return None if rep is None else rep.rebind(graph, self.config)
 
     put = dict.__setitem__
+
+
+class DiskTier:
+    """An on-disk :class:`ScheduleCache` as a tier.
+
+    The cache stores the bare schedule and re-reads and
+    checksum-verifies it on every lookup, so every hit binds it to the
+    requesting graph again (:func:`~repro.pipeline.parallel
+    .materialise`).
+    """
+
+    def __init__(self, cache: ScheduleCache, config: MegaConfig):
+        self.cache = cache
+        self.config = config
+
+    def lookup(self, key: str, graph: Graph
+               ) -> Optional[PathRepresentation]:
+        entry = self.cache.get(key)
+        if entry is None:
+            return None
+        return materialise(graph, self.config, entry)
+
+    def put(self, key: str, rep: PathRepresentation) -> None:
+        self.cache.put(key, rep.schedule)
 
 
 class ScheduleStore:
     """Admission-time schedule resolution through an ordered tier list.
 
-    A tier is anything with ``get(key)`` and ``put(key, schedule)``
-    over :class:`~repro.core.schedule.TraversalResult` entries.
-    :meth:`resolve` walks the tiers in order: a hit is copied into the
-    tiers above it, a full miss runs Algorithm 1 and feeds every tier.
+    A tier is anything with ``lookup(key, graph)``, which returns a
+    :class:`~repro.core.path.PathRepresentation` bound to ``graph`` or
+    ``None``, and ``put(key, representation)``.  :meth:`resolve` walks
+    the tiers in order: a hit is copied into the tiers above it, a full
+    miss runs Algorithm 1 and feeds every tier the representation it
+    built.
 
     The single-node server has one tier: the attached
-    :class:`ScheduleCache`, which re-reads and checksum-verifies the
-    entry on every lookup (hits also move the pipeline cache's own
-    counters — the observable double-entry bookkeeping the acceptance
-    tests assert) or, without one, an in-process memo, so the server
-    never needs a disk directory just to deduplicate repeat graphs
-    within a run.  A cluster replica's view stacks its own memo over
-    the fleet's shared tier (:mod:`repro.cluster.cache`).
+    :class:`ScheduleCache` (as a :class:`DiskTier`), which re-reads and
+    checksum-verifies the entry on every lookup (hits also move the
+    pipeline cache's own counters — the observable double-entry
+    bookkeeping the acceptance tests assert) or, without one, an
+    in-process memo, so the server never needs a disk directory just to
+    deduplicate repeat graphs within a run.  A cluster replica's view
+    stacks its own memo over the fleet's shared tier
+    (:mod:`repro.cluster.cache`).
 
     Each lookup bumps exactly one counter: ``tier_hits[i]`` for a hit
     in tier ``i``, else ``misses``.  Every stats view is derived.
@@ -126,7 +167,8 @@ class ScheduleStore:
         self.config = config
         self.cache = cache
         if tiers is None:
-            tiers = (ScheduleMemo() if cache is None else cache,)
+            tiers = (ScheduleMemo(config) if cache is None
+                     else DiskTier(cache, config),)
         self.tiers = tuple(tiers)
         self.tier_hits = [0] * len(self.tiers)
         self.misses = 0
@@ -154,19 +196,19 @@ class ScheduleStore:
         dispatch; the resolver never hashes.
         """
         for depth, tier in enumerate(self.tiers):
-            entry = tier.get(key)
-            if entry is not None:
+            rep = tier.lookup(key, graph)
+            if rep is not None:
                 if depth == 0 and self.lookups_to_first_l1_hit < 0:
                     self.lookups_to_first_l1_hit = self.lookups
                 self.tier_hits[depth] += 1
                 for upper in self.tiers[:depth]:
-                    upper.put(key, entry)
-                return materialise(graph, self.config, entry), True
-        entry = compute_schedule(graph, self.config)
+                    upper.put(key, rep)
+                return rep, True
+        rep = compute_schedule(graph, self.config)
         for tier in self.tiers:
-            tier.put(key, entry)
+            tier.put(key, rep)
         self.misses += 1
-        return materialise(graph, self.config, entry), False
+        return rep, False
 
 
 @dataclass

@@ -6,7 +6,7 @@ graph it keeps one :class:`~repro.core.incremental.IncrementalPath`
 tracker and, per applied batch, makes one decision:
 
 * **repair** — patch the tracker in place (insert adoption/patching,
-  delete removal) and materialise the patched path representation;
+  delete removal) and bind the patched path to the post-delta graph;
 * **recompute** — run full Algorithm 1 on the post-delta graph via
   :func:`repro.pipeline.parallel.compute_schedule`, the *same*
   function a cold cache miss runs, and restart the tracker from the
@@ -160,7 +160,7 @@ class ScheduleRepairer:
             # The honest fallback: the exact function a cold cache miss
             # runs, plus a fresh tracker so later batches patch against
             # the clean rebuilt path, not the stale patched one.
-            entry = compute_schedule(graph_after, self.config)
+            rep = compute_schedule(graph_after, self.config)
             tracker = IncrementalPath(
                 graph_after, self.config,
                 rebuild_expansion=self.policy.rebuild_expansion)
@@ -178,14 +178,14 @@ class ScheduleRepairer:
                 raise StreamError(
                     f"repaired schedule for {name!r} diverged from the "
                     f"applied graph (delta {batch.delta_id})")
-            entry = tracker.to_representation().schedule
+            rep = tracker.to_representation(graph_after)
             work_units = tracker.work_units - work_before
             applied_noops = (tracker.noop_inserts + tracker.noop_deletes
                              - noops_before)
         old_key, new_key, epoch = self.table.advance(name, graph_after)
         if old_key != new_key:
             l1, l2, disk = self.tiered.invalidate(old_key)
-            self.tiered.seed(new_key, entry)
+            self.tiered.seed(new_key, rep)
             seeded = True
         else:
             l1 = l2 = disk = 0

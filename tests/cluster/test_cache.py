@@ -140,7 +140,7 @@ def schedules(pool):
     for graph in pool[:GRAPHS]:
         entry = compute_schedule(graph, config)
         out.append((graph, key(graph), entry,
-                    materialise(graph, config, entry).path))
+                    materialise(graph, config, entry.schedule).path))
     return out
 
 

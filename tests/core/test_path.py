@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import MegaConfig
 from repro.core.path import PathRepresentation
+from repro.core.schedule import TraversalResult, traverse
 from repro.errors import ConfigError, GraphError, ScheduleError
 from repro.graph.generators import erdos_renyi, molecular_like, ring_graph
 from repro.graph.graph import Graph, complete_graph
+from tests.strategies import directed_graphs, graphs
 
 
 @pytest.fixture
@@ -150,6 +154,81 @@ class TestRepeatedNodePairs:
                                    ring_graph(5)], on_error="quarantine")
         assert result.paths[0] is None and result.paths[1] is not None
         assert "GraphError" in result.stats.quarantined[0].error
+
+
+def _reference_band(graph, result):
+    """The band by an edge-order dict scan: (pos_src, pos_dst, eids),
+    or the error the scan meets first."""
+    edge_of = {}
+    for eid, (s, d) in enumerate(zip(graph.src.tolist(),
+                                     graph.dst.tolist())):
+        key = (min(s, d), max(s, d))
+        if key in edge_of:
+            return GraphError, (f"node pair {key} repeats as edges "
+                                f"{edge_of[key]} and {eid}; the band "
+                                f"holds one edge per node pair")
+        edge_of[key] = eid
+    rows = []
+    for key, (i, j) in result.cover_positions.items():
+        if key not in edge_of:
+            return ScheduleError, f"covered edge {key} not in graph"
+        rows.append((edge_of[key], i, j))
+    rows.sort()
+    eids, pos_src, pos_dst = (np.asarray(c, np.int64).reshape(-1)
+                              for c in zip(*rows)) if rows else \
+        (np.array([], np.int64),) * 3
+    return pos_src, pos_dst, eids
+
+
+def _assert_band_matches_reference(graph, result):
+    want = _reference_band(graph, result)
+    if isinstance(want[0], type):
+        with pytest.raises(want[0]) as caught:
+            PathRepresentation(graph, result)
+        assert str(caught.value) == want[1]
+        return
+    band = PathRepresentation(graph, result).band
+    for got, expected in zip((band.pos_src, band.pos_dst, band.edge_ids),
+                             want):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+
+class TestBandAgainstEdgeScan:
+    """The sorted-pair band equals a dict scan in edge order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=st.one_of(graphs(max_nodes=16), directed_graphs()),
+           window=st.integers(1, 4))
+    def test_own_schedule(self, graph, window):
+        result = traverse(graph, window)
+        _assert_band_matches_reference(graph, result)
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=graphs(max_nodes=12), other=graphs(max_nodes=12))
+    def test_foreign_schedule(self, graph, other):
+        # A schedule for another graph: missing pairs, or out-of-range
+        # vertices whose integer key could alias a real pair.
+        _assert_band_matches_reference(graph, traverse(other, 1))
+
+    def test_out_of_range_pair_does_not_alias(self):
+        # On 3 nodes, pair (0, 4) and loop (1, 1) share min * n + max.
+        g = Graph(3, [1, 0], [1, 2])
+        result = TraversalResult(
+            path=np.array([0, 1, 2]), virtual_mask=np.zeros(3, bool),
+            cover_positions={(0, 4): (0, 1)}, window=1,
+            covered_edges=1, total_edges=2, num_jumps=0)
+        _assert_band_matches_reference(g, result)
+        with pytest.raises(ScheduleError, match=r"\(0, 4\) not in graph"):
+            PathRepresentation(g, result)
+
+    def test_repeat_reported_at_first_scan_hit(self):
+        # Edges 0/3 and 2/4 repeat; the scan meets edge 3 first.
+        g = Graph(4, [0, 1, 2, 1, 3], [1, 2, 3, 0, 2])
+        _assert_band_matches_reference(g, traverse(Graph(4, [], []), 1))
+        with pytest.raises(GraphError, match=r"\(0, 1\) repeats as edges "
+                                             r"0 and 3"):
+            PathRepresentation(g, traverse(Graph(4, [], []), 1))
 
 
 class TestRepr:

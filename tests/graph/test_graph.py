@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph.graph import Graph, complete_graph, from_edge_list
 from tests.nx_bridge import to_networkx
+from tests.strategies import directed_graphs, graphs
 
 
 class TestConstruction:
@@ -75,6 +78,20 @@ class TestDerivedQuantities:
         g = Graph(2, [0, 0], [0, 1])
         # self loop (0,0) + edge (0,1)
         assert g.degrees()[0] == 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph=st.one_of(graphs(max_nodes=20), directed_graphs()))
+    def test_degrees_match_add_at_reference(self, graph):
+        # Self-loops count once undirected, twice (out + in) directed.
+        want = np.zeros(graph.num_nodes, dtype=np.int64)
+        np.add.at(want, graph.src, 1)
+        np.add.at(want, graph.dst, 1)
+        if graph.undirected:
+            loops = graph.src == graph.dst
+            np.add.at(want, graph.src[loops], -1)
+        got = graph.degrees()
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
     def test_sparsity_complete_graph(self, k8):
         assert k8.sparsity == pytest.approx(1.0)

@@ -30,6 +30,11 @@ def graphs():
     return [molecular_like(np.random.default_rng(i), 20) for i in range(6)]
 
 
+def schedule_of(graph, config):
+    """The bare schedule, the one thing the disk cache stores."""
+    return compute_schedule(graph, config).schedule
+
+
 def _assert_result_equal(a, b):
     assert np.array_equal(a.path, b.path)
     assert np.array_equal(a.virtual_mask, b.virtual_mask)
@@ -51,7 +56,7 @@ class TestRoundTrip:
         cache = ScheduleCache(tmp_path)
         for g in graphs:
             key = schedule_cache_key(g, config)
-            fresh = compute_schedule(g, config)
+            fresh = schedule_of(g, config)
             cache.put(key, fresh)
             cached = cache.get(key)
             assert cached is not None
@@ -61,7 +66,7 @@ class TestRoundTrip:
     def test_hit_survives_process_restart(self, tmp_path, graphs):
         config = MegaConfig()
         key = schedule_cache_key(graphs[0], config)
-        fresh = compute_schedule(graphs[0], config)
+        fresh = schedule_of(graphs[0], config)
         ScheduleCache(tmp_path).put(key, fresh)
         reopened = ScheduleCache(tmp_path)  # fresh index load from disk
         cached = reopened.get(key)
@@ -88,7 +93,7 @@ def test_put_get_round_trip_property(tmp_path_factory, graph):
     cache = ScheduleCache(tmp_path_factory.mktemp("roundtrip"))
     config = MegaConfig()
     key = schedule_cache_key(graph, config)
-    fresh = compute_schedule(graph, config)
+    fresh = schedule_of(graph, config)
     cache.put(key, fresh)
     cached = ScheduleCache(cache.dir).get(key)
     assert cached is not None
@@ -138,7 +143,7 @@ class TestVersionOnePayload:
                 counts.corrupt_checksum, counts.puts) == (0, 1, 1, 0, 1)
         again = precompute_paths(graphs[:1], cache_dir=v1_dir)
         assert (again.stats.cache.hits, again.stats.cache.misses) == (1, 0)
-        fresh = compute_schedule(graphs[0], MegaConfig())
+        fresh = schedule_of(graphs[0], MegaConfig())
         _assert_result_equal(fresh, again.paths[0].schedule)
 
     def test_serving_store_recomputes_and_rewrites(self, v1_dir, graphs):
@@ -157,7 +162,7 @@ class TestVersionOnePayload:
 @given(graph=any_graph(), window=st.integers(1, 4))
 def test_encode_decode_round_trip_property(graph, window):
     """decode(encode(r)) == r, empty paths included; arrays are owned."""
-    fresh = compute_schedule(graph, MegaConfig(window=window))
+    fresh = schedule_of(graph, MegaConfig(window=window))
     decoded = decode_entry(encode_entry(fresh))
     _assert_result_equal(fresh, decoded)
     for array in (decoded.path, decoded.virtual_mask):
@@ -166,7 +171,7 @@ def test_encode_decode_round_trip_property(graph, window):
 
 def _v2_payload(graph, config):
     """One entry in the version-2 layout: a three-member ``.npz``."""
-    result = compute_schedule(graph, config)
+    result = schedule_of(graph, config)
     cover = np.asarray([[u, v, i, j] for (u, v), (i, j)
                         in sorted(result.cover_positions.items())],
                        dtype=np.int64).reshape(-1, 4)
@@ -201,7 +206,7 @@ class TestOrphanPayloadMutations:
     def orphan(self, graphs):
         config = MegaConfig()
         return (schedule_cache_key(graphs[0], config),
-                encode_entry(compute_schedule(graphs[0], config)))
+                encode_entry(schedule_of(graphs[0], config)))
 
     def test_intact_orphan_is_adopted(self, tmp_path, orphan):
         key, data = orphan
@@ -232,7 +237,7 @@ class TestOrphanPayloadMutations:
     def test_empty_schedule_window_word_changed(self, tmp_path):
         graph = Graph(0, [], [])
         config = MegaConfig()
-        data = bytearray(encode_entry(compute_schedule(graph, config)))
+        data = bytearray(encode_entry(schedule_of(graph, config)))
         data[8] ^= 1  # window 1 -> 0
         _assert_corrupt_orphan(tmp_path, schedule_cache_key(graph, config),
                                bytes(data))
@@ -240,7 +245,7 @@ class TestOrphanPayloadMutations:
     def test_path_vertex_changed(self, tmp_path):
         graph = from_edge_list([(0, 1)])
         config = MegaConfig()
-        data = bytearray(encode_entry(compute_schedule(graph, config)))
+        data = bytearray(encode_entry(schedule_of(graph, config)))
         data[56] ^= 1  # path[0]: vertex 0 <-> 1
         _assert_corrupt_orphan(tmp_path, schedule_cache_key(graph, config),
                                bytes(data))
@@ -272,7 +277,7 @@ def test_mutated_orphan_is_recomputed_and_rewritten(tmp_path_factory,
     rewrites it and the run after that hits."""
     config = MegaConfig()
     key = schedule_cache_key(graph, config)
-    fresh = compute_schedule(graph, config)
+    fresh = schedule_of(graph, config)
     mutated = data.draw(_mutations(encode_entry(fresh)))
     cache_dir = tmp_path_factory.mktemp("mutated")
     _assert_corrupt_orphan(cache_dir, key, mutated)
@@ -335,7 +340,7 @@ class TestCorruption:
         config = MegaConfig()
         cache = ScheduleCache(tmp_path)
         key = schedule_cache_key(graphs[0], config)
-        cache.put(key, compute_schedule(graphs[0], config))
+        cache.put(key, schedule_of(graphs[0], config))
         # Flip one byte mid-file: still a valid-looking zip prefix, but
         # the checksum catches it.
         payload = tmp_path / f"{key}.npz"
@@ -351,7 +356,7 @@ class TestCorruption:
         config = MegaConfig()
         cache = ScheduleCache(tmp_path)
         key = schedule_cache_key(graphs[0], config)
-        cache.put(key, compute_schedule(graphs[0], config))
+        cache.put(key, schedule_of(graphs[0], config))
         (tmp_path / f"{key}.npz").unlink()
         assert cache.get(key) is None
         assert cache.stats.misses == 1
@@ -362,7 +367,7 @@ class TestInvalidate:
         config = MegaConfig()
         cache = ScheduleCache(tmp_path)
         key = schedule_cache_key(graphs[0], config)
-        cache.put(key, compute_schedule(graphs[0], config))
+        cache.put(key, schedule_of(graphs[0], config))
         assert cache.invalidate(key) is True
         assert key not in cache
         assert not cache.payload_path(key).exists()
@@ -380,7 +385,7 @@ class TestInvalidate:
         # Payload on disk, index lost: invalidate must still be final.
         config = MegaConfig()
         key = schedule_cache_key(graphs[0], config)
-        ScheduleCache(tmp_path).put(key, compute_schedule(graphs[0],
+        ScheduleCache(tmp_path).put(key, schedule_of(graphs[0],
                                                            config))
         (tmp_path / "index.json").unlink()
         reopened = ScheduleCache(tmp_path)
@@ -394,7 +399,7 @@ class TestInvalidate:
         keys = []
         for g in graphs[:3]:
             key = schedule_cache_key(g, config)
-            cache.put(key, compute_schedule(g, config))
+            cache.put(key, schedule_of(g, config))
             keys.append(key)
         cache.invalidate(keys[0])
         for survivor in keys[1:]:
@@ -405,7 +410,7 @@ class TestInvalidate:
         config = MegaConfig()
         key = schedule_cache_key(graphs[0], config)
         cache = ScheduleCache(tmp_path)
-        cache.put(key, compute_schedule(graphs[0], config))
+        cache.put(key, schedule_of(graphs[0], config))
         cache.invalidate(key)
         assert ScheduleCache(tmp_path).get(key) is None
 
@@ -413,7 +418,7 @@ class TestInvalidate:
         config = MegaConfig()
         cache = ScheduleCache(tmp_path)
         key = schedule_cache_key(graphs[0], config)
-        cache.put(key, compute_schedule(graphs[0], config))
+        cache.put(key, schedule_of(graphs[0], config))
         cache.payload_path(key).write_bytes(b"\x00garbage")
         assert cache.invalidate(key) is True
         assert not cache.payload_path(key).exists()
@@ -423,7 +428,7 @@ class TestLRU:
     def test_size_cap_evicts_least_recently_used(self, tmp_path, graphs):
         config = MegaConfig()
         entries = [(schedule_cache_key(g, config),
-                    compute_schedule(g, config)) for g in graphs[:4]]
+                    schedule_of(g, config)) for g in graphs[:4]]
         one_size = None
         cache = ScheduleCache(tmp_path)
         cache.put(*entries[0])
@@ -441,7 +446,7 @@ class TestLRU:
     def test_touch_on_get_protects_hot_entries(self, tmp_path, graphs):
         config = MegaConfig()
         entries = [(schedule_cache_key(g, config),
-                    compute_schedule(g, config)) for g in graphs[:3]]
+                    schedule_of(g, config)) for g in graphs[:3]]
         probe = ScheduleCache(tmp_path)
         probe.put(*entries[0])
         one_size = probe.total_bytes

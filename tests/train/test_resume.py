@@ -92,8 +92,9 @@ class TestTornSave:
         ckpt = tmp_path / CHECKPOINT_NAME
         good_bytes = ckpt.read_bytes()
 
-        # SIGKILL between mkstemp and os.replace: the destination still
-        # holds the previous checkpoint; only tmp litter is left behind.
+        # SIGKILL between creating the temporary and os.replace: the
+        # destination still holds the previous checkpoint; only tmp
+        # litter is left behind.
         litter = tmp_path / f"{CHECKPOINT_NAME}{TMP_MARKER}dead1234"
         litter.write_bytes(good_bytes[: len(good_bytes) // 2])
         assert ckpt.read_bytes() == good_bytes
