@@ -3,11 +3,11 @@
 Walks the whole serving story from docs/serving.md:
 
 1. train a small model briefly and save an atomic checkpoint;
-2. load it back through the model registry and stand up an
-   `InferenceServer` with a schedule cache;
+2. load it back through the model registry and stand up single-node
+   serving (a one-replica `Cluster`) over an on-disk schedule cache;
 3. serve a seeded bursty request stream under a client retry policy —
    backpressure, micro-batching, and schedule-cache reuse all visible
-   in the printed `ServerStats`;
+   in the printed `ServerStats` (`ClusterStats.single_node()`);
 4. rerun the identical loadtest and show the stats are byte-identical;
 5. rerun against the *warm* schedule cache and show the hit rate jump.
 
@@ -20,12 +20,12 @@ import shutil
 import tempfile
 from pathlib import Path
 
+from repro.cluster import Cluster, ClusterConfig
 from repro.datasets import load_dataset
 from repro.resilience import RetryPolicy
 from repro.serve import (
     ArrivalProcess,
     BatchingPolicy,
-    InferenceServer,
     ModelRegistry,
     ModelSpec,
     ServerConfig,
@@ -53,13 +53,13 @@ def build_server(spec_scale, checkpoint, cache_dir):
         model="GCN", dataset="ZINC", scale=spec_scale, hidden_dim=16,
         num_layers=2, checkpoint=str(checkpoint)))
     loaded = registry.load("demo")
-    server = InferenceServer(
+    server = Cluster(
         loaded.model,
-        cache=ScheduleCache(cache_dir),
-        config=ServerConfig(
+        ClusterConfig(num_replicas=1, server=ServerConfig(
             queue_capacity=8,
             policy=BatchingPolicy(max_batch_size=4, max_wait_s=0.01,
-                                  bucket_width=16)))
+                                  bucket_width=16))),
+        cache=ScheduleCache(cache_dir))
     return loaded, server
 
 
@@ -68,7 +68,7 @@ def loadtest(server, pool, num_requests):
                              burst_factor=8.0, burst_len=12)
     requests = generate_requests(pool, num_requests, process)
     retry = RetryPolicy(max_attempts=4, backoff_base_s=0.004)
-    return server.run(requests, retry_policy=retry)
+    return server.run(requests, retry_policy=retry).stats.single_node()
 
 
 def main():
@@ -93,8 +93,7 @@ def main():
               f"checkpoint) over a pool of {len(pool)} graphs")
 
         print("\n== 3. seeded bursty loadtest ==")
-        result = loadtest(server, pool, args.requests)
-        stats = result.stats
+        stats = loadtest(server, pool, args.requests)
         print(stats.summary_line())
         print(f"   max queue depth {stats.max_queue_depth} "
               f"(capacity 8), {stats.retried} retried, "
@@ -105,14 +104,14 @@ def main():
                                 workdir / "schedules-replay")
         replay = loadtest(fresh, pool, args.requests)
         blob_a = json.dumps(stats.as_dict(), sort_keys=True)
-        blob_b = json.dumps(replay.stats.as_dict(), sort_keys=True)
+        blob_b = json.dumps(replay.as_dict(), sort_keys=True)
         assert blob_a == blob_b, "replay diverged!"
         print(f"replay stats identical: {len(blob_a)} bytes, equal")
 
         print("\n== 5. warm schedule cache ==")
         _, warm = build_server(args.scale, checkpoint,
                                workdir / "schedules")  # reuse dir
-        warm_stats = loadtest(warm, pool, args.requests).stats
+        warm_stats = loadtest(warm, pool, args.requests)
         print(f"cold run:  {stats.cache.hits} hits / "
               f"{stats.cache.misses} misses "
               f"(hit rate {stats.schedule_hit_rate:.2f})")

@@ -7,10 +7,10 @@ preprocess  Build MEGA schedules for a dataset and save them to .npz.
 profile     nvprof-style kernel profile of one configuration.
 train       Train a model under a schedule; prints per-epoch history.
 compare     Baseline-vs-MEGA epoch time and convergence summary.
-serve       Serve a dataset's test split through the inference server.
+serve       Serve a dataset's test split through one serving replica.
 loadtest    Seeded Poisson/bursty load test; prints SLO metrics.
-cluster     Multi-replica loadtest: routing policies, tiered cache,
-            seeded replica crashes and failover.
+cluster     loadtest with the fleet flags: routing policies, tiered
+            cache, seeded replica crashes and failover.
 stream      Dynamic-graph loadtest: named graphs, seeded edge deltas,
             incremental schedule repair, tiered invalidation.
 bench       Benchmark harness: run/compare/list BENCH_*.json ledgers.
@@ -234,7 +234,28 @@ def _add_serve_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the persistent schedule cache")
     parser.add_argument("--json", action="store_true",
-                        help="print full ServerStats as JSON")
+                        help="print the full stats as JSON")
+
+
+def _add_load_args(parser: argparse.ArgumentParser, count: str = "requests",
+                   count_help: str = "requests to submit",
+                   pool: int = 16) -> None:
+    """The load flags of every seeded loadtest; read by _build_load."""
+    group = parser.add_argument_group(
+        "load", "seeded arrivals over a pool of test graphs")
+    group.add_argument(f"--{count}", type=int, default=200, help=count_help)
+    group.add_argument("--rate", type=float, default=400.0,
+                       help=f"mean arrival rate ({count} per simulated s)")
+    group.add_argument("--process", default="poisson",
+                       choices=["poisson", "bursty"])
+    group.add_argument("--seed", type=int, default=0)
+    group.add_argument("--pool", type=int, default=pool,
+                       help="distinct test graphs in the pool")
+    group.add_argument("--burst-factor", type=float, default=6.0)
+    group.add_argument("--burst-len", type=int, default=16)
+    group.add_argument("--retries", type=int, default=3,
+                       help="attempt budget per request: rejections and "
+                            "failovers (0 = fail immediately)")
 
 
 def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
@@ -300,17 +321,47 @@ def _server_config(args: argparse.Namespace):
                               bucket_width=args.bucket_width))
 
 
-def _build_server(args: argparse.Namespace):
-    """(LoadedModel, InferenceServer) from parsed serve/loadtest args."""
+def _cli_cache(args: argparse.Namespace):
+    """The on-disk ScheduleCache the cache flags ask for, or None."""
     from repro.pipeline import ScheduleCache
-    from repro.serve import InferenceServer
 
-    loaded = _load_cli_model(args)
     cache_dir = _resolve_cache_dir(args)
-    cache = ScheduleCache(cache_dir) if cache_dir is not None else None
-    server = InferenceServer(loaded.model, cache=cache,
-                             config=_server_config(args))
-    return loaded, server
+    return ScheduleCache(cache_dir) if cache_dir is not None else None
+
+
+#: Lower bounds of the integer load flags (``serve`` has only
+#: ``--requests``, ``stream`` counts ``--events``).
+LOAD_FLAG_FLOORS = (("requests", 0), ("events", 0), ("pool", 1),
+                    ("retries", 0))
+
+
+def _check_load_flags(args: argparse.Namespace) -> None:
+    from repro.errors import ConfigError
+
+    for flag, floor in LOAD_FLAG_FLOORS:
+        value = getattr(args, flag, floor)
+        if value < floor:
+            raise ConfigError(f"--{flag} must be >= {floor}, got {value}")
+
+
+def _build_load(args: argparse.Namespace, graphs):
+    """(ArrivalProcess, pool, RetryPolicy | None) from the load flags.
+
+    The one place they are checked: a negative count or retry budget,
+    or a pool below one graph, is a ConfigError (exit 2), not a slice
+    such as ``graphs[:-3]`` or a budget read as 0.
+    """
+    from repro.resilience import RetryPolicy
+    from repro.serve import ArrivalProcess
+
+    process = ArrivalProcess(kind=args.process, rate_rps=args.rate,
+                             seed=args.seed,
+                             burst_factor=args.burst_factor,
+                             burst_len=args.burst_len)
+    _check_load_flags(args)
+    retry = (RetryPolicy(max_attempts=args.retries)
+             if args.retries > 0 else None)
+    return process, graphs[:args.pool], retry
 
 
 def _cli_fault_plan(args: argparse.Namespace):
@@ -337,8 +388,8 @@ def _cluster_config(args: argparse.Namespace):
     from repro.cluster import ClusterConfig
 
     return ClusterConfig(
-        num_replicas=args.replicas,
-        policy=args.policy,
+        num_replicas=getattr(args, "replicas", 1),
+        policy=getattr(args, "policy", "hash-affinity"),
         vnodes=getattr(args, "vnodes", 64),
         server=_server_config(args),
         breaker_threshold=getattr(args, "breaker_threshold", 0),
@@ -347,16 +398,13 @@ def _cluster_config(args: argparse.Namespace):
 
 
 def _build_cluster(args: argparse.Namespace):
-    """(LoadedModel, Cluster) from parsed cluster/loadtest args."""
+    """(LoadedModel, Cluster) from parsed serve/loadtest/cluster args."""
     from repro.cluster import Cluster
-    from repro.pipeline import ScheduleCache
 
     loaded = _load_cli_model(args)
-    cache_dir = _resolve_cache_dir(args)
-    cache = ScheduleCache(cache_dir) if cache_dir is not None else None
     cluster = Cluster(
-        loaded.model, cache=cache, fault_plan=_cli_fault_plan(args),
-        config=_cluster_config(args))
+        loaded.model, cache=_cli_cache(args),
+        fault_plan=_cli_fault_plan(args), config=_cluster_config(args))
     return loaded, cluster
 
 
@@ -425,7 +473,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.loadgen import check_rate
 
     check_rate(args.rate)
-    loaded, server = _build_server(args)
+    _check_load_flags(args)
+    loaded, cluster = _build_cluster(args)
     pool = loaded.dataset.test[:args.requests]
     if not pool:
         pool = loaded.dataset.test
@@ -433,7 +482,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     requests = [InferenceRequest(request_id=i, graph=pool[i % len(pool)],
                                  submitted_s=(i + 1) * gap)
                 for i in range(args.requests)]
-    result = server.run(requests)
+    result = cluster.run(requests)
     print(f"served {loaded.spec.model} on {loaded.spec.dataset} "
           f"(epoch {loaded.epoch} checkpoint)"
           if loaded.spec.checkpoint else
@@ -446,68 +495,40 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"  request {resp.request_id}: {shown}  "
               f"latency {resp.latency_s * 1e3:.3f} ms  "
               f"batch {resp.batch_id}")
-    _print_serve_report(result.stats, args.json)
+    _print_serve_report(result.stats.single_node(), args.json)
     return 0
 
 
 def cmd_loadtest(args: argparse.Namespace) -> int:
-    from repro.resilience import RetryPolicy
-    from repro.serve import ArrivalProcess, generate_requests
+    """``loadtest`` and its alias ``cluster``, which adds the fleet flags.
 
-    process = ArrivalProcess(kind=args.process, rate_rps=args.rate,
-                             seed=args.seed,
-                             burst_factor=args.burst_factor,
-                             burst_len=args.burst_len)
-    clustered = args.replicas > 1
-    if clustered:
-        loaded, target = _build_cluster(args)
-    else:
-        loaded, target = _build_server(args)
-    pool = loaded.dataset.test[:args.pool]
-    requests = generate_requests(pool, args.requests, process)
-    retry = (RetryPolicy(max_attempts=args.retries)
-             if args.retries > 0 else None)
-    result = target.run(requests, retry_policy=retry)
+    ``loadtest`` with one replica prints the single-node view
+    (:meth:`~repro.cluster.ClusterStats.single_node`); every other run
+    prints the fleet's.
+    """
+    from repro.serve import generate_requests
+
+    loaded, cluster = _build_cluster(args)
+    process, pool, retry = _build_load(args, loaded.dataset.test)
+    result = cluster.run(generate_requests(pool, args.requests, process),
+                         retry_policy=retry)
+    single = args.command == "loadtest" and args.replicas == 1
     if not args.json:
-        where = (f"{args.replicas} replicas ({args.policy})"
-                 if clustered else "1 server")
-        print(f"loadtest: {args.requests} requests, {args.process} "
+        head = "loadtest" if args.command == "loadtest" else \
+            "cluster loadtest"
+        where = ("1 server" if single
+                 else f"{args.replicas} replicas ({args.policy})")
+        print(f"{head}: {args.requests} requests, {args.process} "
               f"arrivals at {args.rate:.0f} req/s (seed {args.seed}), "
               f"pool of {len(pool)} graphs, {where}")
-    if clustered:
-        _print_cluster_report(result.stats, args.json)
+    if single:
+        _print_serve_report(result.stats.single_node(), args.json)
     else:
-        _print_serve_report(result.stats, args.json)
-    return 0
-
-
-def cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.resilience import RetryPolicy
-    from repro.serve import ArrivalProcess, generate_requests
-
-    process = ArrivalProcess(kind=args.process, rate_rps=args.rate,
-                             seed=args.seed,
-                             burst_factor=args.burst_factor,
-                             burst_len=args.burst_len)
-    loaded, cluster = _build_cluster(args)
-    pool = loaded.dataset.test[:args.pool]
-    requests = generate_requests(pool, args.requests, process)
-    retry = (RetryPolicy(max_attempts=args.retries)
-             if args.retries > 0 else None)
-    result = cluster.run(requests, retry_policy=retry)
-    if not args.json:
-        print(f"cluster loadtest: {args.requests} requests, "
-              f"{args.process} arrivals at {args.rate:.0f} req/s "
-              f"(seed {args.seed}), pool of {len(pool)} graphs, "
-              f"{args.replicas} replicas ({args.policy})")
-    _print_cluster_report(result.stats, args.json)
+        _print_cluster_report(result.stats, args.json)
     return 0
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
-    from repro.pipeline import ScheduleCache
-    from repro.resilience import RetryPolicy
-    from repro.serve import ArrivalProcess
     from repro.stream import (
         RepairPolicy,
         StreamMix,
@@ -515,27 +536,19 @@ def cmd_stream(args: argparse.Namespace) -> int:
         generate_stream,
     )
 
-    process = ArrivalProcess(kind=args.process, rate_rps=args.rate,
-                             seed=args.seed,
-                             burst_factor=args.burst_factor,
-                             burst_len=args.burst_len)
     loaded = _load_cli_model(args)
-    cache_dir = _resolve_cache_dir(args)
-    cache = ScheduleCache(cache_dir) if cache_dir is not None else None
-    pool = loaded.dataset.test[:args.pool]
+    process, pool, retry = _build_load(args, loaded.dataset.test)
     graphs = {f"g{i}": g for i, g in enumerate(pool)}
     server = StreamServer(
         loaded.model, graphs, config=_cluster_config(args),
         repair_policy=RepairPolicy(recompute_ratio=args.recompute_ratio),
-        cache=cache, fault_plan=_cli_fault_plan(args))
+        cache=_cli_cache(args), fault_plan=_cli_fault_plan(args))
     mix = StreamMix(delta_fraction=args.delta_fraction,
                     ops_per_delta=args.ops_per_delta,
                     delete_fraction=args.delete_fraction,
                     seed=args.seed)
     requests, deltas = generate_stream(server.table, args.events,
                                        process, mix)
-    retry = (RetryPolicy(max_attempts=args.retries)
-             if args.retries > 0 else None)
     result = server.run(requests, deltas, retry_policy=retry)
     stats = result.stats
     if args.json:
@@ -630,8 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("serve",
-                       help="serve the test split through the "
-                            "inference server")
+                       help="serve the test split through one serving "
+                            "replica")
     _add_dataset_args(p)
     _add_serve_args(p)
     p.add_argument("--requests", type=int, default=32,
@@ -646,22 +659,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seeded load test; prints SLO metrics")
     _add_dataset_args(p)
     _add_serve_args(p)
-    p.add_argument("--requests", type=int, default=200)
-    p.add_argument("--rate", type=float, default=400.0,
-                   help="mean arrival rate (requests per simulated s)")
-    p.add_argument("--process", default="poisson",
-                   choices=["poisson", "bursty"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pool", type=int, default=16,
-                   help="distinct graphs in the request pool")
-    p.add_argument("--burst-factor", type=float, default=6.0)
-    p.add_argument("--burst-len", type=int, default=16)
-    p.add_argument("--retries", type=int, default=3,
-                   help="client retry attempts on rejection "
-                        "(0 = drop immediately)")
+    _add_load_args(p)
     p.add_argument("--replicas", type=int, default=1,
-                   help="serve through a cluster of N replicas "
-                        "(1 = single server)")
+                   help="serving replicas (1 = single node)")
     p.add_argument("--policy", default="hash-affinity",
                    choices=CLUSTER_POLICIES,
                    help="cluster load-balance policy (with --replicas > 1)")
@@ -673,20 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     _add_serve_args(p)
     _add_cluster_args(p)
-    p.add_argument("--requests", type=int, default=200)
-    p.add_argument("--rate", type=float, default=400.0,
-                   help="mean arrival rate (requests per simulated s)")
-    p.add_argument("--process", default="poisson",
-                   choices=["poisson", "bursty"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pool", type=int, default=16,
-                   help="distinct graphs in the request pool")
-    p.add_argument("--burst-factor", type=float, default=6.0)
-    p.add_argument("--burst-len", type=int, default=16)
-    p.add_argument("--retries", type=int, default=3,
-                   help="retry budget per request: rejections and "
-                        "failovers (0 = fail immediately)")
-    p.set_defaults(func=cmd_cluster)
+    _add_load_args(p)
+    p.set_defaults(func=cmd_loadtest)
 
     p = sub.add_parser("stream",
                        help="dynamic-graph loadtest: seeded edge "
@@ -694,20 +682,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     _add_serve_args(p)
     _add_cluster_args(p)
-    p.add_argument("--events", type=int, default=200,
-                   help="total event slots (queries + delta batches)")
-    p.add_argument("--rate", type=float, default=400.0,
-                   help="mean event rate (events per simulated s)")
-    p.add_argument("--process", default="poisson",
-                   choices=["poisson", "bursty"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pool", type=int, default=8,
-                   help="named graphs in the table")
-    p.add_argument("--burst-factor", type=float, default=6.0)
-    p.add_argument("--burst-len", type=int, default=16)
-    p.add_argument("--retries", type=int, default=3,
-                   help="retry budget per request (0 = fail "
-                        "immediately)")
+    _add_load_args(p, count="events",
+                   count_help="total event slots (queries + delta "
+                              "batches)", pool=8)
     p.add_argument("--delta-fraction", type=float, default=0.2,
                    help="probability an event is a delta batch")
     p.add_argument("--ops-per-delta", type=int, default=4,

@@ -1,9 +1,10 @@
 """Sharded multi-replica serving: the fleet above :mod:`repro.serve`.
 
-One :class:`~repro.serve.server.InferenceServer` scales the paper's
-efficiency story vertically; this package scales it horizontally — the
-ROADMAP's "heavy traffic from millions of users" made concrete as N
-deterministic replicas behind a router, still byte-replayable:
+This package is the serving front end: N deterministic replicas behind
+a router, still byte-replayable — the ROADMAP's "heavy traffic from
+millions of users" made concrete.  One replica is single-node serving
+(:meth:`ClusterStats.single_node` gives its
+:class:`~repro.serve.stats.ServerStats` view):
 
 - :mod:`repro.cluster.routing` — consistent-hash ring over graph
   content keys plus the pluggable load-balance policies

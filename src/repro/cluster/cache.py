@@ -13,14 +13,14 @@ with two tiers:
   replica 0 is still a (slower) hit when round-robin later sends it to
   replica 2.  L2 is an in-memory table by default, over an on-disk
   :class:`~repro.pipeline.cache.ScheduleCache` when one is attached —
-  in which case the disk cache's own counters move too, the same
-  double-entry bookkeeping the single-node server exposes.
+  in which case the disk cache's own counters move too.  The L2 memo
+  keeps each disk read, so a run reads a key from disk at most once.
 
 There is one resolver, :class:`~repro.serve.server.ScheduleStore`.
 A :class:`ReplicaScheduleView` is that store with two tiers, its own
-L1 memo and then the fleet's :class:`TieredScheduleCache`, so the
-:class:`~repro.serve.server.ServerEngine` cannot tell tiered and
-single-node stores apart.  Each lookup bumps one counter on the view
+L1 memo and then the fleet's :class:`TieredScheduleCache`.
+Single-node serving is a one-replica cluster, so it resolves through
+the same two tiers.  Each lookup bumps one counter on the view
 that made it; every :class:`TierStats` — per replica, per run and
 fleet-wide — is folded from those counters.
 """

@@ -1,8 +1,7 @@
 """The cluster: N serving replicas behind a router, on one clock.
 
-This is the horizontal-scale counterpart of :class:`repro.serve.server
-.InferenceServer`, run by the same :class:`repro.serve.server
-.EventLoop`, but the serving state is N
+This is the one serving front end: the only driver of
+:class:`repro.serve.server.EventLoop`.  The serving state is N
 :class:`~repro.serve.server.ServerEngine` replicas sharing a single
 :class:`~repro.train.clock.SimulatedClock`, fronted by a router that
 picks a replica per request (see :mod:`repro.cluster.routing`), a
@@ -47,10 +46,13 @@ Failure model — every state is deliberately reachable from a test:
   :meth:`ClusterResult.response_for` raises a
   :class:`~repro.errors.ClusterError` for the latter two.
 
-With one replica, no faults and the same server knobs, the handlers
-below reduce to the single-node server's event for event — the
-degeneracy tests in ``tests/cluster/test_cluster.py`` hold the two
-stats surfaces and responses equal.
+Single-node serving *is* the cluster with ``num_replicas=1``: its
+:class:`~repro.serve.stats.ServerStats` view is
+:meth:`ClusterStats.single_node` (replica 0's stats with the fleet's
+client-side ``retried`` and ``failed`` folded in).  The degeneracy
+property in ``tests/cluster/test_cluster.py`` holds that view and every
+response equal to the retired single-server loop, kept as a test
+oracle.
 """
 
 from __future__ import annotations

@@ -24,11 +24,12 @@ hint the client was given; both resolve to a typed
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List
 
 from repro.cluster.cache import ReplicaScheduleView, TierStats
 from repro.cluster.health import RecoveryRecord
+from repro.errors import ClusterError
 from repro.serve.stats import LatencyFold, ServerStats
 
 #: The closed set of per-request failure reasons.  ``shed-capacity``
@@ -206,6 +207,22 @@ class ClusterStats(LatencyFold):
     @property
     def l2_hit_rate(self) -> float:
         return self.tier.l2_hit_rate
+
+    def single_node(self) -> ServerStats:
+        """The single-node view of a one-replica run.
+
+        Replica 0's :class:`~repro.serve.stats.ServerStats`, with the
+        client-side counters the fleet keeps folded in: ``retried`` is
+        the fleet's ``retried`` and ``dropped`` its ``failed``.  A run
+        with more than one replica record (a wider fleet, or a replica
+        that crashed and rejoined) has no single-node view.
+        """
+        if len(self.replicas) != 1:
+            raise ClusterError(
+                f"single_node() needs exactly one replica record, "
+                f"got {len(self.replicas)}")
+        return replace(self.replicas[0].stats, retried=self.retried,
+                       dropped=self.failed)
 
     # ------------------------------------------------------------------
     # Reporting

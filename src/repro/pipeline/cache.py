@@ -140,8 +140,9 @@ class ScheduleCache:
     """On-disk schedule store addressed by content hash.
 
     The one store that keeps the bare :class:`TraversalResult`: every
-    in-memory tier holds the path representation itself.  The serving
-    resolver reaches it through :class:`repro.serve.server.DiskTier`.
+    in-memory tier holds the path representation itself.  Serving
+    reaches it as the backing of the fleet's shared tier
+    (:class:`repro.cluster.cache.TieredScheduleCache`).
 
     Parameters
     ----------

@@ -321,10 +321,14 @@ def precompute_paths(graphs: Sequence[Graph],
             f"on_error must be 'raise' or 'quarantine', got {on_error!r}")
     quarantine = on_error == "quarantine"
     retry = retry or RetryPolicy()
+    # A cache opened here counts from zero: its constructor's stale-tmp
+    # sweep belongs to this run.  A caller's cache reports the delta.
+    counters_before = CacheStats().as_dict()
     if cache is None and cache_dir is not None:
         cache = ScheduleCache(cache_dir, max_bytes=max_bytes)
+    elif cache is not None:
+        counters_before = cache.stats.as_dict()
     stats = PipelineStats(num_graphs=len(graphs), workers=workers)
-    counters_before = cache.stats.as_dict() if cache is not None else None
 
     n = len(graphs)
     paths: List[Optional[PathRepresentation]] = [None] * n

@@ -129,6 +129,9 @@ class PipelineStats:
         line = (f"pipeline: {self.num_graphs} graphs, "
                 f"{self.computed} computed ({self.workers} workers), "
                 f"cache {cached}, {self.total_s:.2f}s")
+        if self.cache.stale_tmp:
+            line += (f", swept {self.cache.stale_tmp} stale tmp "
+                     f"file(s)")
         if self.retries:
             line += f", {self.retries} retried"
         if self.degraded_to_serial:

@@ -11,12 +11,12 @@ concrete and, crucially, *deterministic*:
   admission queue whose rejections carry retry-after hints.
 - :mod:`repro.serve.batcher` — dynamic micro-batching by path-length
   bucket (the serving analogue of :mod:`repro.core.batching`).
-- :mod:`repro.serve.server` — the serving engine and the one event
-  loop that drives engines, for the single server here and for
-  :mod:`repro.cluster`: simulated time
+- :mod:`repro.serve.server` — the serving engine, the schedule store
+  and the one event loop that drives engines: simulated time
   (:class:`repro.train.clock.SimulatedClock`), schedule reuse through
-  the PR-1 :class:`~repro.pipeline.cache.ScheduleCache`, execution
-  cost from the analytic kernel simulator.
+  tiered lookups by content key, execution cost from the analytic
+  kernel simulator.  Its one driver is :class:`repro.cluster.Cluster`;
+  single-node serving is a one-replica cluster.
 - :mod:`repro.serve.loadgen` — seeded Poisson/bursty arrival processes
   built on :meth:`repro.resilience.FaultPlan.roll` (SHA-256 uniforms,
   no ``random`` anywhere).
@@ -44,9 +44,7 @@ from repro.serve.queueing import (
 from repro.serve.registry import LoadedModel, ModelRegistry, ModelSpec
 from repro.serve.server import (
     EventLoop,
-    InferenceServer,
     ScheduleStore,
-    ServeResult,
     ServerConfig,
     ServerEngine,
 )
@@ -68,9 +66,7 @@ __all__ = [
     "ModelSpec",
     "LoadedModel",
     "EventLoop",
-    "InferenceServer",
     "ScheduleStore",
-    "ServeResult",
     "ServerConfig",
     "ServerEngine",
     "BatchRecord",

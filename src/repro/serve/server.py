@@ -1,4 +1,4 @@
-"""The inference server: a deterministic event loop in simulated time.
+"""The serving engine and the one event loop, in simulated time.
 
 Request lifecycle (``docs/serving.md`` has the full walkthrough)::
 
@@ -13,25 +13,25 @@ Three design rules keep every run replayable:
   the analytic kernel simulator (:func:`repro.models.kernel_plans
   .simulate_batch`) on the actual :class:`~repro.models.runtime
   .MegaRuntime` of each batch.  Wall-clock never touches the stats.
-* **Schedules resolve at admission, through the schedule cache.**  Each
-  admitted graph is looked up in the :class:`~repro.pipeline.cache
-  .ScheduleCache` by content key; repeat graphs skip Algorithm 1
-  entirely and the hit is visible in both the serve-local counters and
-  the pipeline cache's own.
+* **Schedules resolve at admission, through the schedule tiers.**  Each
+  admitted graph is looked up by content key in a
+  :class:`ScheduleStore`; repeat graphs skip Algorithm 1 entirely and
+  the hit shows in the serve-local counters.
 * **Backpressure is explicit.**  A full queue rejects with a
   deterministic retry-after hint; the client side re-submits under a
-  :class:`repro.resilience.RetryPolicy` and gives up loudly (counted as
-  ``dropped``) when the policy is exhausted.
+  :class:`repro.resilience.RetryPolicy` and gives up loudly when the
+  policy is exhausted.
 
 Structurally serving splits into two pieces.  :class:`ServerEngine`
 is the externally-clocked core — admission, batching, execution,
 per-replica stats — that owns **no clock and no client behaviour**:
 every method takes an explicit simulated timestamp.
 :class:`EventLoop` owns time: one heap of timed events that launches
-ripe batches on the engines it is given.  It is the only serving loop.
-:meth:`InferenceServer.run` drives one engine on it;
-:mod:`repro.cluster` drives N engines on it behind a router, adding
-its routing and fault handling as event handlers.
+ripe batches on the engines it is given.  Its one driver is
+:class:`repro.cluster.Cluster`, which adds routing, client retries and
+fault handling as event handlers.  Single-node serving is a
+one-replica cluster, read through
+:meth:`repro.cluster.ClusterStats.single_node`.
 """
 
 from __future__ import annotations
@@ -50,11 +50,8 @@ from repro.memsim.device import GPUDevice, GTX_1080
 from repro.models.base import GNNModel
 from repro.models.kernel_plans import simulate_batch
 from repro.models.runtime import MegaRuntime
-from repro.pipeline.cache import ScheduleCache
-from repro.pipeline.hashing import schedule_cache_key
-from repro.pipeline.parallel import compute_schedule, materialise
+from repro.pipeline.parallel import compute_schedule
 from repro.pipeline.stats import CacheStats
-from repro.resilience import RetryPolicy
 from repro.serve.batcher import BatchingPolicy, BatchPlan, MicroBatcher
 from repro.serve.queueing import (
     BoundedRequestQueue,
@@ -66,6 +63,12 @@ from repro.serve.stats import BatchRecord, ServerStats
 from repro.errors import QueueFullError, ServeError
 from repro.tensor import no_grad
 from repro.train.clock import SimulatedClock
+
+# Not called here: the schedule store never hashes, and no tier in this
+# module binds a disk entry.  The benchmarks/perf tracer patches these
+# names in this module by attribute, so they must stay bound here.
+from repro.pipeline.hashing import schedule_cache_key
+from repro.pipeline.parallel import materialise
 
 #: Retry-after hint before any batch has executed (afterwards the hint
 #: is the last batch's service time).
@@ -113,30 +116,6 @@ class ScheduleMemo(dict):
     put = dict.__setitem__
 
 
-class DiskTier:
-    """An on-disk :class:`ScheduleCache` as a tier.
-
-    The cache stores the bare schedule and re-reads and
-    checksum-verifies it on every lookup, so every hit binds it to the
-    requesting graph again (:func:`~repro.pipeline.parallel
-    .materialise`).
-    """
-
-    def __init__(self, cache: ScheduleCache, config: MegaConfig):
-        self.cache = cache
-        self.config = config
-
-    def lookup(self, key: str, graph: Graph
-               ) -> Optional[PathRepresentation]:
-        entry = self.cache.get(key)
-        if entry is None:
-            return None
-        return materialise(graph, self.config, entry)
-
-    def put(self, key: str, rep: PathRepresentation) -> None:
-        self.cache.put(key, rep.schedule)
-
-
 class ScheduleStore:
     """Admission-time schedule resolution through an ordered tier list.
 
@@ -145,30 +124,16 @@ class ScheduleStore:
     ``None``, and ``put(key, representation)``.  :meth:`resolve` walks
     the tiers in order: a hit is copied into the tiers above it, a full
     miss runs Algorithm 1 and feeds every tier the representation it
-    built.
-
-    The single-node server has one tier: the attached
-    :class:`ScheduleCache` (as a :class:`DiskTier`), which re-reads and
-    checksum-verifies the entry on every lookup (hits also move the
-    pipeline cache's own counters — the observable double-entry
-    bookkeeping the acceptance tests assert) or, without one, an
-    in-process memo, so the server never needs a disk directory just to
-    deduplicate repeat graphs within a run.  A cluster replica's view
-    stacks its own memo over the fleet's shared tier
+    built.  Its one subclass is a cluster replica's view, which stacks
+    its own :class:`ScheduleMemo` over the fleet's shared tier
     (:mod:`repro.cluster.cache`).
 
     Each lookup bumps exactly one counter: ``tier_hits[i]`` for a hit
     in tier ``i``, else ``misses``.  Every stats view is derived.
     """
 
-    def __init__(self, config: MegaConfig,
-                 cache: Optional[ScheduleCache] = None,
-                 tiers: Optional[Sequence] = None):
+    def __init__(self, config: MegaConfig, tiers: Sequence):
         self.config = config
-        self.cache = cache
-        if tiers is None:
-            tiers = (ScheduleMemo(config) if cache is None
-                     else DiskTier(cache, config),)
         self.tiers = tuple(tiers)
         self.tier_hits = [0] * len(self.tiers)
         self.misses = 0
@@ -211,21 +176,6 @@ class ScheduleStore:
         return rep, False
 
 
-@dataclass
-class ServeResult:
-    """Everything one :meth:`InferenceServer.run` call produced."""
-
-    responses: List[InferenceResponse]
-    stats: ServerStats
-
-    def response_for(self, request_id: int) -> InferenceResponse:
-        for resp in self.responses:
-            if resp.request_id == request_id:
-                return resp
-        raise ServeError(f"no response for request {request_id} "
-                         "(rejected and dropped, or never submitted)")
-
-
 class ServerEngine:
     """One replica's serving core, driven by an external clock.
 
@@ -241,9 +191,8 @@ class ServerEngine:
     * :meth:`complete` retires a finished batch's responses;
     * :meth:`evacuate` empties the queue (cluster failover).
 
-    ``store`` is a :class:`ScheduleStore`: the single-node one-tier
-    store or a cluster replica's two-tier view.  The engine never
-    hashes: :meth:`admit` takes the graph's content key from its
+    ``store`` is a :class:`ScheduleStore` (a cluster replica's
+    two-tier view).  The engine never hashes: :meth:`admit` takes the graph's content key from its
     caller, which computed it once for the whole dispatch.
     """
 
@@ -284,10 +233,8 @@ class ServerEngine:
         ``key`` is the content key of ``request.graph``; the store
         resolves the schedule under it.
 
-        Counter order matches the historical single-server loop:
-        every attempt samples the queue depth, then either admits or
-        rejects — so the engine's stats are byte-compatible with the
-        pre-refactor server.
+        Every attempt samples the queue depth, then either admits or
+        rejects.
         """
         self.stats.attempts += 1
         self.stats.queue_depth_sum += self.queue.depth
@@ -475,65 +422,3 @@ class EventLoop:
                     launch(key, engine, plan, now_s)
                     return True
         return False
-
-
-class InferenceServer:
-    """Single-executor inference server over one loaded model."""
-
-    def __init__(self, model: GNNModel,
-                 mega_config: Optional[MegaConfig] = None,
-                 cache: Optional[ScheduleCache] = None,
-                 clock: Optional[SimulatedClock] = None,
-                 config: Optional[ServerConfig] = None):
-        self.model = model
-        self.model.eval()
-        self.mega_config = mega_config or MegaConfig()
-        self.config = config or ServerConfig()
-        self.clock = clock if clock is not None else SimulatedClock()
-        self.store = ScheduleStore(self.mega_config, cache=cache)
-
-    # ------------------------------------------------------------------
-    def run(self, requests: List[InferenceRequest],
-            retry_policy: Optional[RetryPolicy] = None) -> ServeResult:
-        """Serve a request stream to completion; returns the result.
-
-        ``retry_policy`` drives the *client side*: a rejected request is
-        re-submitted after ``max(retry_after hint, policy backoff)``
-        until the policy's attempt budget is spent, then counted as
-        dropped.  ``None`` drops rejected requests immediately.
-        """
-        engine = ServerEngine(self.model, self.config, self.store)
-        stats = engine.stats
-        stats.received = len(requests)
-        responses: List[InferenceResponse] = []
-        loop = EventLoop(self.clock)
-        for request in requests:
-            loop.arrive(request)
-
-        def admit(request: InferenceRequest, now_s: float) -> None:
-            key = schedule_cache_key(request.graph, self.mega_config)
-            try:
-                engine.admit(request, now_s, key)
-            except QueueFullError as exc:
-                if (retry_policy is not None
-                        and request.attempt + 1 < retry_policy.max_attempts):
-                    delay = max(exc.retry_after_s,
-                                retry_policy.delay(request.attempt))
-                    stats.retried += 1
-                    loop.arrive(request.retry(now_s + delay))
-                else:
-                    stats.dropped += 1
-
-        def launch(_: int, engine: ServerEngine, plan: BatchPlan,
-                   now_s: float) -> None:
-            done_s, batch = engine.launch(plan, now_s)
-            loop.push(done_s, "done", batch)
-
-        def complete(batch: List[InferenceResponse], now_s: float) -> None:
-            engine.complete(batch, now_s)
-            responses.extend(batch)
-
-        loop.run(lambda: ((0, engine),), launch,
-                 {"arrive": admit, "done": complete})
-        engine.finish()
-        return ServeResult(responses=responses, stats=stats)

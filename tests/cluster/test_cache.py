@@ -12,7 +12,6 @@ from repro.core.config import MegaConfig
 from repro.pipeline import CacheStats, ScheduleCache
 from repro.pipeline.hashing import schedule_cache_key
 from repro.pipeline.parallel import compute_schedule, materialise
-from repro.serve import ScheduleStore
 
 
 def key(graph):
@@ -274,7 +273,7 @@ class TestResolverDifferential:
                                                   graphs):
         disk = (ScheduleCache(tmp_path / uuid.uuid4().hex)
                 if backed else None)
-        store = ScheduleStore(MegaConfig(), cache=disk)
+        store = TieredScheduleCache(MegaConfig(), backing=disk).view(0)
         seen = set()
         hits = misses = 0
         first_hit = -1
@@ -290,13 +289,15 @@ class TestResolverDifferential:
             else:
                 misses += 1
                 seen.add(k)
-        assert store.tier_hits == [hits] and store.misses == misses
+        # One view: every repeat is an L1 hit.
+        assert store.tier_hits == [hits, 0] and store.misses == misses
         assert store.lookups == hits + misses
         assert store.lookups_to_first_l1_hit == first_hit
         assert store.stats.as_dict() == CacheStats(
             hits=hits, misses=misses, puts=misses).as_dict()
         if backed:
-            # Disk-only: every lookup re-read and verified the disk.
+            # Each key is read from disk once (a miss, then written);
+            # repeats hit L1 and never re-read it.
             assert (disk.stats.hits, disk.stats.misses,
-                    disk.stats.puts) == (hits, misses, misses)
+                    disk.stats.puts) == (0, misses, misses)
             assert {g[1] for g in schedules if g[1] in disk} == seen

@@ -132,6 +132,16 @@ class TestClusteredLoadtest:
         assert "1 server" in out
         assert "serve:" in out and "cluster[" not in out
 
+    def test_cluster_is_an_alias_of_loadtest(self, capsys):
+        # One command behind both names: same flags, same JSON bytes.
+        flags = [*CLUSTER_ARGS, "--replicas", "3", "--process", "bursty",
+                 "--seed", "4", "--json"]
+        assert main(["cluster", *flags]) == 0
+        via_cluster = capsys.readouterr().out
+        assert main(["loadtest", *flags]) == 0
+        assert capsys.readouterr().out == via_cluster
+        assert json.loads(via_cluster)["num_replicas"] == 3
+
     def test_clustered_json_is_cluster_stats(self, capsys):
         code = main(["loadtest", *CLUSTER_ARGS, "--replicas", "2",
                      "--json"])

@@ -6,13 +6,14 @@ The tier-1 contract for ``repro.cluster``:
   ``ClusterStats.as_dict()``;
 * every request ends served or as a typed failure — never silently
   dropped;
-* one replica with no faults degenerates to the single-node server,
-  stat for stat.
+* one replica is single-node serving: its ``single_node()`` view
+  equals the retired single-server loop, stat for stat.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,13 @@ from repro.pipeline import ScheduleCache
 from repro.pipeline.hashing import schedule_cache_key
 from repro.pipeline.parallel import compute_schedule
 from repro.resilience import FaultPlan, RetryPolicy
-from repro.serve import BatchingPolicy, InferenceServer, ServerConfig
+from repro.serve import (
+    ArrivalProcess,
+    BatchingPolicy,
+    ServerConfig,
+    generate_requests,
+)
+from tests.serve.single_server_oracle import InferenceServer
 
 RETRY = RetryPolicy(max_attempts=3)
 
@@ -223,72 +230,112 @@ class TestFailover:
 
 
 class TestDegeneracy:
+    """Single-node serving is a one-replica cluster.
+
+    The retired single-server loop (``tests/serve/single_server_oracle``)
+    is the oracle: over drawn server knobs, arrival streams, retry
+    budgets and cache backings, the cluster's
+    :meth:`~repro.cluster.ClusterStats.single_node` view and every
+    response — order, batch, completion time, prediction — equal the
+    oracle's.
+    """
+
     @staticmethod
-    def assert_single_replica_matches(model, make_requests, single_cache,
-                                      cluster_cache):
-        # Queue big enough that no rejection path fires; then the
-        # cluster's one engine must reproduce InferenceServer.run's
-        # stats byte for byte.
-        server_config = ServerConfig(
-            queue_capacity=64, policy=BatchingPolicy(max_batch_size=8))
+    def assert_matches_single_server(model, requests, server_config,
+                                     retry=None, single_cache=None,
+                                     cluster_cache=None):
+        """Run both loops on ``requests``; return the oracle's result."""
         single = InferenceServer(model, config=server_config,
                                  cache=single_cache) \
-            .run(make_requests(num=48))
+            .run(requests, retry_policy=retry)
         clustered = Cluster(model, ClusterConfig(
-            num_replicas=1, server=server_config), cache=cluster_cache) \
-            .run(make_requests(num=48))
-        assert json.dumps(single.stats.as_dict(), sort_keys=True) == \
-            json.dumps(clustered.stats.replicas[0].stats.as_dict(),
-                       sort_keys=True)
+            num_replicas=1, server=server_config),
+            cache=cluster_cache).run(requests, retry_policy=retry)
+        assert json.dumps(clustered.stats.single_node().as_dict(),
+                          sort_keys=True) == \
+            json.dumps(single.stats.as_dict(), sort_keys=True)
         assert clustered.stats.served == single.stats.served
-        # Same predictions for the same request ids, too.
-        for response in single.responses[:5]:
-            other = clustered.response_for(response.request_id)
-            assert response.prediction.tolist() == \
-                other.prediction.tolist()
+        assert [(r.request_id, r.batch_id, r.completed_s)
+                for r in clustered.responses] == \
+            [(r.request_id, r.batch_id, r.completed_s)
+             for r in single.responses]
+        for ours, theirs in zip(clustered.responses, single.responses):
+            assert ours.prediction.tobytes() == theirs.prediction.tobytes()
+        return single
+
+    @given(capacity=st.integers(1, 64), max_batch=st.integers(1, 8),
+           max_wait_s=st.floats(0.001, 0.02),
+           kind=st.sampled_from(["poisson", "bursty"]),
+           rate_rps=st.floats(100.0, 20000.0),
+           seed=st.integers(0, 9), retries=st.integers(0, 3),
+           on_disk=st.booleans())
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_single_node_matches_single_server(
+            self, model, pool, capacity, max_batch, max_wait_s, kind,
+            rate_rps, seed, retries, on_disk):
+        server_config = ServerConfig(
+            queue_capacity=capacity,
+            policy=BatchingPolicy(max_batch_size=max_batch,
+                                  max_wait_s=max_wait_s, bucket_width=16))
+        requests = generate_requests(
+            pool, 32, ArrivalProcess(kind=kind, rate_rps=rate_rps,
+                                     seed=seed))
+        retry = (RetryPolicy(max_attempts=retries + 1,
+                             backoff_base_s=0.002) if retries else None)
+        with tempfile.TemporaryDirectory() as tmp:
+            def disk(name):
+                return ScheduleCache(Path(tmp) / name) if on_disk else None
+
+            self.assert_matches_single_server(
+                model, requests, server_config, retry,
+                disk("single"), disk("cluster"))
 
     def test_single_replica_matches_single_server(self, model,
                                                   make_requests):
-        self.assert_single_replica_matches(model, make_requests, None, None)
+        # Queue big enough that no rejection path fires.
+        server_config = ServerConfig(
+            queue_capacity=64, policy=BatchingPolicy(max_batch_size=8))
+        self.assert_matches_single_server(model, make_requests(num=48),
+                                          server_config)
 
     def test_single_replica_matches_single_server_on_disk(
             self, model, make_requests, tmp_path):
         # The single server's disk-only tier against the replica's L1
         # over a disk-backed L2: the serve-local counters still agree.
-        self.assert_single_replica_matches(
-            model, make_requests, ScheduleCache(tmp_path / "single"),
-            ScheduleCache(tmp_path / "cluster"))
+        server_config = ServerConfig(
+            queue_capacity=64, policy=BatchingPolicy(max_batch_size=8))
+        self.assert_matches_single_server(
+            model, make_requests(num=48), server_config,
+            single_cache=ScheduleCache(tmp_path / "single"),
+            cluster_cache=ScheduleCache(tmp_path / "cluster"))
 
     def test_single_replica_matches_under_backpressure(self, model,
                                                        make_requests):
-        # Rejections, retries and drops all fire.  The cluster keeps
-        # the client-side counters fleet-wide (retried, and failed for
-        # dropped); everything else is the one engine's, and every
-        # response — order, batch, completion time, prediction — is
-        # the single server's.
+        # Rejections, retries and drops all fire; single_node() folds
+        # the fleet's client-side retried and failed back in.
         server_config = ServerConfig(
             queue_capacity=3, policy=BatchingPolicy(
                 max_batch_size=2, max_wait_s=0.004, bucket_width=16))
         retry = RetryPolicy(max_attempts=2, backoff_base_s=0.002)
         requests = make_requests(num=48, rate_rps=20000.0, kind="bursty")
-        single = InferenceServer(model, config=server_config) \
-            .run(requests, retry_policy=retry)
-        clustered = Cluster(model, ClusterConfig(
-            num_replicas=1, server=server_config)) \
-            .run(requests, retry_policy=retry)
+        single = self.assert_matches_single_server(
+            model, requests, server_config, retry)
         assert single.stats.retried > 0 and single.stats.dropped > 0
-        assert clustered.stats.retried == single.stats.retried
-        assert clustered.stats.failed == single.stats.dropped
-        expected = single.stats.as_dict()
-        expected.update(retried=0, dropped=0)
-        assert json.dumps(expected, sort_keys=True) == json.dumps(
-            clustered.stats.replicas[0].stats.as_dict(), sort_keys=True)
-        assert [(r.request_id, r.batch_id, r.completed_s)
-                for r in single.responses] == \
-            [(r.request_id, r.batch_id, r.completed_s)
-             for r in clustered.responses]
-        for ours, theirs in zip(single.responses, clustered.responses):
-            assert np.array_equal(ours.prediction, theirs.prediction)
+
+    def test_single_node_needs_one_replica_record(self, make_cluster,
+                                                  make_requests):
+        stats = make_cluster(replicas=2).run(make_requests(num=8)).stats
+        with pytest.raises(ClusterError, match="exactly one replica"):
+            stats.single_node()
+        # One replica that crashed and rejoined has two records.
+        plan = FaultPlan(seed=0, crash_replicas=(0,),
+                         crash_after_batches=1, recover_after_s=0.0)
+        healed = make_cluster(replicas=1, fault_plan=plan).run(
+            make_requests(num=16), retry_policy=RETRY).stats
+        assert len(healed.replicas) == 2
+        with pytest.raises(ClusterError, match="exactly one replica"):
+            healed.single_node()
 
 
 class TestRunScopedTierStats:

@@ -62,6 +62,33 @@ class TestRateBoundary:
         assert len(err) == 1 and err[0].startswith("error: rate must be")
 
 
+class TestLoadFlagBoundary:
+    """The load flags are checked once, in the CLI's load builder.
+
+    Before, ``cluster --pool -3`` served from ``test[:-3]`` and
+    ``stream --pool -6`` from a shortened table, ``--retries -2`` was
+    read as 0, ``loadtest --replicas 0`` fell back to the single server
+    and ``serve --requests -2`` exited 0 having served nothing."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cluster", "--pool", "-3"], "--pool must be >= 1, got -3"),
+        (["stream", "--pool", "-6"], "--pool must be >= 1, got -6"),
+        (["loadtest", "--retries", "-2"], "--retries must be >= 0, got -2"),
+        (["cluster", "--retries", "-2"], "--retries must be >= 0, got -2"),
+        (["stream", "--retries", "-2"], "--retries must be >= 0, got -2"),
+        (["loadtest", "--replicas", "0"], "num_replicas must be >= 1"),
+        (["serve", "--requests", "-2"], "--requests must be >= 0, got -2"),
+    ], ids=["cluster-pool", "stream-pool", "loadtest-retries",
+            "cluster-retries", "stream-retries", "loadtest-replicas",
+            "serve-requests"])
+    def test_bad_load_flag_exits_2(self, argv, message, tmp_path, capsys):
+        assert main([*argv, "--scale", "0.004",
+                     "--cache-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert message in err[0]
+
+
 class TestFaultPinBoundary:
     """A fault pinned on a replica outside the fleet used to be ignored:
     the run exited 0 as if no fault had been asked for."""

@@ -57,7 +57,7 @@ class TestImportLayering:
         result = lint({
             "repro/pipeline/warm.py": '''\
                 """Doc string long enough."""
-                from repro.serve.server import InferenceServer
+                from repro.serve.server import ServerEngine
             ''',
         }, select={"MEGA001"})
         assert rule_ids_of(result) == ["MEGA001"]
@@ -97,7 +97,7 @@ class TestImportLayering:
             "repro/bench/workloads2.py": '''\
                 """Doc string long enough."""
                 from repro.cluster import Cluster
-                from repro.serve import InferenceServer
+                from repro.serve import ServerConfig
             ''',
         }, select={"MEGA001"})
         assert result.ok

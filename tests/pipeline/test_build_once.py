@@ -21,7 +21,6 @@ from repro.pipeline import (
     precompute_paths,
     schedule_cache_key,
 )
-from repro.serve.server import ScheduleStore
 from tests.strategies import graphs
 
 
@@ -130,7 +129,7 @@ class TestTierHitsRebind:
 
     def test_single_node_memo(self, twins):
         config = MegaConfig()
-        store = ScheduleStore(config)
+        store = TieredScheduleCache(config).view(0)
         key = schedule_cache_key(twins[0], config)
         first, hit = store.resolve(twins[0], key)
         assert not hit and first.graph is twins[0]
@@ -144,7 +143,8 @@ class TestTierHitsRebind:
 
     def test_single_node_disk(self, twins, tmp_path):
         config = MegaConfig()
-        store = ScheduleStore(config, cache=ScheduleCache(tmp_path))
+        store = TieredScheduleCache(
+            config, backing=ScheduleCache(tmp_path)).view(0)
         key = schedule_cache_key(twins[0], config)
         first, _ = store.resolve(twins[0], key)
         other, hit = store.resolve(twins[1], key)

@@ -21,7 +21,7 @@ from repro.pipeline import (
     schedule_cache_key,
 )
 from repro.pipeline.hashing import file_checksum
-from repro.serve.server import ScheduleStore
+from repro.cluster.cache import TieredScheduleCache
 from tests.strategies import graphs as any_graph
 
 
@@ -150,12 +150,19 @@ class TestVersionOnePayload:
         config = MegaConfig()
         key = schedule_cache_key(graphs[0], config)
         cache = ScheduleCache(v1_dir)
-        store = ScheduleStore(config, cache)
+        store = TieredScheduleCache(config, backing=cache).view(0)
         _, hit = store.resolve(graphs[0], key)
         assert not hit
-        assert (cache.stats.misses, cache.stats.corrupt_payload) == (1, 1)
+        assert (cache.stats.misses, cache.stats.corrupt_payload,
+                cache.stats.puts) == (1, 1, 1)
+        # The repeat is an in-process hit; a restarted store reads the
+        # rewritten entry back from disk.
         _, hit = store.resolve(graphs[0], key)
-        assert hit and cache.stats.hits == 1
+        assert hit and cache.stats.hits == 0
+        reopened = ScheduleCache(v1_dir)
+        _, hit = TieredScheduleCache(config, backing=reopened) \
+            .view(0).resolve(graphs[0], key)
+        assert hit and reopened.stats.hits == 1
 
 
 @settings(max_examples=60, deadline=None)

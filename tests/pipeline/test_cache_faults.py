@@ -94,6 +94,21 @@ class TestStaleTmpLitter:
         assert result.stats.cache.hits == len(graphs)
 
 
+    def test_run_that_opens_the_cache_reports_its_sweep(self, warm,
+                                                        graphs):
+        # precompute_paths(cache_dir=...) opens the cache itself, so the
+        # sweep its constructor makes belongs to the run's counters.
+        cache_dir, keys = warm
+        litter = cache_dir / f"{keys[0]}.npz.tmp.1.1"
+        litter.write_bytes(b"half a payload")
+        result = rerun(graphs, cache_dir)
+        assert result.stats.cache.stale_tmp == 1
+        assert result.stats.cache.hits == len(graphs)
+        assert not litter.exists()
+        assert "swept 1 stale tmp file(s)" in result.stats.summary_line()
+        assert rerun(graphs, cache_dir).stats.cache.stale_tmp == 0
+
+
 class TestUnlinkedPayload:
     def test_indexed_but_vanished_file(self, warm, graphs):
         cache_dir, keys = warm

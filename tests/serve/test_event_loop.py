@@ -1,7 +1,8 @@
 """The one serving event loop, driven with stub engines.
 
-:class:`~repro.serve.server.EventLoop` is what both the single server
-and the cluster run on, so its ordering rules are pinned here directly,
+:class:`~repro.serve.server.EventLoop` is what every serving run (a
+cluster of one replica or N) runs on, so its ordering rules are pinned
+here directly,
 without a model: same-instant ties resolve in push order, the batchers
 drain only once no arrival is pending, a launch takes precedence over
 the next event, and a loop that cannot make progress fails loudly.
