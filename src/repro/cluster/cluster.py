@@ -10,6 +10,16 @@ self-healing layer (see :mod:`repro.cluster.health`).  The cluster
 adds no loop of its own: routing, crashes, recoveries, breakers and
 control callbacks are the handlers it gives the event loop.
 
+Each :meth:`Cluster.run` opens one
+:class:`~repro.serve.server.ForwardExecutor` for its engines: a forked
+forward worker when the run is long enough to pay back the fork and
+the host has a second CPU, else in-process forwards.  It is closed when
+the run ends, also on error, so weights changed between runs reach the
+next run's worker.  The ``done``
+handler joins the batch's predictions before it builds the batch's
+responses; no prediction is joined later than its batch's ``done``
+event.
+
 Failure model — every state is deliberately reachable from a test:
 
 * A replica crash fires **at a batch-launch instant** (the replica is
@@ -91,7 +101,13 @@ from repro.serve.queueing import (
     InferenceResponse,
     scale_retry_after,
 )
-from repro.serve.server import EventLoop, ServerConfig, ServerEngine
+from repro.serve.server import (
+    EventLoop,
+    ForwardExecutor,
+    LaunchedBatch,
+    ServerConfig,
+    ServerEngine,
+)
 from repro.train.clock import SimulatedClock
 
 #: Observed/expected service-time ratio at which a batch completion
@@ -233,7 +249,8 @@ class Cluster:
             control_events: Optional[
                 Sequence[Tuple[float, Callable[[float], None]]]] = None,
             bind_request: Optional[
-                Callable[[InferenceRequest, float], InferenceRequest]]
+                Callable[[InferenceRequest, float],
+                         Tuple[InferenceRequest, Optional[str]]]]
             = None) -> ClusterResult:
         """Serve a request stream across the fleet to completion.
 
@@ -250,11 +267,29 @@ class Cluster:
         the cluster stays ignorant of what the callbacks do.
 
         ``bind_request`` rewrites a request at each dispatch instant
-        (arrivals, retries, failovers, hedges).  The streaming layer
-        uses it to resolve a named graph to its current version and pin
-        the epoch; requests already admitted are untouched — their
-        schedule was resolved at admission.
+        (arrivals, retries, failovers, hedges) and returns it with its
+        graph's content key, or with ``None`` when dispatch should hash
+        the graph itself.  The streaming layer uses it to resolve a
+        named graph to its current version, pin the epoch and hand over
+        the key its graph table already holds; requests already
+        admitted are untouched — their schedule was resolved at
+        admission.
+
+        A run that :func:`~repro.serve.server.use_forward_worker`
+        selects forks its forward worker when it starts and closes it
+        when it ends, also on error (:class:`~repro.serve.server
+        .ForwardExecutor`).  Each batch's ``done`` event joins that
+        batch's predictions before its responses are built.
         """
+        with ForwardExecutor(self.model, len(requests)) as forward:
+            return self._run(forward, requests, retry_policy,
+                             control_events, bind_request)
+
+    def _run(self, forward: ForwardExecutor,
+             requests: List[InferenceRequest],
+             retry_policy: Optional[RetryPolicy],
+             control_events, bind_request) -> ClusterResult:
+        """:meth:`run`'s body, with its forward executor open."""
         cfg = self.config
         plan = self.fault_plan
         policy = make_policy(cfg.policy)
@@ -269,7 +304,7 @@ class Cluster:
         views: Dict[int, ReplicaScheduleView] = {
             rid: self.tiered.view(rid) for rid in replica_ids}
         engines: Dict[int, ServerEngine] = {
-            rid: ServerEngine(self.model, cfg.server, views[rid])
+            rid: ServerEngine(self.model, cfg.server, views[rid], forward)
             for rid in replica_ids}
         lifetime_batches: Dict[int, int] = {rid: 0 for rid in replica_ids}
         last_crash_s: Dict[int, float] = {}
@@ -284,7 +319,7 @@ class Cluster:
         responses: List[InferenceResponse] = []
 
         # Event kinds: "arrive" carries a request, "done" carries
-        # (replica_id, responses, slow flag), "recover" carries a
+        # (replica_id, launched batch, slow flag), "recover" carries a
         # replica id, "control" carries a callback.
         loop = EventLoop(self.clock)
         # Control events go on the heap first so a delta and an arrival
@@ -368,14 +403,16 @@ class Cluster:
             stats.recovered_replicas += 1
             stats.rebalanced_arcs -= ring.add(rid)
             views[rid] = self.tiered.view(rid)
-            engines[rid] = ServerEngine(self.model, cfg.server, views[rid])
+            engines[rid] = ServerEngine(self.model, cfg.server, views[rid],
+                                        forward)
             health.recoveries.append(RecoveryRecord(
                 replica_id=rid, incarnation=h.incarnation,
                 crashed_at_s=last_crash_s[rid], recovered_at_s=now_s))
 
         def dispatch(request: InferenceRequest, now_s: float) -> None:
+            content_key = None
             if bind_request is not None:
-                request = bind_request(request, now_s)
+                request, content_key = bind_request(request, now_s)
             alive_ids = health.alive_ids()
             if not alive_ids:
                 fail(request, "no-replicas-alive", now_s)
@@ -392,7 +429,9 @@ class Cluster:
                     shed(request, hint, now_s)
                 return
             routable = health.routable_ids(now_s)
-            content_key = schedule_cache_key(request.graph, self.mega_config)
+            if content_key is None:
+                content_key = schedule_cache_key(request.graph,
+                                                 self.mega_config)
             loads = tuple((rid, engines[rid].load) for rid in routable)
             rid = policy.choose(content_key, loads, ring)
             engine = engines[rid]
@@ -426,17 +465,17 @@ class Cluster:
                 return
             scale = (plan.service_multiplier(rid, batch_index)
                      if plan is not None else 1.0)
-            done_s, batch_responses = engine.launch(
+            done_s, launched = engine.launch(
                 launch_plan, now_s, service_scale=scale)
             lifetime_batches[rid] += 1
             loop.push(done_s, "done",
-                      (rid, batch_responses, scale >= BREAKER_SLOW_RATIO))
+                      (rid, launched, scale >= BREAKER_SLOW_RATIO))
 
-        def complete(payload: Tuple[int, List[InferenceResponse], bool],
+        def complete(payload: Tuple[int, LaunchedBatch, bool],
                      now_s: float) -> None:
-            rid, batch_responses, slow = payload
+            rid, launched, slow = payload
             engine = engines[rid]
-            engine.complete(batch_responses, now_s)
+            batch_responses = engine.complete(launched, now_s)
             responses.extend(batch_responses)
             for response in batch_responses:
                 stats.served += 1

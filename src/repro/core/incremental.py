@@ -115,10 +115,20 @@ class IncrementalPath:
     """A path representation that absorbs edge updates in place."""
 
     def __init__(self, graph: Graph, config: Optional[MegaConfig] = None,
-                 rebuild_expansion: float = 1.5):
+                 rebuild_expansion: float = 1.5,
+                 representation: Optional[PathRepresentation] = None):
         """``rebuild_expansion`` is *relative*: a rebuild triggers when
         the path grows past ``rebuild_expansion x`` its length right
-        after the previous rebuild (1.5 = 50% patch growth)."""
+        after the previous rebuild (1.5 = 50% patch growth).
+
+        ``representation`` is Algorithm 1's output for ``graph`` under
+        ``config``, when the caller already has it: the tracker starts
+        from it instead of running Algorithm 1 again, and meters the
+        start as a rebuild all the same.  On an undirected graph with
+        no repeated node pair, Algorithm 1 does not depend on record
+        order or orientation, so this is the tracker's own first
+        rebuild.
+        """
         if rebuild_expansion <= 1.0:
             raise ScheduleError("rebuild_expansion must exceed 1.0")
         self.config = config or MegaConfig()
@@ -137,7 +147,7 @@ class IncrementalPath:
         #: ``num_nodes + 2 * num_edges``).  The streaming bench gates
         #: the repair-vs-recompute crossover on deltas of this counter.
         self.work_units = 0
-        self._rebuild_from_edges()
+        self._rebuild_from_edges(representation)
 
     # ------------------------------------------------------------------
     def _current_graph(self) -> Graph:
@@ -148,10 +158,13 @@ class IncrementalPath:
         return Graph(self._num_nodes, np.asarray(src, np.int64),
                      np.asarray(dst, np.int64), undirected=True)
 
-    def _rebuild_from_edges(self) -> None:
+    def _rebuild_from_edges(
+            self, rep: Optional[PathRepresentation]) -> None:
         self.work_units += self.rebuild_cost()
-        self.rep = PathRepresentation.from_graph(self._current_graph(),
-                                                 self.config)
+        if rep is None:
+            rep = PathRepresentation.from_graph(self._current_graph(),
+                                                self.config)
+        self.rep = rep
         self._path: List[int] = self.rep.path.tolist()
         self._virtual: List[bool] = self.rep.virtual_mask.tolist()
         self.window = self.rep.window
@@ -247,7 +260,7 @@ class IncrementalPath:
             self._cover[key] = (i, i)
         self.patches += 1
         if len(self._path) > self.rebuild_expansion * self._base_length:
-            self._rebuild_from_edges()
+            self._rebuild_from_edges(None)
         return False
 
     def remove(self, u: int, v: int, missing_ok: bool = False) -> bool:

@@ -22,7 +22,7 @@ Three design rules keep every run replayable:
   :class:`repro.resilience.RetryPolicy` and gives up loudly when the
   policy is exhausted.
 
-Structurally serving splits into two pieces.  :class:`ServerEngine`
+Structurally serving splits into three pieces.  :class:`ServerEngine`
 is the externally-clocked core — admission, batching, execution,
 per-replica stats — that owns **no clock and no client behaviour**:
 every method takes an explicit simulated timestamp.
@@ -32,13 +32,31 @@ ripe batches on the engines it is given.  Its one driver is
 fault handling as event handlers.  Single-node serving is a
 one-replica cluster, read through
 :meth:`repro.cluster.ClusterStats.single_node`.
+
+:class:`ForwardExecutor` runs the batches' numpy forwards.  A run
+opens one and shares it across its engines.  When
+:func:`use_forward_worker` holds (the run has at least
+:data:`WORKER_MIN_REQUESTS` requests, the ``fork`` start method exists
+and the process may run on more CPUs than the forward's BLAS threads
+take), it forks one forward worker: :meth:`ServerEngine.launch` ships a batch to it before pricing
+the batch, and :meth:`ServerEngine.complete` joins its predictions at
+the batch's completion event, then builds the responses.  Otherwise,
+or once a worker has died, the forward runs in-process through the
+same :func:`run_forward`.  The simulated clock never reads a
+prediction, and the worker's batch equals the parent's, so every
+prediction is byte-identical either way.  The worker lives here, not in
+a module of its own, because it is one step of the engine's launch
+and complete.
 """
 
 from __future__ import annotations
 
 import heapq
+import multiprocessing
+import os
+import signal
 from dataclasses import dataclass, field
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +112,177 @@ class ServerConfig:
         if self.queue_capacity < 1:
             raise ServeError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}")
+
+
+#: A run forks a forward worker only when it serves at least this many
+#: requests.  The fork, the child's teardown and the copy-on-write
+#: faults it causes in the parent cost tens of milliseconds whatever
+#: the run's size, which only a run with enough forwards to overlap
+#: pays back.
+WORKER_MIN_REQUESTS = 64
+
+#: The variables that cap numpy's BLAS thread pool, in the order
+#: OpenBLAS and MKL read them.  Unset, the pool takes every CPU.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "OMP_NUM_THREADS")
+
+
+def use_forward_worker(num_requests: int) -> bool:
+    """Whether a serving run of ``num_requests`` requests forks a
+    forward worker.
+
+    It does when the run has at least :data:`WORKER_MIN_REQUESTS`
+    requests, the ``fork`` start method exists, and this process may run
+    on more CPUs than the forward's BLAS threads take, so the worker's
+    forward and the parent's event loop each have a CPU.  Otherwise the
+    forward runs in-process: a BLAS pool that already spans every CPU
+    would contend with the parent for them.
+    """
+    if (num_requests < WORKER_MIN_REQUESTS
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity")):
+        return False
+    cpus = len(os.sched_getaffinity(0))  # megalint: sanctioned-impurity=env: picks where the forward runs, never what it returns; no replay surface reads it
+    caps = [os.environ.get(name) for name in BLAS_THREAD_VARS]  # megalint: sanctioned-impurity=env: picks where the forward runs, never what it returns; no replay surface reads it
+    cap = next((c for c in caps if c), "")
+    blas_threads = int(cap) if cap.isdigit() else cpus
+    return cpus > max(blas_threads, 1)
+
+
+def run_forward(model: GNNModel, batch: GraphBatch,
+                runtime: MegaRuntime) -> np.ndarray:
+    """One batch's predictions: the forward every serving path runs."""
+    with no_grad():
+        return np.asarray(model(batch, runtime).data)
+
+
+@dataclass
+class PendingForward:
+    """One launched batch's forward, until its completion joins it.
+
+    ``ticket`` numbers the batch on the forward worker; it is -1 when
+    the forward ran in-process at launch and ``predictions`` is already
+    set.  ``batch`` and ``runtime`` stay for a recompute in-process: of
+    a batch the worker died holding, or of one whose forward raised in
+    the worker (the recompute raises the same exception here).
+    """
+
+    batch: GraphBatch
+    runtime: MegaRuntime
+    ticket: int
+    predictions: Optional[np.ndarray]
+
+
+def _forward_worker(model: GNNModel, parent_end, conn) -> None:
+    """The forked worker's loop: one forward per ``(batch, runtime)``.
+
+    Replies go back in the order the batches came, with ``None`` for a
+    forward that raised.
+    """
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            batch, runtime = conn.recv()
+        except EOFError:
+            return
+        try:
+            predictions = run_forward(model, batch, runtime)
+        except Exception:
+            # Reported as ``None``: the parent recomputes the batch
+            # in-process, which raises the same exception there.
+            predictions = None
+        try:
+            conn.send(predictions)
+        except OSError:
+            return
+
+
+class ForwardExecutor:
+    """Runs the forward of each batch a serving run launches.
+
+    When :func:`use_forward_worker` holds for the run's request count,
+    the executor forks one child process that holds the model as it was
+    at the fork; :meth:`submit` pickles the batch and its runtime to it
+    and returns, so the forward runs on a second CPU while the event
+    loop, routing and the cost model go on.  Otherwise :meth:`submit`
+    runs the forward at once.  :meth:`join` waits for a batch's
+    predictions; the engine calls it at the batch's completion event,
+    so no prediction is joined later than that.  Nothing the event loop
+    decides reads a prediction, and the worker runs :func:`run_forward`
+    on a copy of the parent's batch and runtime, so every prediction is
+    byte-identical either way.
+
+    A worker that dies is not restarted: the batches it held are
+    recomputed in-process at their joins, and later batches run
+    in-process at launch.  :meth:`close` (or leaving a ``with`` block)
+    ends the worker.
+    """
+
+    def __init__(self, model: GNNModel, num_requests: int):
+        self.model = model
+        self._conn = None
+        self._process = None
+        self._sent = 0
+        self._replied = 0
+        self._received: Dict[int, Optional[np.ndarray]] = {}
+        if use_forward_worker(num_requests):
+            context = multiprocessing.get_context("fork")
+            parent_end, child_end = context.Pipe()
+            self._process = context.Process(
+                target=_forward_worker, args=(model, parent_end, child_end),
+                daemon=True)
+            self._process.start()
+            child_end.close()
+            self._conn = parent_end
+
+    def submit(self, batch: GraphBatch,
+               runtime: MegaRuntime) -> PendingForward:
+        """Start the forward of ``batch``."""
+        if self._conn is not None:
+            try:
+                self._conn.send((batch, runtime))
+            except OSError:
+                self.close()
+            else:
+                self._sent += 1
+                return PendingForward(batch, runtime, self._sent - 1, None)
+        return PendingForward(batch, runtime, -1,
+                              run_forward(self.model, batch, runtime))
+
+    def join(self, pending: PendingForward) -> np.ndarray:
+        """``pending``'s predictions, waiting for the worker if need be."""
+        if pending.predictions is not None:
+            return pending.predictions
+        if self._conn is not None:
+            try:
+                while pending.ticket not in self._received:
+                    self._received[self._replied] = self._conn.recv()
+                    self._replied += 1
+            except (EOFError, OSError):
+                self.close()
+        pending.predictions = self._received.pop(pending.ticket, None)
+        if pending.predictions is None:
+            # The worker died holding the batch, or its forward raised.
+            pending.predictions = run_forward(self.model, pending.batch,
+                                              pending.runtime)
+        return pending.predictions
+
+    def close(self) -> None:
+        """End the worker, if any; batches it still holds are dropped."""
+        if self._process is None:
+            return
+        conn, process = self._conn, self._process
+        self._conn = self._process = None
+        conn.close()
+        process.kill()
+        process.join()
+
+    def __enter__(self) -> "ForwardExecutor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 class ScheduleMemo(dict):
@@ -176,6 +365,16 @@ class ScheduleStore:
         return rep, False
 
 
+@dataclass(frozen=True)
+class LaunchedBatch:
+    """A batch between its launch and its completion event."""
+
+    batch_id: int
+    done_s: float
+    entries: Tuple[QueuedRequest, ...]
+    forward: PendingForward
+
+
 class ServerEngine:
     """One replica's serving core, driven by an external clock.
 
@@ -187,19 +386,25 @@ class ServerEngine:
     * :meth:`admit` resolves a schedule and enqueues (or raises
       :class:`QueueFullError` with a deterministic retry-after hint);
     * :meth:`select` asks the batcher for a launchable plan;
-    * :meth:`launch` executes a plan and returns its completion event;
-    * :meth:`complete` retires a finished batch's responses;
+    * :meth:`launch` starts a plan's forward, prices the batch and
+      returns its completion time and :class:`LaunchedBatch`;
+    * :meth:`complete` joins a finished batch's forward and returns its
+      responses;
     * :meth:`evacuate` empties the queue (cluster failover).
 
     ``store`` is a :class:`ScheduleStore` (a cluster replica's
-    two-tier view).  The engine never hashes: :meth:`admit` takes the graph's content key from its
-    caller, which computed it once for the whole dispatch.
+    two-tier view); ``forward`` is the run's :class:`ForwardExecutor`,
+    shared by all its engines.  The engine never hashes: :meth:`admit`
+    takes the graph's content key from its caller, which computed it
+    once for the whole dispatch.
     """
 
-    def __init__(self, model: GNNModel, config: ServerConfig, store):
+    def __init__(self, model: GNNModel, config: ServerConfig, store,
+                 forward: ForwardExecutor):
         self.model = model
         self.config = config
         self.store = store
+        self.forward = forward
         self.stats = ServerStats()
         self.queue = BoundedRequestQueue(config.queue_capacity)
         self.batcher = MicroBatcher(config.policy)
@@ -264,8 +469,12 @@ class ServerEngine:
 
     def launch(self, plan: BatchPlan, now_s: float,
                service_scale: float = 1.0
-               ) -> Tuple[float, List[InferenceResponse]]:
-        """Execute ``plan``; returns (completion time, responses).
+               ) -> Tuple[float, LaunchedBatch]:
+        """Execute ``plan``; returns (completion time, launched batch).
+
+        The batch's forward goes to the executor first, so a forward
+        worker runs it while this method prices the batch with the cost
+        model; :meth:`complete` joins it.
 
         ``service_scale`` stretches the analytic service time — the
         cluster's straggler injection (:meth:`repro.resilience
@@ -279,8 +488,7 @@ class ServerEngine:
         self.queue.remove(plan.entries)
         batch = GraphBatch([e.request.graph for e in plan.entries])
         runtime = MegaRuntime(batch, [e.path for e in plan.entries])
-        with no_grad():
-            predictions = np.asarray(self.model(batch, runtime).data)
+        forward = self.forward.submit(batch, runtime)
         profiler = simulate_batch(
             self.model.model_name, runtime, GPUDevice(GTX_1080),
             self.model.config.hidden_dim, self.model.config.num_layers)
@@ -293,26 +501,34 @@ class ServerEngine:
             occupancy=plan.size / self.config.policy.max_batch_size,
             schedule_misses=plan.schedule_misses))
         done_s = now_s + service_s
+        self.busy = True
+        self.in_flight = plan.size
+        return done_s, LaunchedBatch(batch_id=batch_id, done_s=done_s,
+                                     entries=tuple(plan.entries),
+                                     forward=forward)
+
+    def complete(self, launched: LaunchedBatch,
+                 now_s: float) -> List[InferenceResponse]:
+        """Retire one finished batch; returns its responses.
+
+        Joins the batch's forward, builds one response per member,
+        does the latency accounting and leaves the engine idle.
+        """
+        predictions = self.forward.join(launched.forward)
         responses = [InferenceResponse(
             request_id=e.request.request_id,
             prediction=np.array(predictions[i], copy=True),
-            submitted_s=e.request.submitted_s, completed_s=done_s,
-            batch_id=batch_id, schedule_hit=e.schedule_hit,
-            epoch=e.epoch)
-            for i, e in enumerate(plan.entries)]
-        self.busy = True
-        self.in_flight = plan.size
-        return done_s, responses
-
-    def complete(self, responses: List[InferenceResponse],
-                 now_s: float) -> None:
-        """Retire one finished batch: latency accounting, idle again."""
+            submitted_s=e.request.submitted_s,
+            completed_s=launched.done_s, batch_id=launched.batch_id,
+            schedule_hit=e.schedule_hit, epoch=e.epoch)
+            for i, e in enumerate(launched.entries)]
         self.busy = False
         self.in_flight = 0
         for response in responses:
             self.stats.served += 1
             self.stats.latencies_s.append(response.latency_s)
         self.stats.sim_duration_s = max(self.stats.sim_duration_s, now_s)
+        return responses
 
     def evacuate(self) -> List[InferenceRequest]:
         """Empty the queue, returning the stranded requests.

@@ -159,11 +159,14 @@ class ScheduleRepairer:
             mode = "recompute"
             # The honest fallback: the exact function a cold cache miss
             # runs, plus a fresh tracker so later batches patch against
-            # the clean rebuilt path, not the stale patched one.
+            # the clean rebuilt path, not the stale patched one.  The
+            # tracker starts from that same run of Algorithm 1; it
+            # canonicalises records, so a directed graph rebuilds.
             rep = compute_schedule(graph_after, self.config)
             tracker = IncrementalPath(
                 graph_after, self.config,
-                rebuild_expansion=self.policy.rebuild_expansion)
+                rebuild_expansion=self.policy.rebuild_expansion,
+                representation=rep if graph_after.undirected else None)
             self._trackers[name] = tracker
             work_units = tracker.work_units
             applied_noops = estimate.noops

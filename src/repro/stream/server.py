@@ -33,7 +33,7 @@ graph the delta produced — the invariant the whole protocol audits.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Mapping, Optional
+from typing import List, Mapping, Optional, Tuple
 
 from repro.cluster.cluster import Cluster, ClusterConfig, ClusterResult
 from repro.core.config import MegaConfig
@@ -86,21 +86,24 @@ class StreamServer:
                                          repair_policy)
 
     # ------------------------------------------------------------------
-    def _bind(self, request: InferenceRequest,
-              now_s: float) -> InferenceRequest:
+    def _bind(self, request: InferenceRequest, now_s: float
+              ) -> Tuple[InferenceRequest, Optional[str]]:
         """Resolve a named request to the current version and epoch.
 
-        Unnamed requests (static graphs riding the same cluster) pass
-        through untouched.  Runs at every dispatch, so a retried or
-        failed-over request re-pins to whatever epoch is current at its
-        *next* dispatch — an unadmitted request holds no resolved state
-        to preserve.
+        Returns the bound request and the version's content key, which
+        the table computed when it installed the version, so dispatch
+        does not hash the graph again.  Unnamed requests (static graphs
+        riding the same cluster) pass through untouched, without a key.
+        Runs at every dispatch, so a retried or failed-over request
+        re-pins to whatever epoch is current at its *next* dispatch —
+        an unadmitted request holds no resolved state to preserve.
         """
         if request.graph_name is None:
-            return request
+            return request, None
         name = request.graph_name
-        return replace(request, graph=self.table.graph(name),
-                       epoch=self.table.epoch(name))
+        return (replace(request, graph=self.table.graph(name),
+                        epoch=self.table.epoch(name)),
+                self.table.key(name))
 
     def run(self, requests: List[InferenceRequest],
             deltas: List[DeltaBatch],

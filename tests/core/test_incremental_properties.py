@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro.core import MegaConfig
 from repro.core.incremental import IncrementalPath
+from repro.core.path import PathRepresentation
 from repro.graph.generators import erdos_renyi
+from tests.strategies import graphs
 
 
 @settings(max_examples=15, deadline=None)
@@ -55,3 +57,22 @@ def test_insert_remove_insert_roundtrip(seed):
     tracker.insert(*target)
     assert set(tracker._edges) == edges_before
     assert tracker.coverage == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=graphs(), window=st.sampled_from([None, 1, 2]))
+def test_seeded_tracker_equals_rebuilt_tracker(graph, window):
+    """A tracker started from ``from_graph(graph)`` is the tracker that
+    runs Algorithm 1 on its own edge-sorted copy, whatever the record
+    order and orientation."""
+    config = MegaConfig(window=window)
+    rebuilt = IncrementalPath(graph, config)
+    seeded = IncrementalPath(
+        graph, config,
+        representation=PathRepresentation.from_graph(graph, config))
+    assert seeded.path_array().tolist() == rebuilt.path_array().tolist()
+    assert (seeded.to_representation().virtual_mask.tolist()
+            == rebuilt.to_representation().virtual_mask.tolist())
+    assert seeded.band_pairs() == rebuilt.band_pairs()
+    assert seeded.window == rebuilt.window
+    assert seeded.work_units == rebuilt.work_units

@@ -309,6 +309,19 @@ class TestOneDeterminismChecker:
         assert rule_ids_of(result) == ["MEGA004", "MEGA012"]
 
 
+    def test_cpu_affinity_read_is_an_env_source(self, plint):
+        result = plint({
+            "repro/pipeline/cache.py": """\
+                import os
+
+                def shard_count():
+                    return len(os.sched_getaffinity(0))
+                """,
+        }, select=self.RULES)
+        assert rule_ids_of(result) == ["MEGA004", "MEGA012"]
+        assert "os.sched_getaffinity()" in _messages(result, "MEGA012")[0]
+
+
 class TestAliasSurvival:
     """The hop-0 aliases keep their IDs for suppressions, --select and
     baselines."""

@@ -10,7 +10,9 @@ own stats) over its one-tier store, which is an on-disk
 ``tests/cluster/test_cluster.py`` holds the cluster's single-node view
 and every response equal to this loop's.  The classes are the old
 ``repro.serve.server`` code unchanged, apart from the store, which is
-built from an explicit tier list.
+built from an explicit tier list, and the launch/complete handshake,
+whose completion now builds the responses.  Its engine's forwards run
+where a cluster's would (:func:`repro.serve.server.use_forward_worker`).
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from repro.serve.batcher import BatchPlan
 from repro.serve.queueing import InferenceRequest, InferenceResponse
 from repro.serve.server import (
     EventLoop,
+    ForwardExecutor,
+    LaunchedBatch,
     ScheduleMemo,
     ScheduleStore,
     ServerConfig,
@@ -109,7 +113,13 @@ class InferenceServer:
         until the policy's attempt budget is spent, then counted as
         dropped.  ``None`` drops rejected requests immediately.
         """
-        engine = ServerEngine(self.model, self.config, self.store)
+        with ForwardExecutor(self.model, len(requests)) as forward:
+            return self._run(forward, requests, retry_policy)
+
+    def _run(self, forward: ForwardExecutor,
+             requests: List[InferenceRequest],
+             retry_policy: Optional[RetryPolicy]) -> ServeResult:
+        engine = ServerEngine(self.model, self.config, self.store, forward)
         stats = engine.stats
         stats.received = len(requests)
         responses: List[InferenceResponse] = []
@@ -133,12 +143,11 @@ class InferenceServer:
 
         def launch(_: int, engine: ServerEngine, plan: BatchPlan,
                    now_s: float) -> None:
-            done_s, batch = engine.launch(plan, now_s)
-            loop.push(done_s, "done", batch)
+            done_s, launched = engine.launch(plan, now_s)
+            loop.push(done_s, "done", launched)
 
-        def complete(batch: List[InferenceResponse], now_s: float) -> None:
-            engine.complete(batch, now_s)
-            responses.extend(batch)
+        def complete(launched: LaunchedBatch, now_s: float) -> None:
+            responses.extend(engine.complete(launched, now_s))
 
         loop.run(lambda: ((0, engine),), launch,
                  {"arrive": admit, "done": complete})

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import TieredScheduleCache
 from repro.core import MegaConfig
+from repro.core.path import PathRepresentation
 from repro.errors import StreamError
 from repro.graph.generators import ring_graph
 from repro.graph.graph import from_edge_list
@@ -163,6 +164,24 @@ class TestRecomputeFallbackRestart:
         assert record.mode == "repair"
         assert repairer.tracker("a").edge_set() == \
             table.graph("a").edge_set()
+
+
+class TestRecomputeRunsAlgorithm1Once:
+    def test_recompute_builds_one_representation(self, monkeypatch):
+        # The tracker restarts from the representation the recompute
+        # built and seeded, instead of running Algorithm 1 again.
+        _, _, repairer = _setup(recompute_ratio=0.0)
+        repairer.tracker("a")
+        calls = []
+        original = PathRepresentation.from_graph.__func__
+        monkeypatch.setattr(
+            PathRepresentation, "from_graph",
+            classmethod(lambda cls, *args, **kwargs: calls.append(1)
+                        or original(cls, *args, **kwargs)))
+        record = repairer.apply(_batch(), now_s=1.0)
+        assert record.mode == "recompute"
+        assert len(calls) == 1
+        assert record.work_units == record.estimate.rebuild_cost
 
 
 class TestLargeBatchCrossesOver:

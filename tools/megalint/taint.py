@@ -10,8 +10,9 @@ determinism rule draws on the one classifier here:
 
 * **sources** (:func:`iter_sources`): wall-clock reads, ``random`` /
   ``os.urandom`` / ``secrets`` / ``uuid`` / legacy ``np.random`` RNG,
-  environment reads, unsorted filesystem enumeration (a ``sorted(...)``
-  wrapper exempts it), and set-order-dependent iteration;
+  environment and host CPU-count reads, unsorted filesystem
+  enumeration (a ``sorted(...)`` wrapper exempts it), and
+  set-order-dependent iteration;
 * **sanctioned impurities**: a source is exempt only when its line
   carries an explicit declaration::
 
@@ -80,7 +81,9 @@ _NP_RANDOM_FUNCS = frozenset({
     "get_state", "set_state",
 })
 
-_ENV_CALLS = frozenset({"os.getenv", "os.environb"})
+#: Environment and host-shape reads (the CPUs this process may use).
+_ENV_CALLS = frozenset({"os.getenv", "os.environb", "os.cpu_count",
+                        "os.sched_getaffinity"})
 _FS_CALLS = frozenset({"os.listdir", "os.scandir"})
 #: Method names distinctive enough to flag on any receiver.
 _FS_METHODS = frozenset({"iterdir", "glob", "rglob"})
