@@ -33,8 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="workload seed (default 0)")
     p.add_argument("--output-dir", default=".",
-                   help="where BENCH_*.json files go (default: cwd, "
-                        "i.e. the repo root)")
+                   help="where BENCH_*.json files go (default: cwd)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare",

@@ -16,11 +16,11 @@ Every metric gets a *direction* that decides what counts as worse:
 Directions are derived from metric-name patterns first and integer
 types second, so ``*_bytes`` sizes get a band (archive overhead may
 legitimately shift across numpy versions) while bare counters stay
-exact.  ``wall`` blocks are never gated — real wall-clock time is not
-comparable across machines.
+exact.
 
-Mismatched schema versions or areas are a :class:`BenchError` (exit 2),
-not a regression: the caller is comparing incomparable files.
+Mismatched schema versions or areas, and a tolerance that is not a
+finite number >= 0, are a :class:`BenchError` (exit 2), not a
+regression: the caller is comparing incomparable files.
 """
 
 from __future__ import annotations
@@ -165,6 +165,9 @@ def _evaluate(workload: str, metric: str, base, cand,
 def compare_ledgers(baseline: Mapping, candidate: Mapping,
                     tolerance: float = DEFAULT_TOLERANCE) -> CompareReport:
     """Compare two parsed ledger dicts of the same area and schema."""
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise BenchError(
+            f"tolerance must be finite and >= 0, got {tolerance!r}")
     if baseline.get("area") != candidate.get("area"):
         raise BenchError(
             f"cannot compare areas {baseline.get('area')!r} vs "

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Iterable, Union
 
-from repro.bench.ledger import (Ledger, environment_block, write_ledger)
+from repro.bench.ledger import AREAS, Ledger, write_ledger
 from repro.bench.workloads import workloads_for
 from repro.errors import BenchError
 
@@ -24,19 +24,22 @@ def run_areas(areas: Iterable[str], seed: int = 0,
               progress=None) -> Dict[str, Path]:
     """Run several areas and write one ledger file per area.
 
-    ``progress`` is an optional ``callable(str)`` fed one line per
-    area (the CLI passes ``print``); the library default is silent.
-    The environment block is computed once so all files of a run carry
-    the same provenance stamp.
+    Every area name is checked before the first one runs, so a typo
+    fails fast and writes nothing.  ``progress`` is an optional
+    ``callable(str)`` fed one line per area (the CLI passes ``print``);
+    the library default is silent.
     """
-    output_dir = Path(output_dir)
-    environment = environment_block()
+    areas = list(areas)
+    unknown = [area for area in areas if area not in AREAS]
+    if unknown:
+        raise BenchError(
+            f"unknown bench area(s) {unknown}; one of {AREAS}")
     written: Dict[str, Path] = {}
     for area in areas:
         if progress is not None:
             progress(f"bench: running area '{area}' (seed {seed}) ...")
         ledger = run_area(area, seed=seed)
-        path = write_ledger(ledger, output_dir, environment=environment)
+        path = write_ledger(ledger, output_dir)
         written[area] = path
         if progress is not None:
             progress(f"bench: wrote {path} "

@@ -5,7 +5,8 @@ over the existing stack — small enough for CI's bench-smoke job (a few
 seconds each) yet exercising the same code paths as the full figure
 suites in ``benchmarks/``.  All simulated numbers (kernel times, serve
 latencies, epoch costs) come from the analytic GTX-1080 memory model
-and are bit-deterministic; only the ``wall`` blocks read a real clock.
+and are bit-deterministic; no workload reads a real clock (wall-clock
+time is measured by ``benchmarks/perf``).
 
 Workload *fingerprints* reuse the pipeline's content-addressed hashing
 (:mod:`repro.pipeline.hashing`): a fingerprint changes exactly when the
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
@@ -99,12 +99,8 @@ def run_pipeline_workload(seed: int) -> LedgerEntry:
     graphs = dataset.all_graphs()
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         cache_dir = Path(tmp) / "schedules"
-        start = time.perf_counter()
         cold = precompute_paths(graphs, config, cache_dir=cache_dir)
-        cold_s = time.perf_counter() - start
-        start = time.perf_counter()
         warm = precompute_paths(graphs, config, cache_dir=cache_dir)
-        warm_s = time.perf_counter() - start
         cache = ScheduleCache(cache_dir)
         cache_entries = len(cache)
         cache_bytes = int(cache.total_bytes)
@@ -122,38 +118,50 @@ def run_pipeline_workload(seed: int) -> LedgerEntry:
         "cache_bytes": cache_bytes,
         "path_positions": path_positions,
     }
-    wall = {"cold_wall_s": cold_s, "warm_wall_s": warm_s}
     return LedgerEntry(
         workload="pipeline_cold_warm", seed=seed,
         fingerprint=workload_fingerprint(graphs, config,
                                          "pipeline_cold_warm"),
         config={"dataset": "ZINC", "scale": SMALL_SCALE, "workers": 1},
-        metrics=metrics, wall=wall)
+        metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
 # serve: single-node serving (a one-replica cluster) under seeded load
 # ---------------------------------------------------------------------------
 
-def _serve_entry(name: str, kind: str, seed: int) -> LedgerEntry:
-    from repro.cluster import Cluster, ClusterConfig
-    from repro.resilience import RetryPolicy
-    from repro.serve import (ArrivalProcess, BatchingPolicy, ServerConfig,
-                             generate_requests)
+def _serving_setup(kind: str, seed: int):
+    """What the serve, cluster and stream workloads share.
+
+    Returns ``(model, pool, server_config, process)``: a GCN 16x2 over
+    ZINC-small, its first six test graphs as the request pool, the
+    replica ``ServerConfig`` (queue 16, batches of up to 8 within
+    20 ms, bucket width 16) and a seeded 400 req/s arrival process of
+    the given kind.
+    """
+    from repro.serve import ArrivalProcess, BatchingPolicy, ServerConfig
     from repro.train import build_model
 
     dataset = load_dataset("ZINC", scale=SMALL_SCALE)
     model = build_model("GCN", dataset, hidden_dim=16, num_layers=2,
                         seed=0)
-    pool = dataset.test[:6]
+    server_config = ServerConfig(
+        queue_capacity=16, policy=BatchingPolicy(max_batch_size=8,
+                                                 max_wait_s=0.02,
+                                                 bucket_width=16))
     process = ArrivalProcess(kind=kind, rate_rps=400.0, seed=seed)
+    return model, dataset.test[:6], server_config, process
+
+
+def _serve_entry(name: str, kind: str, seed: int) -> LedgerEntry:
+    from repro.cluster import Cluster, ClusterConfig
+    from repro.resilience import RetryPolicy
+    from repro.serve import generate_requests
+
+    model, pool, server_config, process = _serving_setup(kind, seed)
     requests = generate_requests(pool, 64, process)
-    cluster = Cluster(model, ClusterConfig(
-        num_replicas=1,
-        server=ServerConfig(queue_capacity=16,
-                            policy=BatchingPolicy(max_batch_size=8,
-                                                  max_wait_s=0.02,
-                                                  bucket_width=16))))
+    cluster = Cluster(model, ClusterConfig(num_replicas=1,
+                                           server=server_config))
     result = cluster.run(requests,
                          retry_policy=RetryPolicy(max_attempts=3))
     stats = result.stats.single_node()
@@ -182,7 +190,7 @@ def _serve_entry(name: str, kind: str, seed: int) -> LedgerEntry:
         config={"dataset": "ZINC", "scale": SMALL_SCALE, "model": "GCN",
                 "arrival": kind, "rate_rps": 400.0, "num_requests": 64,
                 "queue_capacity": 16, "max_batch_size": 8},
-        metrics=metrics, wall={})
+        metrics=metrics)
 
 
 @_register("serve_poisson", "serve",
@@ -216,25 +224,15 @@ def _cluster_entry(name: str, policy: str, seed: int,
     """
     from repro.cluster import Cluster, ClusterConfig
     from repro.resilience import RetryPolicy
-    from repro.serve import (ArrivalProcess, BatchingPolicy, ServerConfig,
-                             generate_requests)
-    from repro.train import build_model
+    from repro.serve import generate_requests
 
-    dataset = load_dataset("ZINC", scale=SMALL_SCALE)
-    model = build_model("GCN", dataset, hidden_dim=16, num_layers=2,
-                        seed=0)
-    pool = dataset.test[:6]
-    process = ArrivalProcess(kind="poisson", rate_rps=400.0, seed=seed)
+    model, pool, server_config, process = _serving_setup("poisson", seed)
     requests = generate_requests(pool, 64, process)
     cluster = Cluster(
         model, fault_plan=fault_plan,
-        config=ClusterConfig(
-            num_replicas=3, policy=policy,
-            server=ServerConfig(queue_capacity=16,
-                                policy=BatchingPolicy(max_batch_size=8,
-                                                      max_wait_s=0.02,
-                                                      bucket_width=16)),
-            **(cluster_kwargs or {})))
+        config=ClusterConfig(num_replicas=3, policy=policy,
+                             server=server_config,
+                             **(cluster_kwargs or {})))
     result = cluster.run(requests,
                          retry_policy=RetryPolicy(max_attempts=3))
     stats = result.stats
@@ -284,7 +282,7 @@ def _cluster_entry(name: str, policy: str, seed: int,
     return LedgerEntry(
         workload=name, seed=seed,
         fingerprint=workload_fingerprint(pool, MegaConfig(), name),
-        config=config, metrics=metrics, wall={})
+        config=config, metrics=metrics)
 
 
 @_register("cluster_round_robin", "cluster",
@@ -437,7 +435,7 @@ def run_stream_crossover(seed: int) -> LedgerEntry:
         config={"dataset": "ZINC", "scale": SMALL_SCALE,
                 "delta_sizes": list(_CROSSOVER_SIZES),
                 "op": "insert"},
-        metrics=metrics, wall={})
+        metrics=metrics)
 
 
 def _stream_entry(name: str, seed: int, fault_plan=None,
@@ -454,22 +452,13 @@ def _stream_entry(name: str, seed: int, fault_plan=None,
     """
     from repro.cluster import ClusterConfig
     from repro.resilience import RetryPolicy
-    from repro.serve import (ArrivalProcess, BatchingPolicy, ServerConfig)
     from repro.stream import (RepairPolicy, StreamMix, StreamServer,
                               generate_stream)
-    from repro.train import build_model
 
-    dataset = load_dataset("ZINC", scale=SMALL_SCALE)
-    model = build_model("GCN", dataset, hidden_dim=16, num_layers=2,
-                        seed=0)
-    pool = dataset.test[:6]
+    model, pool, server_config, process = _serving_setup("poisson", seed)
     graphs = {f"g{i}": g for i, g in enumerate(pool)}
-    config = ClusterConfig(
-        num_replicas=3, policy="hash-affinity",
-        server=ServerConfig(queue_capacity=16,
-                            policy=BatchingPolicy(max_batch_size=8,
-                                                  max_wait_s=0.02,
-                                                  bucket_width=16)))
+    config = ClusterConfig(num_replicas=3, policy="hash-affinity",
+                           server=server_config)
 
     def build_server() -> "StreamServer":
         return StreamServer(model, dict(graphs), config=config,
@@ -477,7 +466,6 @@ def _stream_entry(name: str, seed: int, fault_plan=None,
                             fault_plan=fault_plan)
 
     server = build_server()
-    process = ArrivalProcess(kind="poisson", rate_rps=400.0, seed=seed)
     mix = StreamMix(delta_fraction=delta_fraction, ops_per_delta=4,
                     delete_fraction=0.25, delta_names=delta_names,
                     seed=seed)
@@ -547,7 +535,7 @@ def _stream_entry(name: str, seed: int, fault_plan=None,
     return LedgerEntry(
         workload=name, seed=seed,
         fingerprint=workload_fingerprint(pool, MegaConfig(), name),
-        config=config_block, metrics=metrics, wall={})
+        config=config_block, metrics=metrics)
 
 
 @_register("stream_mixed", "stream",
@@ -624,7 +612,7 @@ def _kernels_entry(name: str, model: str, method: str,
         config={"dataset": "ZINC", "scale": KERNEL_SCALE, "model": model,
                 "method": method, "batch_size": batch_size,
                 "hidden_dim": hidden_dim, "num_layers": num_layers},
-        metrics=metrics, wall={})
+        metrics=metrics)
 
 
 def _register_kernels() -> None:
@@ -669,10 +657,7 @@ def run_train_workload(seed: int) -> LedgerEntry:
         ckpt_dir = Path(tmp) / "ckpt"
         # Uninterrupted reference run.
         trainer = make_trainer()
-        preprocess_s = trainer.preprocess_s
-        start = time.perf_counter()
         full = trainer.fit(num_epochs)
-        fit_s = time.perf_counter() - start
         # Checkpointed run, killed after 2 epochs, then resumed to the
         # same horizon; fidelity = worst per-epoch deviation.
         interrupted = make_trainer()
@@ -680,11 +665,9 @@ def run_train_workload(seed: int) -> LedgerEntry:
         resumed_trainer = make_trainer()
         resumed = resumed_trainer.fit(num_epochs, checkpoint_dir=ckpt_dir,
                                       resume=True)
-        start = time.perf_counter()
         save_checkpoint(Path(tmp) / "overhead.npz", trainer.model,
                         optimizer=trainer.optimizer, epoch=num_epochs,
                         metric=full.records[-1].val_metric)
-        checkpoint_s = time.perf_counter() - start
         # Measure the model+optimizer checkpoint, not the trainer's
         # full-state one: the latter embeds wall-clock history
         # (preprocess_s per epoch), so its compressed size is not a
@@ -706,8 +689,6 @@ def run_train_workload(seed: int) -> LedgerEntry:
         "checkpoint_bytes": int(checkpoint_bytes),
         "resume_max_abs_diff": resume_diff,
     }
-    wall = {"preprocess_wall_s": preprocess_s, "fit_wall_s": fit_s,
-            "checkpoint_wall_s": checkpoint_s}
     return LedgerEntry(
         workload="train_gcn_mega", seed=seed,
         fingerprint=workload_fingerprint(dataset.all_graphs(),
@@ -717,4 +698,4 @@ def run_train_workload(seed: int) -> LedgerEntry:
                 "method": "mega", "epochs": num_epochs,
                 "batch_size": batch_size, "hidden_dim": 16,
                 "num_layers": 2},
-        metrics=metrics, wall=wall)
+        metrics=metrics)

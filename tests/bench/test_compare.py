@@ -22,9 +22,7 @@ def ledger_dict(metrics, area="serve", workload="w", seed=0,
             "fingerprint": fingerprint,
             "config": {},
             "metrics": dict(metrics),
-            "wall": {},
         }],
-        "environment": {},
     }
 
 
@@ -86,6 +84,18 @@ class TestBands:
         cand = ledger_dict({"p50_latency_s": 1.15})
         assert compare_ledgers(base, cand, tolerance=0.2).ok
         assert not compare_ledgers(base, cand, tolerance=0.1).ok
+
+    @pytest.mark.parametrize("tolerance",
+                             [math.nan, math.inf, -math.inf, -1.0])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        base = ledger_dict({"p99_latency_s": 1.0})
+        cand = ledger_dict({"p99_latency_s": 5.0})
+        with pytest.raises(BenchError, match="tolerance"):
+            compare_ledgers(base, cand, tolerance=tolerance)
+
+    def test_zero_tolerance_is_allowed(self):
+        base = ledger_dict({"p99_latency_s": 1.0, "served": 14})
+        assert compare_ledgers(base, base, tolerance=0.0).ok
 
 
 class TestZeroAndNaN:
@@ -160,7 +170,7 @@ class TestDirectories:
         ledger = Ledger(area=area, entries=(
             LedgerEntry(workload="w", seed=0, fingerprint="abc",
                         metrics=metrics),))
-        write_ledger(ledger, directory, environment={})
+        write_ledger(ledger, directory)
 
     def test_compares_each_baseline_area(self, tmp_path):
         self._write(tmp_path / "base", {"served": 1}, area="serve")

@@ -5,9 +5,8 @@ import json
 import pytest
 
 from repro.bench.ledger import (AREAS, LEDGER_SCHEMA_VERSION, Ledger,
-                                LedgerEntry, environment_block,
-                                ledger_filename, ledger_path, load_ledger,
-                                replay_bytes, replay_surface, validate_ledger,
+                                LedgerEntry, ledger_filename, ledger_path,
+                                load_ledger, replay_bytes, validate_ledger,
                                 write_ledger)
 from repro.errors import BenchError
 
@@ -15,8 +14,7 @@ from repro.errors import BenchError
 def entry(**overrides):
     base = dict(workload="w", seed=0, fingerprint="abc",
                 config={"dataset": "ZINC"},
-                metrics={"served": 3, "p50_latency_s": 0.01},
-                wall={"cold_wall_s": 1.25})
+                metrics={"served": 3, "p50_latency_s": 0.01})
     base.update(overrides)
     return LedgerEntry(**base)
 
@@ -24,11 +22,9 @@ def entry(**overrides):
 class TestLedgerEntry:
     def test_replay_surface_excludes_wall(self):
         surface = entry().replay_surface()
-        assert "wall" not in surface
-        assert surface["metrics"] == {"p50_latency_s": 0.01, "served": 3}
-
-    def test_to_json_dict_includes_wall(self):
-        assert entry().to_json_dict()["wall"] == {"cold_wall_s": 1.25}
+        assert set(surface) == {"workload", "seed", "fingerprint",
+                                "config", "metrics"}
+        assert list(surface["metrics"]) == ["p50_latency_s", "served"]
 
     def test_non_numeric_metric_rejected(self):
         with pytest.raises(BenchError):
@@ -77,8 +73,7 @@ class TestFiles:
         assert path == ledger_path(tmp_path, "pipeline")
         data = load_ledger(path)
         assert data["schema_version"] == LEDGER_SCHEMA_VERSION
-        assert data["entries"][0]["metrics"]["served"] == 3
-        assert "timestamp" in data["environment"]
+        assert data == ledger.to_json_dict()
 
     def test_load_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "BENCH_serve.json"
@@ -98,24 +93,42 @@ class TestFiles:
         with pytest.raises(BenchError):
             validate_ledger({"area": "serve", "entries": []})
 
+    def test_validate_rejects_keys_outside_the_surface(self):
+        data = Ledger(area="serve", entries=(entry(),)).to_json_dict()
+        validate_ledger(data)
+        with pytest.raises(BenchError, match="'environment'"):
+            validate_ledger(dict(data, environment={}))
+        data["entries"][0]["wall"] = {"cold_wall_s": 1.25}
+        with pytest.raises(BenchError, match="'wall'"):
+            validate_ledger(data)
+
+    def test_validate_rejects_non_numeric_metric(self):
+        data = Ledger(area="serve", entries=(entry(),)).to_json_dict()
+        data["entries"][0]["metrics"]["p50_latency_s"] = "fast"
+        with pytest.raises(BenchError, match="p50_latency_s"):
+            validate_ledger(data)
+
 
 class TestReplaySurface:
     def test_strips_environment_and_wall(self, tmp_path):
         ledger = Ledger(area="train", entries=(entry(),))
         data = load_ledger(write_ledger(ledger, tmp_path))
-        surface = replay_surface(data)
-        assert "environment" not in surface
-        assert all("wall" not in e for e in surface["entries"])
+        assert set(data) == {"schema_version", "area", "entries"}
+        assert all(set(e) == {"workload", "seed", "fingerprint", "config",
+                              "metrics"} for e in data["entries"])
 
-    def test_bytes_ignore_environment_differences(self, tmp_path):
+    def test_same_ledger_writes_identical_bytes(self, tmp_path):
         ledger = Ledger(area="train", entries=(entry(),))
-        a = write_ledger(ledger, tmp_path / "a",
-                         environment={"timestamp": "2026-01-01T00:00:00Z"})
-        b = write_ledger(ledger, tmp_path / "b",
-                         environment={"timestamp": "2026-02-02T00:00:00Z"})
-        assert a.read_bytes() != b.read_bytes()
+        a = write_ledger(ledger, tmp_path / "a")
+        b = write_ledger(ledger, tmp_path / "b")
+        assert a.read_bytes() == b.read_bytes()
         assert (replay_bytes(load_ledger(a))
-                == replay_bytes(load_ledger(b)))
+                == replay_bytes(ledger.to_json_dict()))
+
+    def test_bytes_reject_keys_outside_the_surface(self):
+        data = Ledger(area="train", entries=(entry(),)).to_json_dict()
+        with pytest.raises(BenchError):
+            replay_bytes(dict(data, environment={}))
 
     def test_bytes_differ_on_metric_change(self):
         ledger_a = Ledger(area="serve", entries=(entry(),))
@@ -126,9 +139,3 @@ class TestReplaySurface:
         assert (replay_bytes(ledger_a.to_json_dict())
                 != replay_bytes(ledger_b.to_json_dict()))
 
-
-def test_environment_block_shape():
-    env = environment_block()
-    assert set(env) == {"timestamp", "git_sha", "python", "numpy",
-                        "platform"}
-    assert all(isinstance(v, str) for v in env.values())
