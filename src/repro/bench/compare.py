@@ -230,10 +230,13 @@ def compare_directories(baseline_dir: Union[str, Path],
 
     With ``areas=None``, compares each area whose ledger exists in the
     baseline directory; a baseline area missing from the candidate is a
-    :class:`BenchError` (the candidate run is incomplete).
+    :class:`BenchError` (the candidate run is incomplete).  A repeated
+    area is compared once, in the order it was first given.
     """
     baseline_dir, candidate_dir = Path(baseline_dir), Path(candidate_dir)
-    if areas is None:
+    if areas is not None:
+        areas = list(dict.fromkeys(areas))
+    else:
         areas = [a for a in AREAS
                  if ledger_path(baseline_dir, a).is_file()]
         if not areas:

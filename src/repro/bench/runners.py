@@ -25,11 +25,12 @@ def run_areas(areas: Iterable[str], seed: int = 0,
     """Run several areas and write one ledger file per area.
 
     Every area name is checked before the first one runs, so a typo
-    fails fast and writes nothing.  ``progress`` is an optional
+    fails fast and writes nothing.  A repeated name runs once, in the
+    order it was first given.  ``progress`` is an optional
     ``callable(str)`` fed one line per area (the CLI passes ``print``);
     the library default is silent.
     """
-    areas = list(areas)
+    areas = list(dict.fromkeys(areas))
     unknown = [area for area in areas if area not in AREAS]
     if unknown:
         raise BenchError(

@@ -23,10 +23,11 @@ additionally exits 1 on a perf regression.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -468,6 +469,25 @@ def _print_cluster_report(stats, as_json: bool) -> None:
               f"L1 {rec.tier.l1_hits}/{rec.tier.lookups} — {fate}")
 
 
+def _one_blas_thread(command: Callable[[argparse.Namespace], int]
+                     ) -> Callable[[argparse.Namespace], int]:
+    """Run a serving command with numpy's BLAS pool at one thread.
+
+    A serving forward's GEMMs are small, so a pool across every CPU
+    only slows them, and it leaves no CPU for the forward worker
+    (:func:`repro.serve.server.use_forward_worker`).  The cap holds for
+    the command alone (:func:`repro.serve.server.blas_pool`).
+    """
+    @functools.wraps(command)
+    def capped(args: argparse.Namespace) -> int:
+        from repro.serve.server import blas_pool
+
+        with blas_pool(1):
+            return command(args)
+    return capped
+
+
+@_one_blas_thread
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import InferenceRequest
     from repro.serve.loadgen import check_rate
@@ -499,6 +519,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+@_one_blas_thread
 def cmd_loadtest(args: argparse.Namespace) -> int:
     """``loadtest`` and its alias ``cluster``, which adds the fleet flags.
 
@@ -528,6 +549,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     return 0
 
 
+@_one_blas_thread
 def cmd_stream(args: argparse.Namespace) -> int:
     from repro.stream import (
         RepairPolicy,

@@ -13,12 +13,14 @@ control callbacks are the handlers it gives the event loop.
 Each :meth:`Cluster.run` opens one
 :class:`~repro.serve.server.ForwardExecutor` for its engines: a forked
 forward worker when the run is long enough to pay back the fork and
-the host has a second CPU, else in-process forwards.  It is closed when
-the run ends, also on error, so weights changed between runs reach the
-next run's worker.  The ``done``
-handler joins the batch's predictions before it builds the batch's
-responses; no prediction is joined later than its batch's ``done``
-event.
+the host has a CPU beside numpy's BLAS pool, else in-process forwards.
+While the worker is behind, the parent runs forwards too.  The
+executor is closed when the run ends, also on error, so weights
+changed between runs reach the next run's worker.  The ``done``
+handler retires the batch (latencies, breaker, idle state) without
+reading a prediction and queues it with the executor, which builds its
+responses once its predictions are ready; the run waits for the last
+of them only before it returns.  Responses keep ``done`` order.
 
 Failure model — every state is deliberately reachable from a test:
 
@@ -278,8 +280,10 @@ class Cluster:
         A run that :func:`~repro.serve.server.use_forward_worker`
         selects forks its forward worker when it starts and closes it
         when it ends, also on error (:class:`~repro.serve.server
-        .ForwardExecutor`).  Each batch's ``done`` event joins that
-        batch's predictions before its responses are built.
+        .ForwardExecutor`).  A batch's responses are built once its
+        predictions are ready, at the latest when the run drains the
+        executor before returning; a forward that raises surfaces here
+        by then.
         """
         with ForwardExecutor(self.model, len(requests)) as forward:
             return self._run(forward, requests, retry_policy,
@@ -316,7 +320,6 @@ class Cluster:
                              num_replicas=cfg.num_replicas,
                              vnodes=cfg.vnodes,
                              received=len(requests))
-        responses: List[InferenceResponse] = []
 
         # Event kinds: "arrive" carries a request, "done" carries
         # (replica_id, launched batch, slow flag), "recover" carries a
@@ -475,11 +478,9 @@ class Cluster:
                      now_s: float) -> None:
             rid, launched, slow = payload
             engine = engines[rid]
-            batch_responses = engine.complete(launched, now_s)
-            responses.extend(batch_responses)
-            for response in batch_responses:
-                stats.served += 1
-                stats.latencies_s.append(response.latency_s)
+            latencies = engine.complete(launched, now_s)
+            stats.served += len(latencies)
+            stats.latencies_s.extend(latencies)
             stats.sim_duration_s = max(stats.sim_duration_s, now_s)
             h = health.of(rid)
             if h.state == "recovering":
@@ -517,4 +518,4 @@ class Cluster:
             TierStats(seeds=self.tiered.seeds - seeds_before,
                       l2_invalidations=(self.tiered.l2_invalidations
                                         - l2_invalidations_before)))
-        return ClusterResult(responses=responses, stats=stats)
+        return ClusterResult(responses=forward.drain(), stats=stats)

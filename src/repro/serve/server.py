@@ -37,26 +37,37 @@ one-replica cluster, read through
 opens one and shares it across its engines.  When
 :func:`use_forward_worker` holds (the run has at least
 :data:`WORKER_MIN_REQUESTS` requests, the ``fork`` start method exists
-and the process may run on more CPUs than the forward's BLAS threads
-take), it forks one forward worker: :meth:`ServerEngine.launch` ships a batch to it before pricing
-the batch, and :meth:`ServerEngine.complete` joins its predictions at
-the batch's completion event, then builds the responses.  Otherwise,
-or once a worker has died, the forward runs in-process through the
-same :func:`run_forward`.  The simulated clock never reads a
-prediction, and the worker's batch equals the parent's, so every
-prediction is byte-identical either way.  The worker lives here, not in
-a module of its own, because it is one step of the engine's launch
-and complete.
+and the process may run on more CPUs than numpy's BLAS pool takes), it
+forks one forward worker.  :meth:`ServerEngine.launch` hands a batch to
+the executor before pricing it: the executor ships it to the worker,
+or runs it in-process at once when the worker already holds
+:data:`WORKER_BACKLOG` unfinished batches, so both CPUs compute.
+:meth:`ServerEngine.complete` retires the batch at its completion
+event without reading a prediction and queues it for its join; the
+executor builds each queued batch's responses, in completion order, as
+soon as its predictions are ready, and :meth:`ForwardExecutor.drain`
+waits for the rest when the run ends.  Without a worker, or once it has
+died, the forward runs in-process through the same :func:`run_forward`.
+The simulated clock never reads a prediction, and the worker's batch
+equals the parent's, so every prediction is byte-identical either way.
+The worker lives here, not in a module of its own, because it is one
+step of the engine's launch and complete.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import heapq
 import multiprocessing
 import os
 import signal
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import (Callable, Deque, Dict, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -121,10 +132,60 @@ class ServerConfig:
 #: pays back.
 WORKER_MIN_REQUESTS = 64
 
-#: The variables that cap numpy's BLAS thread pool, in the order
-#: OpenBLAS and MKL read them.  Unset, the pool takes every CPU.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "OMP_NUM_THREADS")
+#: A batch's forward runs in the parent, not on the forward worker,
+#: when the worker still holds this many unfinished batches.  The
+#: worker alone is the critical path of a busy run; below this bound
+#: the parent would take forwards it has no spare CPU for.
+WORKER_BACKLOG = 3
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas() -> Optional[Tuple[Callable, Callable]]:
+    """The get/set thread-count calls of numpy's bundled OpenBLAS.
+
+    ``None`` when numpy carries no ``scipy_openblas64_`` library (a
+    build against a system BLAS, say), so nothing here can read or cap
+    the pool.
+    """
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_-*.so"))
+    if not libs:
+        return None
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def blas_threads() -> Optional[int]:
+    """The threads numpy's BLAS pool runs on now, or ``None`` if unknown."""
+    calls = _openblas()
+    return None if calls is None else calls[0]()
+
+
+@contextlib.contextmanager
+def blas_pool(threads: int) -> Iterator[None]:
+    """Run the block with numpy's BLAS pool at ``threads`` threads.
+
+    The pool's size is restored on exit.  Without a known BLAS
+    (:func:`blas_threads` is ``None``) the block runs unchanged.
+    """
+    calls = _openblas()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(threads)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def use_forward_worker(num_requests: int) -> bool:
@@ -133,20 +194,19 @@ def use_forward_worker(num_requests: int) -> bool:
 
     It does when the run has at least :data:`WORKER_MIN_REQUESTS`
     requests, the ``fork`` start method exists, and this process may run
-    on more CPUs than the forward's BLAS threads take, so the worker's
-    forward and the parent's event loop each have a CPU.  Otherwise the
-    forward runs in-process: a BLAS pool that already spans every CPU
-    would contend with the parent for them.
+    on more CPUs than numpy's BLAS pool takes (:func:`blas_threads`), so
+    the worker's forward and the parent's event loop each have a CPU.
+    Otherwise the forward runs in-process: a BLAS pool that already
+    spans every CPU would contend with the parent for them, and a pool
+    of unknown size might.
     """
     if (num_requests < WORKER_MIN_REQUESTS
             or "fork" not in multiprocessing.get_all_start_methods()
             or not hasattr(os, "sched_getaffinity")):
         return False
     cpus = len(os.sched_getaffinity(0))  # megalint: sanctioned-impurity=env: picks where the forward runs, never what it returns; no replay surface reads it
-    caps = [os.environ.get(name) for name in BLAS_THREAD_VARS]  # megalint: sanctioned-impurity=env: picks where the forward runs, never what it returns; no replay surface reads it
-    cap = next((c for c in caps if c), "")
-    blas_threads = int(cap) if cap.isdigit() else cpus
-    return cpus > max(blas_threads, 1)
+    threads = blas_threads()
+    return threads is not None and cpus > threads
 
 
 def run_forward(model: GNNModel, batch: GraphBatch,
@@ -158,7 +218,7 @@ def run_forward(model: GNNModel, batch: GraphBatch,
 
 @dataclass
 class PendingForward:
-    """One launched batch's forward, until its completion joins it.
+    """One launched batch's forward, until the executor joins it.
 
     ``ticket`` numbers the batch on the forward worker; it is -1 when
     the forward ran in-process at launch and ``predictions`` is already
@@ -199,33 +259,46 @@ def _forward_worker(model: GNNModel, parent_end, conn) -> None:
 
 
 class ForwardExecutor:
-    """Runs the forward of each batch a serving run launches.
+    """Runs the forward of each batch a serving run launches, and builds
+    the run's responses.
 
     When :func:`use_forward_worker` holds for the run's request count,
     the executor forks one child process that holds the model as it was
-    at the fork; :meth:`submit` pickles the batch and its runtime to it
-    and returns, so the forward runs on a second CPU while the event
-    loop, routing and the cost model go on.  Otherwise :meth:`submit`
-    runs the forward at once.  :meth:`join` waits for a batch's
-    predictions; the engine calls it at the batch's completion event,
-    so no prediction is joined later than that.  Nothing the event loop
-    decides reads a prediction, and the worker runs :func:`run_forward`
-    on a copy of the parent's batch and runtime, so every prediction is
-    byte-identical either way.
+    at the fork.  :meth:`submit` first takes any replies the worker has
+    already sent, without waiting.  If the worker still holds
+    :data:`WORKER_BACKLOG` unfinished batches, :meth:`submit` runs the
+    forward in-process at once; otherwise it pickles the batch and its
+    runtime to the worker and returns, so the forward runs on a second
+    CPU while the event loop, routing and the cost model go on.  Without
+    a worker every forward runs in-process at :meth:`submit`.
+
+    :meth:`retire` queues a batch that reached its completion event.
+    The queue is first in, first out, so responses keep completion
+    order.  Each :meth:`submit` and :meth:`retire` builds the responses
+    of the batches at its head whose predictions are ready and releases
+    them; :meth:`drain` waits for the rest at the end of the run.
+    Nothing the event loop decides reads a prediction, and the worker
+    runs :func:`run_forward` on a copy of the parent's batch and
+    runtime, so every prediction is byte-identical wherever it ran.
 
     A worker that dies is not restarted: the batches it held are
     recomputed in-process at their joins, and later batches run
-    in-process at launch.  :meth:`close` (or leaving a ``with`` block)
-    ends the worker.
+    in-process at submit.  :meth:`close` (or leaving a ``with`` block)
+    ends the worker.  ``kept`` counts the forwards :meth:`submit` ran
+    in-process and ``recomputed`` the batches the worker died holding.
     """
 
     def __init__(self, model: GNNModel, num_requests: int):
         self.model = model
+        self.responses: List[InferenceResponse] = []
+        self.kept = 0
+        self.recomputed = 0
         self._conn = None
         self._process = None
         self._sent = 0
         self._replied = 0
         self._received: Dict[int, Optional[np.ndarray]] = {}
+        self._retired: Deque[LaunchedBatch] = deque()
         if use_forward_worker(num_requests):
             context = multiprocessing.get_context("fork")
             parent_end, child_end = context.Pipe()
@@ -238,8 +311,10 @@ class ForwardExecutor:
 
     def submit(self, batch: GraphBatch,
                runtime: MegaRuntime) -> PendingForward:
-        """Start the forward of ``batch``."""
-        if self._conn is not None:
+        """Start the forward of ``batch``, on the worker or here."""
+        self._join_ready()
+        if (self._conn is not None
+                and self._sent - self._replied < WORKER_BACKLOG):
             try:
                 self._conn.send((batch, runtime))
             except OSError:
@@ -247,26 +322,64 @@ class ForwardExecutor:
             else:
                 self._sent += 1
                 return PendingForward(batch, runtime, self._sent - 1, None)
+        self.kept += 1
         return PendingForward(batch, runtime, -1,
                               run_forward(self.model, batch, runtime))
 
-    def join(self, pending: PendingForward) -> np.ndarray:
+    def retire(self, launched: LaunchedBatch) -> None:
+        """Queue a batch that reached its completion event for its join."""
+        self._retired.append(launched)
+        self._join_ready()
+
+    def drain(self) -> List[InferenceResponse]:
+        """Join every queued batch, waiting for the worker if need be.
+
+        Returns every response the run built, in completion order.
+        """
+        while self._retired:
+            self._respond(self._retired.popleft())
+        return self.responses
+
+    def _join_ready(self) -> None:
+        """Respond to the queued batches whose predictions are ready."""
+        if self._conn is not None:
+            try:
+                while (self._sent > self._replied
+                       and self._conn.poll()):  # megalint: sanctioned-impurity=clock: picks where a forward runs and when its batch is joined, never what either returns; no replay surface reads it
+                    self._receive()
+            except (EOFError, OSError):
+                self.close()
+        retired = self._retired
+        while retired and (self._conn is None
+                           or retired[0].forward.ticket < self._replied):
+            self._respond(retired.popleft())
+
+    def _receive(self) -> None:
+        self._received[self._replied] = self._conn.recv()
+        self._replied += 1
+
+    def _respond(self, launched: LaunchedBatch) -> None:
+        predictions = self._join(launched.forward)
+        self.responses.extend(launched.responses(predictions))
+
+    def _join(self, pending: PendingForward) -> np.ndarray:
         """``pending``'s predictions, waiting for the worker if need be."""
         if pending.predictions is not None:
             return pending.predictions
         if self._conn is not None:
             try:
-                while pending.ticket not in self._received:
-                    self._received[self._replied] = self._conn.recv()
-                    self._replied += 1
+                while pending.ticket >= self._replied:
+                    self._receive()
             except (EOFError, OSError):
                 self.close()
-        pending.predictions = self._received.pop(pending.ticket, None)
-        if pending.predictions is None:
+        if pending.ticket not in self._received:
+            self.recomputed += 1
+        predictions = self._received.pop(pending.ticket, None)
+        if predictions is None:
             # The worker died holding the batch, or its forward raised.
-            pending.predictions = run_forward(self.model, pending.batch,
-                                              pending.runtime)
-        return pending.predictions
+            predictions = run_forward(self.model, pending.batch,
+                                      pending.runtime)
+        return predictions
 
     def close(self) -> None:
         """End the worker, if any; batches it still holds are dropped."""
@@ -367,12 +480,23 @@ class ScheduleStore:
 
 @dataclass(frozen=True)
 class LaunchedBatch:
-    """A batch between its launch and its completion event."""
+    """A batch between its launch and its join."""
 
     batch_id: int
     done_s: float
     entries: Tuple[QueuedRequest, ...]
     forward: PendingForward
+
+    def responses(self, predictions: np.ndarray
+                  ) -> List[InferenceResponse]:
+        """One response per member, from the batch's predictions."""
+        return [InferenceResponse(
+            request_id=e.request.request_id,
+            prediction=np.array(predictions[i], copy=True),
+            submitted_s=e.request.submitted_s,
+            completed_s=self.done_s, batch_id=self.batch_id,
+            schedule_hit=e.schedule_hit, epoch=e.epoch)
+            for i, e in enumerate(self.entries)]
 
 
 class ServerEngine:
@@ -388,8 +512,8 @@ class ServerEngine:
     * :meth:`select` asks the batcher for a launchable plan;
     * :meth:`launch` starts a plan's forward, prices the batch and
       returns its completion time and :class:`LaunchedBatch`;
-    * :meth:`complete` joins a finished batch's forward and returns its
-      responses;
+    * :meth:`complete` retires a finished batch, hands it to the
+      executor for its join and returns its members' latencies;
     * :meth:`evacuate` empties the queue (cluster failover).
 
     ``store`` is a :class:`ScheduleStore` (a cluster replica's
@@ -474,7 +598,7 @@ class ServerEngine:
 
         The batch's forward goes to the executor first, so a forward
         worker runs it while this method prices the batch with the cost
-        model; :meth:`complete` joins it.
+        model; the executor joins it after :meth:`complete`.
 
         ``service_scale`` stretches the analytic service time — the
         cluster's straggler injection (:meth:`repro.resilience
@@ -508,27 +632,23 @@ class ServerEngine:
                                      forward=forward)
 
     def complete(self, launched: LaunchedBatch,
-                 now_s: float) -> List[InferenceResponse]:
-        """Retire one finished batch; returns its responses.
+                 now_s: float) -> List[float]:
+        """Retire one finished batch; returns its members' latencies.
 
-        Joins the batch's forward, builds one response per member,
-        does the latency accounting and leaves the engine idle.
+        Does the latency accounting, leaves the engine idle and hands
+        the batch to the executor (:meth:`ForwardExecutor.retire`),
+        which builds its responses once its predictions are ready.
+        Nothing here reads a prediction.
         """
-        predictions = self.forward.join(launched.forward)
-        responses = [InferenceResponse(
-            request_id=e.request.request_id,
-            prediction=np.array(predictions[i], copy=True),
-            submitted_s=e.request.submitted_s,
-            completed_s=launched.done_s, batch_id=launched.batch_id,
-            schedule_hit=e.schedule_hit, epoch=e.epoch)
-            for i, e in enumerate(launched.entries)]
+        latencies = [launched.done_s - e.request.submitted_s
+                     for e in launched.entries]
         self.busy = False
         self.in_flight = 0
-        for response in responses:
-            self.stats.served += 1
-            self.stats.latencies_s.append(response.latency_s)
+        self.stats.served += len(latencies)
+        self.stats.latencies_s.extend(latencies)
         self.stats.sim_duration_s = max(self.stats.sim_duration_s, now_s)
-        return responses
+        self.forward.retire(launched)
+        return latencies
 
     def evacuate(self) -> List[InferenceRequest]:
         """Empty the queue, returning the stranded requests.

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.bench import runners
 from repro.bench.cli import main as bench_main
 from repro.bench.ledger import Ledger, LedgerEntry, ledger_path, write_ledger
 from repro.cli import main as repro_main
@@ -37,6 +38,21 @@ class TestBenchCli:
                            "--output-dir", str(tmp_path)]) == 2
         assert "nonsense" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_area_runs_once(self, tmp_path, monkeypatch, capsys):
+        ran = []
+
+        def fake_run_area(area, seed=0):
+            ran.append(area)
+            return Ledger(area=area, entries=(
+                LedgerEntry(workload="w", seed=seed, fingerprint="abc",
+                            metrics={"served": 1}),))
+
+        monkeypatch.setattr(runners, "run_area", fake_run_area)
+        assert bench_main(["run", "--areas", "train", "serve", "train",
+                           "--output-dir", str(tmp_path)]) == 0
+        assert ran == ["train", "serve"]
+        assert capsys.readouterr().out.count("BENCH_train.json") == 1
 
     def test_compare_missing_baseline_dir_is_an_error(self, tmp_path,
                                                       capsys):

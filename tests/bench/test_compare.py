@@ -181,6 +181,14 @@ class TestDirectories:
         assert sorted(r.area for r in reports) == ["serve", "train"]
         assert all(r.ok for r in reports)
 
+    def test_repeated_area_is_compared_once(self, tmp_path):
+        for side in ("base", "cand"):
+            self._write(tmp_path / side, {"served": 1}, area="serve")
+            self._write(tmp_path / side, {"epochs": 3}, area="train")
+        reports = compare_directories(tmp_path / "base", tmp_path / "cand",
+                                      areas=["train", "serve", "train"])
+        assert [r.area for r in reports] == ["train", "serve"]
+
     def test_candidate_area_missing_raises(self, tmp_path):
         self._write(tmp_path / "base", {"served": 1})
         (tmp_path / "cand").mkdir()

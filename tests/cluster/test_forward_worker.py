@@ -6,18 +6,24 @@ A serving run forks one forward worker when
 call for it, and runs every forward in-process otherwise.  These tests
 force each side of that selection by patching the predicate, and hold
 the two runs equal: the stats replay surface and every response (id,
-batch, completion time, epoch, prediction bytes).
+batch, completion time, epoch, prediction bytes).  A worker run also
+runs forwards in the parent whenever the worker falls behind
+(:data:`repro.serve.server.WORKER_BACKLOG`); the executor counts them.
 """
 
 import json
 import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+import repro.cluster.cluster as cluster_module
 import repro.serve.server as server
 from repro.cluster import Cluster, ClusterConfig
 from repro.errors import ShapeError
@@ -26,9 +32,11 @@ from repro.resilience import FaultPlan, RetryPolicy
 from repro.serve import (
     ArrivalProcess,
     BatchingPolicy,
+    InferenceRequest,
     ServerConfig,
     generate_requests,
 )
+from repro.serve.queueing import QueuedRequest
 from repro.stream import GraphTable, StreamMix, StreamServer, generate_stream
 
 RETRY = RetryPolicy(max_attempts=3)
@@ -37,22 +45,36 @@ RETRY = RetryPolicy(max_attempts=3)
 def run_with(worker, serve):
     """``serve()`` with the worker selection forced to ``worker``.
 
-    Returns the result and how many forwards ran in this process; a
-    forward the worker runs counts in the worker's copy of the counter.
+    Returns the result, how many forwards ran in this process (a forward
+    the worker runs counts in the worker's copy of the counter) and the
+    run's forward executors.
     """
     in_parent = []
+    executors = []
     real_forward = server.run_forward
 
     def counted(*args):
         in_parent.append(1)
         return real_forward(*args)
 
+    class Recorded(server.ForwardExecutor):
+        def __init__(self, *args):
+            super().__init__(*args)
+            executors.append(self)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(server, "use_forward_worker", lambda _: worker)
         patch.setattr(server, "run_forward", counted)
+        patch.setattr(cluster_module, "ForwardExecutor", Recorded)
         result = serve()
     assert multiprocessing.active_children() == []
-    return result, len(in_parent)
+    return result, len(in_parent), executors
+
+
+def in_parent_expected(executors):
+    """Forwards the executors ran here: kept at submit, plus the batches
+    a dead worker held.  A forward the worker answered never counts."""
+    return sum(e.kept + e.recomputed for e in executors)
 
 
 def surface(result):
@@ -122,11 +144,13 @@ class TestWorkerMatchesInProcess:
                 return Cluster(model, config, fault_plan=plan).run(
                     requests, retry_policy=RETRY)
 
-        worker, worker_forwards = run_with(True, serve)
-        in_process, _ = run_with(False, serve)
+        worker, worker_forwards, executors = run_with(True, serve)
+        in_process, _, _ = run_with(False, serve)
         assert surface(worker) == surface(in_process)
-        # Every forward of the worker run ran in the worker.
-        assert worker_forwards == 0
+        # Every forward of the worker run that the executor did not
+        # keep in-process ran in the worker.
+        assert worker_forwards == in_parent_expected(executors)
+        assert all(e.recomputed == 0 for e in executors)
 
     def test_killed_worker_run_matches_unkilled_run(self, model,
                                                     make_requests):
@@ -144,15 +168,43 @@ class TestWorkerMatchesInProcess:
                 requests, retry_policy=RETRY,
                 control_events=list(control_events))
 
-        unkilled, unkilled_forwards = run_with(True, serve())
-        survived, survived_forwards = run_with(
+        unkilled, unkilled_forwards, unkilled_exec = run_with(True, serve())
+        survived, survived_forwards, survived_exec = run_with(
             True, serve([(mid_s, kill_worker)]))
         assert len(killed) == 1
-        assert unkilled_forwards == 0
+        assert unkilled_forwards == in_parent_expected(unkilled_exec)
+        assert unkilled_exec[0].recomputed == 0
         # After the kill every forward, the lost batches first, runs in
         # the parent.
         assert survived_forwards > 0
+        assert survived_forwards == in_parent_expected(survived_exec)
         assert surface(survived) == surface(unkilled)
+
+    def test_parent_shares_the_work_of_a_slow_worker(self, model,
+                                                     make_requests):
+        requests = make_requests(num=64, rate_rps=20000.0)
+        parent = os.getpid()
+        real_forward = server.run_forward
+
+        def slow_in_worker(*args):
+            if os.getpid() != parent:
+                time.sleep(0.05)
+            return real_forward(*args)
+
+        def serve():
+            return Cluster(model, fleet_config(3)).run(
+                requests, retry_policy=RETRY)
+
+        with pytest.MonkeyPatch.context() as patch:
+            # Patched before the fork, so the worker inherits it.
+            patch.setattr(server, "run_forward", slow_in_worker)
+            shared, shared_forwards, executors = run_with(True, serve)
+        in_process, _, _ = run_with(False, serve)
+        (executor,) = executors
+        assert executor.kept >= 1
+        assert executor.recomputed == 0
+        assert shared_forwards == executor.kept
+        assert surface(shared) == surface(in_process)
 
     @pytest.mark.parametrize("worker", [False, True])
     def test_forward_error_surfaces_from_run(self, model, pool, worker):
@@ -172,41 +224,153 @@ class TestWorkerMatchesInProcess:
         assert str(raised.value) == "batch has no node features"
 
 
+class StubConn:
+    """A forward worker's pipe end that replies only when told to."""
+
+    def __init__(self):
+        self.sent = []
+        self.replies = []
+
+    def send(self, item):
+        self.sent.append(item)
+
+    def poll(self):
+        return bool(self.replies)
+
+    def recv(self):
+        if not self.replies:
+            raise EOFError
+        return self.replies.pop(0)
+
+
+class TestBacklog:
+    """The executor's sharing rule and its join queue, on a stub pipe."""
+
+    @pytest.fixture
+    def executor(self, monkeypatch):
+        monkeypatch.setattr(server, "use_forward_worker", lambda _: False)
+        monkeypatch.setattr(server, "run_forward",
+                            lambda model, batch, runtime:
+                            np.full((1, 1), float(batch)))
+        executor = server.ForwardExecutor(None, 0)
+        executor._conn = StubConn()
+        return executor
+
+    @staticmethod
+    def launched(pending, request_id):
+        request = InferenceRequest(request_id=request_id, graph=None)
+        entry = QueuedRequest(request=request, admitted_s=0.0, path=None,
+                              schedule_hit=True)
+        return server.LaunchedBatch(batch_id=request_id, done_s=1.0,
+                                    entries=(entry,), forward=pending)
+
+    def test_ships_until_the_worker_holds_the_backlog(self, executor):
+        conn = executor._conn
+        pending = [executor.submit(b, None)
+                   for b in range(server.WORKER_BACKLOG)]
+        assert [p.ticket for p in pending] == list(
+            range(server.WORKER_BACKLOG))
+        assert len(conn.sent) == server.WORKER_BACKLOG
+        assert executor.kept == 0
+        kept = executor.submit(99, None)
+        assert kept.ticket == -1 and kept.predictions[0, 0] == 99.0
+        assert executor.kept == 1
+        assert len(conn.sent) == server.WORKER_BACKLOG
+        # A reply already waiting is taken before the choice.
+        conn.replies.append(np.zeros((1, 1)))
+        shipped = executor.submit(7, None)
+        assert shipped.ticket == server.WORKER_BACKLOG
+        assert executor.kept == 1
+        assert conn.replies == []
+
+    def test_joins_in_completion_order_once_ready(self, executor):
+        conn = executor._conn
+        first = executor.submit(1, None)
+        second = executor.submit(2, None)
+        # The batch launched second finishes first: it heads the queue
+        # and waits for its reply, holding the other one behind it.
+        executor.retire(self.launched(second, 20))
+        executor.retire(self.launched(first, 10))
+        conn.replies.append(np.full((1, 1), 1.0))
+        executor.retire(self.launched(executor.submit(3, None), 30))
+        assert executor.responses == []
+        conn.replies.append(np.full((1, 1), 2.0))
+        executor.submit(4, None)
+        assert [r.request_id for r in executor.responses] == [20, 10]
+        assert [float(r.prediction[0]) for r in executor.responses] == \
+            [2.0, 1.0]
+        assert len(executor._retired) == 1
+        # The last batch's worker died without replying: recomputed here.
+        responses = executor.drain()
+        assert [r.request_id for r in responses] == [20, 10, 30]
+        assert float(responses[-1].prediction[0]) == 3.0
+        assert executor.recomputed == 1
+        assert len(executor._retired) == 0
+
+
 class TestSelection:
     """:func:`repro.serve.server.use_forward_worker` on a given host."""
 
     @pytest.fixture
     def host(self, monkeypatch):
-        """Set the host's CPU count and BLAS thread caps."""
-        def shape(cpus, **caps):
+        """Set the host's CPU count and numpy's effective BLAS pool."""
+        def shape(cpus, blas):
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid: set(range(cpus)))
-            for name in server.BLAS_THREAD_VARS:
-                monkeypatch.delenv(name, raising=False)
-            for name, value in caps.items():
-                monkeypatch.setenv(name, value)
+            monkeypatch.setattr(server, "blas_threads", lambda: blas)
         return shape
 
     def test_long_run_with_a_spare_cpu_forks(self, host):
-        host(2, OPENBLAS_NUM_THREADS="1")
+        host(2, 1)
         assert server.use_forward_worker(server.WORKER_MIN_REQUESTS)
 
     def test_short_run_stays_in_process(self, host):
-        host(2, OPENBLAS_NUM_THREADS="1")
+        host(2, 1)
         assert not server.use_forward_worker(
             server.WORKER_MIN_REQUESTS - 1)
 
     def test_one_cpu_stays_in_process(self, host):
-        host(1, OMP_NUM_THREADS="1")
+        host(1, 1)
         assert not server.use_forward_worker(1000)
 
     @pytest.mark.parametrize("caps", [
-        {}, {"OMP_NUM_THREADS": "4"}, {"MKL_NUM_THREADS": "many"},
-        {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}])
+        {"cpus": 4, "blas": 4}, {"cpus": 4, "blas": 8},
+        {"cpus": 2, "blas": 2}, {"cpus": 8, "blas": 8}])
     def test_blas_on_every_cpu_stays_in_process(self, host, caps):
-        host(4, **caps)
+        host(caps["cpus"], caps["blas"])
         assert not server.use_forward_worker(1000)
 
-    def test_first_set_cap_counts(self, host):
-        host(4, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="4")
+    def test_unknown_blas_stays_in_process(self, host):
+        host(4, None)
+        assert not server.use_forward_worker(1000)
+
+    def test_a_smaller_pool_forks(self, host):
+        host(4, 2)
         assert server.use_forward_worker(1000)
+
+
+class TestBlasPool:
+    """numpy's BLAS pool, read and capped for the serving commands."""
+
+    def test_cap_holds_inside_and_is_restored(self):
+        before = server.blas_threads()
+        if before is None:
+            pytest.skip("numpy carries no scipy_openblas64_ library")
+        with server.blas_pool(1):
+            assert server.blas_threads() == 1
+        assert server.blas_threads() == before
+
+    def test_serving_command_runs_capped(self, monkeypatch):
+        from repro import cli
+
+        if server.blas_threads() is None:
+            pytest.skip("numpy carries no scipy_openblas64_ library")
+        seen = []
+
+        def build_cluster(args):
+            seen.append(server.blas_threads())
+            raise ShapeError("stop before loading")
+
+        monkeypatch.setattr(cli, "_build_cluster", build_cluster)
+        assert cli.main(["loadtest", "--requests", "4"]) == 2
+        assert seen == [1]

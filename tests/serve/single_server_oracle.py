@@ -10,9 +10,12 @@ own stats) over its one-tier store, which is an on-disk
 ``tests/cluster/test_cluster.py`` holds the cluster's single-node view
 and every response equal to this loop's.  The classes are the old
 ``repro.serve.server`` code unchanged, apart from the store, which is
-built from an explicit tier list, and the launch/complete handshake,
-whose completion now builds the responses.  Its engine's forwards run
-where a cluster's would (:func:`repro.serve.server.use_forward_worker`).
+built from an explicit tier list, and the launch/complete handshake:
+completion retires the batch to the run's
+:class:`~repro.serve.server.ForwardExecutor`, which builds the
+responses, and the run drains the executor before it returns.  Its
+engine's forwards run where a cluster's would
+(:func:`repro.serve.server.use_forward_worker`).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from repro.serve.queueing import InferenceRequest, InferenceResponse
 from repro.serve.server import (
     EventLoop,
     ForwardExecutor,
-    LaunchedBatch,
     ScheduleMemo,
     ScheduleStore,
     ServerConfig,
@@ -122,7 +124,6 @@ class InferenceServer:
         engine = ServerEngine(self.model, self.config, self.store, forward)
         stats = engine.stats
         stats.received = len(requests)
-        responses: List[InferenceResponse] = []
         loop = EventLoop(self.clock)
         for request in requests:
             loop.arrive(request)
@@ -146,10 +147,7 @@ class InferenceServer:
             done_s, launched = engine.launch(plan, now_s)
             loop.push(done_s, "done", launched)
 
-        def complete(launched: LaunchedBatch, now_s: float) -> None:
-            responses.extend(engine.complete(launched, now_s))
-
         loop.run(lambda: ((0, engine),), launch,
-                 {"arrive": admit, "done": complete})
+                 {"arrive": admit, "done": engine.complete})
         engine.finish()
-        return ServeResult(responses=responses, stats=stats)
+        return ServeResult(responses=forward.drain(), stats=stats)
