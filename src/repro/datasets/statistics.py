@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.datasets.base import GraphDataset
 from repro.graph.graph import Graph
@@ -80,6 +79,10 @@ def table_three_row(dataset: GraphDataset, max_graphs: int = 400,
     across instances (the property that justifies one unfolding policy
     per dataset).
     """
+    # Imported here: scipy costs every process that imports the
+    # datasets ~1 s and ~65 MB, and this is its one use.
+    from scipy import stats as sps
+
     rng = np.random.default_rng(seed)
     graphs = dataset.all_graphs()
     if len(graphs) > max_graphs:

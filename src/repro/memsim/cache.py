@@ -8,15 +8,23 @@ order of its stamps.
 :meth:`LRUCache.access_trace` resolves a whole ordered sector stream in
 one pass — a simulated batch submits every kernel trace back to back.
 The stream arrives as its distinct pieces plus the order that replays
-them, because a batch repeats the same traces layer after layer.  A set
-whose resident lines plus the stream's new distinct lines fit in its
-ways can evict nothing, so there an access hits exactly when its line
-is resident or appeared earlier in the stream: only each line's first
-and last position matter, and numpy finds both from the distinct pieces
-for all such sets at once.  Only when some set may overflow is the full
-stream expanded, and those sets are walked access by access under exact
-LRU (see :meth:`LRUCache._walk`).  Either way each access gets the
-outcome of walking the stream one access at a time.
+them, because a batch repeats the same traces layer after layer.
+Pieces are renumbered in the order they are first played, so a line's
+first stored position is its first position in the stream.
+
+A set whose resident lines plus the stream's new distinct lines fit in
+its ways can evict nothing, so there an access hits exactly when its
+line is resident or appeared earlier in the stream.  When the stream's
+lines span few enough lines that no set can take more than it holds
+(every serving batch on a fresh device), that bound is read off the
+span alone: the pass finds each line's first position in a table over
+the span, without sorting, and it leaves writing the lines into their
+sets until the cache is next read, so a cache used once never pays
+for it.
+Only when some set may overflow is the full stream expanded, and those
+sets are walked access by access under exact LRU (see
+:meth:`LRUCache._walk`).  Either way each access gets the outcome of
+walking the stream one access at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +40,60 @@ COUNTERS = ("hits", "misses", "seq_misses", "seq_all", "repeat_all")
 
 #: Fewest sets worth one lockstep round of the eviction walk.
 _LOCKSTEP_SETS = 64
+
+
+def _div(values: np.ndarray, divisor: int) -> np.ndarray:
+    """``values // divisor``, as a shift when ``divisor`` is a power of 2."""
+    if divisor & (divisor - 1):
+        return values // divisor
+    return values >> (divisor.bit_length() - 1)
+
+
+def _steps(lines: np.ndarray, lengths: np.ndarray,
+           ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per piece: accesses whose line follows, and equals, the previous.
+
+    Counted from the steps that do not follow on, which are few in the
+    sweeps kernels stream, so only those are gathered.
+    """
+    if len(lines) < 2:
+        zeros = np.zeros(len(lengths), dtype=np.int64)
+        return zeros, zeros
+    step = lines[1:] - lines[:-1]
+    breaks = (step != 1).nonzero()[0]
+    repeats = breaks[step[breaks] == 0]
+    # Steps p (comparing p+1 with p) inside a piece are those from its
+    # first position up to, not including, its last.
+    lo = ends - lengths
+    hi = np.maximum(ends - 1, lo)
+    inner = hi - lo
+    return (inner - (breaks.searchsorted(hi) - breaks.searchsorted(lo)),
+            repeats.searchsorted(hi) - repeats.searchsorted(lo))
+
+
+def _distinct(lines: np.ndarray, lengths: np.ndarray, shift: np.ndarray,
+              last_play: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each distinct line of the stored pieces (see
+    :meth:`LRUCache._resolve`), its first stored position, which is its
+    first position in the stream, and its last position in the stream."""
+    by_line = lines.argsort(kind="stable")
+    ordered = lines[by_line]
+    head = np.empty(len(lines), dtype=bool)
+    head[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    heads = head.nonzero()[0]
+    last_at = by_line + np.repeat(shift[last_play], lengths)[by_line]
+    return (ordered[heads], by_line[heads],
+            np.maximum.reduceat(last_at, heads))
+
+
+def _segments(stored: np.ndarray, ends: np.ndarray,
+              first_play: np.ndarray) -> np.ndarray:
+    """The first-play segment of each of the ascending ``stored``
+    positions, for pieces ending at ``ends``."""
+    upto = stored.searchsorted(ends)
+    return np.repeat(first_play, upto - np.concatenate(([0], upto[:-1])))
 
 
 def _ranks(counts: np.ndarray) -> np.ndarray:
@@ -56,12 +118,15 @@ class LRUCache:
         self.associativity = associativity
         self.num_sets = max(1, num_lines // associativity)
         # Ways fill from the left and are never emptied again, so the
-        # first ``_fill[s]`` ways of set ``s`` are its residents.
-        shape = (self.num_sets, associativity)
-        self._tags = np.full(shape, -1, dtype=np.int64)
-        self._stamps = np.full(shape, -1, dtype=np.int64)
+        # first ``_fill[s]`` ways of set ``s`` are its residents.  The
+        # tag and stamp arrays are allocated by the first write.
+        self._tags: Optional[np.ndarray] = None
+        self._stamps: Optional[np.ndarray] = None
         self._fill = np.zeros(self.num_sets, dtype=np.int64)
         self._clock = 0
+        #: The stream of a fresh calm pass, not yet written into the
+        #: sets (see :meth:`_settle`).
+        self._pending: Optional[Tuple[np.ndarray, ...]] = None
         self.hits = 0
         self.misses = 0
 
@@ -99,117 +164,169 @@ class LRUCache:
 
         The stream counters never look across a segment boundary.
         """
-        lines = np.asarray(addresses, dtype=np.int64) // self.line_bytes
+        lines = _div(np.asarray(addresses, dtype=np.int64), self.line_bytes)
         n = len(lines)
-        lengths = np.asarray([n] if segments is None else segments,
-                             dtype=np.int64)
-        if lengths.ndim != 1 or (lengths < 0).any() or int(lengths.sum()) != n:
+        lengths = np.array([n] if segments is None else segments,
+                           dtype=np.int64)
+        if lengths.ndim != 1 or (len(lengths) and int(lengths.min()) < 0) \
+                or int(lengths.sum()) != n:
             raise SimulationError(
                 f"segments must be non-negative lengths summing to {n}")
         pieces = len(lengths)
         plays = np.arange(pieces) if order is None \
             else np.asarray(order, dtype=np.int64)
-        if plays.ndim != 1 or ((plays < 0) | (plays >= pieces)).any() \
-                or len(np.unique(plays)) != pieces:
+        if plays.ndim != 1 or (len(plays) and (
+                int(plays.min()) < 0 or int(plays.max()) >= pieces)):
             raise SimulationError(
                 f"order must replay each of the {pieces} segments")
-        if n and int(lines.min()) < 0:
+        replays = np.bincount(plays, minlength=pieces)
+        if not replays.all():
+            raise SimulationError(
+                f"order must replay each of the {pieces} segments")
+        if n and int(np.minimum.reduce(lines)) < 0:
             raise SimulationError("cache addresses must be non-negative")
+        # Each piece's first and last play.
+        by_piece = plays.argsort(kind="stable")
+        tail = np.add.accumulate(replays)
+        first_play = by_piece[tail - replays]
+        last_play = by_piece[tail - 1]
+        if (first_play[1:] < first_play[:-1]).any():
+            # Renumber the pieces in the order they are first played.
+            perm = first_play.argsort()
+            renamed = np.empty(pieces, dtype=np.int64)
+            renamed[perm] = np.arange(pieces)
+            stored = np.add.accumulate(lengths) - lengths
+            lengths = lengths[perm]
+            lines = lines[np.arange(n) + np.repeat(
+                stored[perm] - (np.add.accumulate(lengths) - lengths),
+                lengths)]
+            plays = renamed[plays]
+            first_play, last_play = first_play[perm], last_play[perm]
         runs = lengths[plays]
-        starts = np.cumsum(runs) - runs
+        starts = np.add.accumulate(runs) - runs
+        ends = np.add.accumulate(lengths)
         # Stream position minus stored position, per stream segment.
-        shift = starts - (np.cumsum(lengths) - lengths)[plays]
-        missed = self._resolve(lines, lengths, plays, shift)
+        shift = starts - (ends - lengths)[plays]
+        seg, missed = self._resolve(lines, lengths, plays, runs, ends,
+                                    shift, first_play, last_play)
 
         count = len(plays)
-        seg = np.searchsorted(starts, missed, side="right") - 1
-        chained = (seg[1:] == seg[:-1]) \
-            & (np.diff(lines[missed - shift[seg]]) == 1)
+        chained = (seg[1:] == seg[:-1]) & (missed[1:] - missed[:-1] == 1)
         misses = np.bincount(seg, minlength=count)
-        piece = np.repeat(np.arange(pieces), lengths)
-        inner = piece[1:] == piece[:-1]
-        step = np.diff(lines)
-        stats = {
-            "hits": runs - misses,
-            "misses": misses,
-            "seq_misses": np.bincount(seg[1:][chained], minlength=count),
-            "seq_all": np.bincount(piece[1:][inner & (step == 1)],
-                                   minlength=pieces)[plays],
-            "repeat_all": np.bincount(piece[1:][inner & (step == 0)],
-                                      minlength=pieces)[plays],
-        }
-        self.hits += int(stats["hits"].sum())
-        self.misses += int(misses.sum())
-        return stats
+        seq_all, repeat_all = _steps(lines, lengths, ends)
+        hits = runs - misses
+        self.hits += int(hits.sum())
+        self.misses += len(seg)
+        return {"hits": hits, "misses": misses,
+                "seq_misses": np.bincount(seg[1:][chained], minlength=count),
+                "seq_all": seq_all[plays], "repeat_all": repeat_all[plays]}
+
+    def _settle(self) -> None:
+        """Write a fresh calm pass's lines into their sets, if pending."""
+        if self._pending is not None:
+            pending, self._pending = self._pending, None
+            uniq, _, last = _distinct(*pending)
+            self._place(uniq, uniq % self.num_sets,
+                        np.full(len(uniq), -1), last, 0, None)
 
     def _resolve(self, lines: np.ndarray, lengths: np.ndarray,
-                 plays: np.ndarray, shift: np.ndarray) -> np.ndarray:
-        """Run the stream through the sets; returns its misses' positions.
+                 plays: np.ndarray, runs: np.ndarray, ends: np.ndarray,
+                 shift: np.ndarray, first_play: np.ndarray,
+                 last_play: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Run the stream through the sets; returns its misses.
 
-        The stream replays the pieces of ``lines`` (of ``lengths``) in
-        the order ``plays``; ``shift`` maps a stored position to its
-        stream position in each segment.  Positions come out ascending.
+        The stream replays the pieces of ``lines`` (of ``lengths``,
+        ending at ``ends``) in the order ``plays``, ``runs`` long each,
+        with pieces numbered by first play; ``shift`` maps a stored
+        position to its stream position in each segment, and
+        ``first_play``/``last_play`` give each piece's first and last
+        segment.  Returns the misses in stream order: each one's
+        segment and its line.
         """
-        runs = lengths[plays]
+        self._settle()
         n = int(runs.sum())
         if n == 0:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         assoc = self.associativity
-        # Each stored access's stream position in its piece's first and
-        # last play.
-        stored = np.arange(len(lines))
-        _, first_play = np.unique(plays, return_index=True)
-        _, last_play = np.unique(plays[::-1], return_index=True)
-        last_play = len(plays) - 1 - last_play
-        first_at = stored + np.repeat(shift[first_play], lengths)
-        last_at = stored + np.repeat(shift[last_play], lengths)
-        # Distinct lines with their first and last position in the stream.
-        by_line = np.argsort(lines, kind="stable")
-        ordered = lines[by_line]
-        head = np.ones(len(lines), dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-        starts = np.flatnonzero(head)
-        uniq = ordered[starts]
-        first = np.minimum.reduceat(first_at[by_line], starts)
-        last = np.maximum.reduceat(last_at[by_line], starts)
-        uset = uniq % self.num_sets
+        num_sets = self.num_sets
+        base = self._clock
+        self._clock += n
+        # A set takes at most one line in every num_sets of the span, so
+        # a narrow span needs no count per set.
+        low = int(np.minimum.reduce(lines))
+        span = int(np.maximum.reduce(lines)) - low + 1
+        if not base and -(-span // num_sets) <= assoc:
+            # Fresh and no set can evict: each line misses once, at its
+            # first stored position (its first in the stream), found
+            # without sorting.
+            at = lines - low
+            stored = np.arange(len(lines))
+            first = np.full(span, len(lines))
+            np.minimum.at(first, at, stored)
+            stored = (first[at] == stored).nonzero()[0]
+            self._pending = (lines, lengths, shift, last_play)
+            return _segments(stored, ends, first_play), lines[stored]
 
+        uniq, first, last = _distinct(lines, lengths, shift, last_play)
+        uset = uniq % num_sets
         # Which distinct lines are already resident, and in which way.
         way = np.full(len(uniq), -1, dtype=np.int64)
-        held = np.flatnonzero(self._fill[uset] > 0)
-        if held.size:
+        if base:
+            held = (self._fill[uset] > 0).nonzero()[0]
             match = self._tags[uset[held]] == uniq[held, None]
             found = match.any(axis=1)
             way[held[found]] = match[found].argmax(axis=1)
-        resident = way >= 0
-        new_lines = np.bincount(uset[~resident], minlength=self.num_sets)
-        overflow = self._fill + new_lines > assoc
+        fresh = (way < 0).nonzero()[0]
+        overflow = self._fill + np.bincount(
+            uset[fresh], minlength=num_sets) > assoc
+        self._place(uniq, uset, way, last, base, overflow)
+        if not overflow.any():
+            # No set can evict: only first touches of new lines miss.
+            stored = np.sort(first[fresh])
+            return _segments(stored, ends, first_play), lines[stored]
 
-        base = self._clock
-        self._clock += n
-        calm = ~overflow[uset]
-        # No eviction: only first touches of non-resident lines miss.
-        fresh = np.flatnonzero(calm & ~resident)
-        kept = np.flatnonzero(calm & resident)
-        self._stamps[uset[kept], way[kept]] = base + last[kept]
-        by_set = fresh[np.argsort(uset[fresh], kind="stable")]
-        sets = uset[by_set]
-        rank = np.arange(len(sets)) - np.searchsorted(sets, sets)
-        slot = self._fill[sets] + rank
-        self._tags[sets, slot] = uniq[by_set]
-        self._stamps[sets, slot] = base + last[by_set]
-        self._fill += np.where(overflow, 0, new_lines)
-
-        hot = np.flatnonzero(overflow)
-        if not hot.size:
-            return np.sort(first[fresh])
         # Some set must be walked: expand the whole stream for it.
+        missed = first[fresh[~overflow[uset[fresh]]]]
+        missed = missed + shift[first_play[ends.searchsorted(
+            missed, side="right")]]
         stream = lines[np.arange(n) - np.repeat(shift, runs)]
         order = np.argsort(stream, kind="stable")
         miss = np.zeros(n, dtype=bool)
-        miss[first[fresh]] = True
-        self._walk(stream, order, stream[order], base, hot, miss)
-        return np.flatnonzero(miss)
+        miss[missed] = True
+        self._walk(stream, order, stream[order], base,
+                   overflow.nonzero()[0], miss)
+        missed = miss.nonzero()[0]
+        seg = (np.add.accumulate(runs) - runs).searchsorted(
+            missed, side="right") - 1
+        return seg, stream[missed]
+
+    def _place(self, uniq: np.ndarray, uset: np.ndarray, way: np.ndarray,
+               last: np.ndarray, base: int,
+               overflow: Optional[np.ndarray]) -> None:
+        """Stamp the resolved lines of the sets that cannot evict.
+
+        Resident lines (``way`` >= 0) take their last use; new lines
+        fill their set's next free ways.  ``overflow`` marks the sets
+        left to :meth:`_walk`; ``None`` means there are none.
+        """
+        if self._tags is None:
+            shape = (self.num_sets, self.associativity)
+            self._tags = np.full(shape, -1, dtype=np.int64)
+            self._stamps = np.full(shape, -1, dtype=np.int64)
+        calm = np.ones(len(uniq), dtype=bool) if overflow is None \
+            else ~overflow[uset]
+        kept = (calm & (way >= 0)).nonzero()[0]
+        self._stamps[uset[kept], way[kept]] = base + last[kept]
+        fresh = (calm & (way < 0)).nonzero()[0]
+        by_set = fresh[uset[fresh].argsort(kind="stable")]
+        sets = uset[by_set]
+        new_lines = np.bincount(sets, minlength=self.num_sets)
+        rank = np.arange(len(sets)) \
+            - (np.add.accumulate(new_lines) - new_lines)[sets]
+        slot = self._fill[sets] + rank
+        self._tags[sets, slot] = uniq[by_set]
+        self._stamps[sets, slot] = base + last[by_set]
+        self._fill += new_lines
 
     def _walk(self, lines: np.ndarray, order: np.ndarray,
               ordered: np.ndarray, base: int, hot: np.ndarray,
@@ -335,9 +452,13 @@ class LRUCache:
     @property
     def occupancy(self) -> int:
         """Number of resident lines."""
+        self._settle()
         return int(self._fill.sum())
 
     def contains(self, address: int) -> bool:
+        self._settle()
+        if self._tags is None:
+            return False
         line = address // self.line_bytes
         s = line % self.num_sets
         return bool((self._tags[s, :self._fill[s]] == line).any())

@@ -12,13 +12,17 @@ row gathers by roughly the margin real hardware shows, dense GEMM must
 look compute-bound, and kernel time must be max(compute, memory) plus a
 fixed launch cost.
 
-:meth:`GPUDevice.run_kernels` simulates a batch of launches at once:
-their traces, grouped by object identity, go to the L2 in one call
-that expands each distinct trace once, and every kernel is then priced
-in one numpy pass over per-trace count arrays.  Specs and launches are
-validated on construction, so a zero bandwidth or a non-positive
-efficiency fails here with :class:`~repro.errors.SimulationError`
-rather than as an ``inf`` timing.
+:meth:`GPUDevice.replay` simulates a batch as its distinct launches
+plus the order that replays them (:meth:`GPUDevice.run_kernels` finds
+both in a plain launch list).  Their traces, grouped by their parts, are
+expanded to sectors in one vectorised step and go to the L2 in one call
+that replays each distinct trace wherever it recurs; every kernel is
+then priced in one numpy pass, reading each distinct launch's own
+columns once.  Specs, launches and host copies are validated on
+construction, so a zero bandwidth, a non-positive efficiency or a
+negative copy fails here with :class:`~repro.errors.SimulationError`
+rather than as an ``inf`` or ``nan`` timing; malformed traces fail in
+:mod:`repro.memsim.access`.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.memsim.cache import COUNTERS, LRUCache
-from repro.memsim.access import AccessTrace
+from repro.memsim.cache import LRUCache
+from repro.memsim.access import AccessTrace, sector_lines
 
 
 @dataclass(frozen=True)
@@ -135,6 +139,10 @@ DEVICE_PRESETS = {
 }
 
 
+#: What an absent trace reads as: no accesses.
+_NO_TRACE = AccessTrace.of(())
+
+
 @dataclass(frozen=True)
 class KernelLaunch:
     """One kernel launch, as :meth:`GPUDevice.run_kernels` times it.
@@ -165,9 +173,17 @@ class KernelLaunch:
             raise SimulationError(
                 f"kernel {self.name!r}: parallel_items must be "
                 f"non-negative, got {self.parallel_items!r}")
+        # The launch's own pricing columns, read once per batch by
+        # :meth:`GPUDevice.replay` however often it is replayed.
+        object.__setattr__(self, "columns", (
+            float(self.flops), float(self.parallel_items is None),
+            0.0 if self.parallel_items is None
+            else float(self.parallel_items),
+            1.0 if self.efficiency is None else float(self.efficiency),
+            float(self.atomic_stores), float(self.imbalance)))
 
 
-@dataclass
+@dataclass(slots=True)
 class KernelStats:
     """nvprof-like statistics for one kernel invocation."""
 
@@ -200,42 +216,36 @@ class GPUDevice:
                            self.spec.l2_associativity)
 
     # ------------------------------------------------------------------
-    def _l2_pass(self, traces: Sequence[Optional[AccessTrace]]
-                 ) -> Dict[str, np.ndarray]:
-        """Run ``traces`` through the L2, in order, as one sector stream.
+    def _l2_pass(self, launches: Sequence[KernelLaunch],
+                 order: np.ndarray) -> Dict[str, np.ndarray]:
+        """Run the replayed launches' traces through the L2 as one stream.
 
-        Traces are grouped by identity: each distinct trace object is
-        expanded to sector addresses once, and the L2 replays it at
-        every position it recurs (see :meth:`LRUCache.access_trace`).
-        Returns per trace an int64 array of ``sectors``, ``useful``
-        bytes and each cache counter.  An empty or absent trace skips
-        the L2 and counts zero everywhere.
+        ``launches`` are distinct and ``order`` replays them; each
+        launch contributes its loads then its stores.  Traces are
+        grouped by their parts (sweeps by value, explicit rows by
+        identity): every distinct trace is expanded to sectors once,
+        all of them in one step (:func:`sector_lines`), and the L2
+        replays each at every position it recurs (see
+        :meth:`LRUCache.access_trace`).  Returns, per replayed trace
+        (loads at even positions, stores at odd ones), an int64 array
+        of each cache counter and of its ``useful`` bytes.  Empty and
+        absent traces play one empty piece: zero everywhere.
         """
-        counts = {key: np.zeros(len(traces), dtype=np.int64)
-                  for key in ("sectors", "useful") + COUNTERS}
-        piece_of: Dict[int, int] = {}
-        distinct: List[AccessTrace] = []
-        live, plays = [], []
-        for i, trace in enumerate(traces):
-            if trace is None or not trace.num_accesses:
-                continue
-            piece = piece_of.setdefault(id(trace), len(distinct))
-            if piece == len(distinct):
-                distinct.append(trace)
-            live.append(i)
-            plays.append(piece)
-        if not live:
-            return counts
+        piece_of: Dict[tuple, int] = {}
+        pieces: List[AccessTrace] = []
+        slots: List[int] = []
+        for launch in launches:
+            for trace in (launch.loads, launch.stores):
+                trace = trace or _NO_TRACE
+                piece = piece_of.setdefault(trace.parts, len(pieces))
+                if piece == len(pieces):
+                    pieces.append(trace)
+                slots.append(piece)
         sector_bytes = self.spec.sector_bytes
-        whole = AccessTrace.concatenate(distinct)
-        rows = np.cumsum([0] + [t.num_accesses for t in distinct[:-1]])
-        sectors = np.add.reduceat(whole.sector_counts(sector_bytes), rows)
-        stats = self.l2.access_trace(whole.sector_addresses(sector_bytes),
-                                     sectors, plays)
-        counts["sectors"][live] = sectors[plays]
-        counts["useful"][live] = np.add.reduceat(whole.lengths, rows)[plays]
-        for key in COUNTERS:
-            counts[key][live] = stats[key]
+        lines, sectors, useful = sector_lines(pieces, sector_bytes)
+        plays = np.array(slots, dtype=np.int64).reshape(-1, 2)[order].ravel()
+        counts = self.l2.access_trace(lines * sector_bytes, sectors, plays)
+        counts["useful"] = useful[plays]
         return counts
 
     def run_kernel(self, name: str, flops: float,
@@ -255,12 +265,29 @@ class GPUDevice:
                     ) -> List[KernelStats]:
         """Time kernels launched back to back, in launch order.
 
-        Each launch's loads then stores reach the L2 in that order, as
-        one stream resolved in a single pass (see :mod:`repro.memsim
+        The launches are grouped by identity into their distinct objects
+        and the order that replays them, and timed by :meth:`replay`.
+        """
+        index: Dict[int, int] = {}
+        order = [index.setdefault(id(launch), len(index))
+                 for launch in launches]
+        return self.replay(
+            list({id(launch): launch for launch in launches}.values()),
+            order)
+
+    def replay(self, launches: Sequence[KernelLaunch],
+               order: Sequence[int]) -> List[KernelStats]:
+        """Time the kernels ``order`` launches back to back, one record each.
+
+        ``launches`` are a batch's distinct launches and ``order`` the
+        indices that replay them, as a model's layers repeat one plan.
+        Each launch's loads then stores reach the L2 in that order, as one
+        stream resolved in a single pass (see :mod:`repro.memsim
         .cache`); the counters come out per trace, so each kernel is
         priced exactly as if it ran alone on the warmed cache.  All
         kernels are priced together, one array operation per step of
-        the timing model below.
+        the timing model below; each distinct launch's own columns
+        (flops, efficiency, occupancy, imbalance) are read once.
 
         Per trace, effective DRAM bandwidth follows a row-buffer model:
         a maximal run of consecutive missed lines pays one activation
@@ -277,13 +304,16 @@ class GPUDevice:
           perfectly coalesced, balanced) over the achieved time, which
           reproduces how sgemm/cub/dgl separate in nvprof.
         """
+        order = np.asarray(order, dtype=np.int64)
+        plan = [launches[i] for i in order.tolist()]
         spec = self.spec
-        counts = self._l2_pass([t for launch in launches
-                                for t in (launch.loads, launch.stores)])
+        counts = self._l2_pass(launches, order)
 
         # Per trace: loads at even rows, stores at odd ones.
-        sectors, misses = counts["sectors"], counts["misses"]
-        is_store = np.tile([False, True], len(launches))
+        hits, misses = counts["hits"], counts["misses"]
+        sectors = hits + misses
+        is_store = np.zeros(len(hits), dtype=bool)
+        is_store[1::2] = True
         effective_tx = np.maximum(sectors - counts["repeat_all"], 0)
         tx_runs = np.maximum(effective_tx - counts["seq_all"], 1)
         tx_avg_run = np.where(effective_tx > 0, effective_tx / tx_runs, 1.0)
@@ -314,19 +344,12 @@ class GPUDevice:
             np.maximum(np.maximum(t_dram, t_latency), t_l2) + t_gap, 0.0)
         useful = counts["useful"].astype(np.float64)
 
-        # Per kernel.
-        flops = np.array([launch.flops for launch in launches], dtype=float)
-        saturated = np.array([launch.parallel_items is None
-                              for launch in launches])
-        items = np.array([0.0 if launch.parallel_items is None
-                          else launch.parallel_items for launch in launches])
-        eff = np.array([1.0 if launch.efficiency is None
-                        else launch.efficiency for launch in launches])
-        atomic = np.array([launch.atomic_stores for launch in launches])
-        imbalance = np.array([launch.imbalance for launch in launches],
-                             dtype=float)
+        # Per kernel: each distinct launch's columns, replayed.
+        flops, saturated, items, eff, atomic, imbalance = np.array(
+            [launch.columns for launch in launches], dtype=np.float64
+        ).reshape(-1, 6)[order].T
         utilization = np.where(
-            saturated, 1.0,
+            saturated > 0, 1.0,
             np.clip(items / spec.saturation_items, 0.02, 1.0))
         t_compute_full = np.where(
             flops > 0, flops / (spec.peak_flops * eff), 0.0)
@@ -335,7 +358,7 @@ class GPUDevice:
         # Atomic read-modify-writes are throughput-limited per element
         # and serialise further under destination conflicts.
         t_memory = np.where(
-            atomic,
+            atomic > 0,
             (t_memory + useful[1::2] / 4.0
              / (spec.atomic_throughput_gops * 1e9)) * spec.atomic_penalty,
             t_memory)
@@ -356,23 +379,25 @@ class GPUDevice:
                            where=active)
         stall = np.divide(np.maximum(0.0, busy - t_ideal), busy,
                           out=np.where(t_memory > 0, 1.0, 0.0), where=active)
-        return [KernelStats(
-                    name=launch.name, time_s=t, flops=launch.flops,
-                    load_transactions=lt, store_transactions=st,
-                    l2_hits=hit, l2_misses=miss, dram_bytes=dram,
-                    sm_efficiency=e, memory_stall_pct=p)
-                for launch, t, lt, st, hit, miss, dram, e, p in zip(
-                    launches, time_s.tolist(), sectors[0::2].tolist(),
-                    sectors[1::2].tolist(),
-                    (counts["hits"][0::2] + counts["hits"][1::2]).tolist(),
-                    (misses[0::2] + misses[1::2]).tolist(),
-                    (dram_bytes[0::2].astype(np.float64)
-                     + dram_bytes[1::2]).tolist(),
-                    np.clip(sm_eff, 0.0, 1.0).tolist(),
-                    np.clip(stall, 0.0, 1.0).tolist())]
+        return list(map(
+            KernelStats,
+            [launch.name for launch in plan],
+            time_s.tolist(),
+            [launch.flops for launch in plan],
+            sectors[0::2].tolist(), sectors[1::2].tolist(),
+            (hits[0::2] + hits[1::2]).tolist(),
+            (misses[0::2] + misses[1::2]).tolist(),
+            (dram_bytes[0::2].astype(np.float64)
+             + dram_bytes[1::2]).tolist(),
+            np.clip(sm_eff, 0.0, 1.0).tolist(),
+            np.clip(stall, 0.0, 1.0).tolist()))
 
     def memcpy(self, nbytes: float, name: str = "Memcpy") -> KernelStats:
         """Host<->device copy over PCIe."""
+        if not (math.isfinite(nbytes) and nbytes >= 0):
+            raise SimulationError(
+                f"memcpy size must be finite and non-negative, "
+                f"got {nbytes!r}")
         time_s = nbytes / self.spec.pcie_bandwidth + self.spec.kernel_launch_us * 1e-6
         return KernelStats(
             name=name, time_s=time_s, flops=0.0,

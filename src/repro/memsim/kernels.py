@@ -12,7 +12,7 @@ arrays in :mod:`repro.models.kernel_plans`; the H2D copy is
 
 from __future__ import annotations
 
-from repro.memsim.access import AccessTrace, MemoryLayout, sequential_trace
+from repro.memsim.access import AccessTrace, MemoryLayout
 from repro.memsim.device import KernelLaunch
 
 FLOAT_BYTES = 4
@@ -22,9 +22,9 @@ def sgemm_launch(layout: MemoryLayout, m: int, n: int, k: int,
                  efficiency: float, name: str = "sgemm") -> KernelLaunch:
     """Dense matrix multiply (m×k)·(k×n): compute-bound, streaming access."""
     flops = 2.0 * m * n * k
-    a = sequential_trace(layout.base("workspace"), m * k * FLOAT_BYTES)
-    b = sequential_trace(layout.base("weights"), k * n * FLOAT_BYTES)
-    out = sequential_trace(layout.base("workspace"), m * n * FLOAT_BYTES)
+    a = layout.sweep("workspace", m * k * FLOAT_BYTES)
+    b = layout.sweep("weights", k * n * FLOAT_BYTES)
+    out = layout.sweep("workspace", m * n * FLOAT_BYTES)
     loads = AccessTrace.concatenate([a, b])
     return KernelLaunch(name, flops, loads=loads, stores=out,
                         efficiency=efficiency, parallel_items=m * n)
@@ -37,9 +37,9 @@ def cub_sort_launch(layout: MemoryLayout, num_keys: int,
     passes = 4
     nbytes = num_keys * key_bytes
     loads = AccessTrace.concatenate(
-        [sequential_trace(layout.base("workspace"), nbytes)] * passes)
+        [layout.sweep("workspace", nbytes)] * passes)
     stores = AccessTrace.concatenate(
-        [sequential_trace(layout.base("workspace"), nbytes)] * passes)
+        [layout.sweep("workspace", nbytes)] * passes)
     flops = float(passes * num_keys * 8)  # digit extraction + histogram
     return KernelLaunch(name, flops, loads=loads, stores=stores,
                         parallel_items=num_keys)
@@ -51,8 +51,8 @@ def elementwise_launch(layout: MemoryLayout, region: str, rows: int,
     """Pointwise neural op (activation, residual, norm) over rows×dim
     of ``region``; an empty region still streams one row."""
     nbytes = max(rows, 1) * dim * FLOAT_BYTES
-    loads = sequential_trace(layout.base(region), nbytes)
-    stores = sequential_trace(layout.base(region), nbytes)
+    loads = layout.sweep(region, nbytes)
+    stores = layout.sweep(region, nbytes)
     return KernelLaunch("elementwise", float(rows * dim * flops_per_element),
                         loads=loads, stores=stores,
                         parallel_items=rows * dim)

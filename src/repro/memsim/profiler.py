@@ -73,8 +73,7 @@ class Profiler:
         return stats
 
     def extend(self, stats_list: Iterable[KernelStats]) -> None:
-        for s in stats_list:
-            self.record(s)
+        self.records.extend(stats_list)
 
     # ------------------------------------------------------------------
     def by_kernel(self) -> Dict[str, KernelAggregate]:

@@ -18,15 +18,20 @@ lowered for the runtime:
   reduction, and one position→node sync follows the last.  There is
   no sort: the schedule is precomputed on the CPU.
 
-A batch submits its :class:`~repro.memsim.device.KernelLaunch` records
-in one device call.  Equal ops share one launch and every layer repeats
-one plan, so the device expands each distinct trace only once.
+A layer's lowering — which ops launch, which fold, which share a launch
+— depends on its declaration alone, so it is worked out once per model
+and runtime kind.  A batch then builds only its distinct
+:class:`~repro.memsim.device.KernelLaunch` records, and hands them with
+the order that replays them (every layer repeats one plan) to the
+device in one :meth:`~repro.memsim.device.GPUDevice.replay` call.  The
+dense sweeps come from the batch's layout, one trace per region and
+size, so the device expands each distinct trace only once.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +40,6 @@ from repro.memsim.access import (
     AccessTrace,
     MemoryLayout,
     row_gather_trace,
-    sequential_trace,
 )
 from repro.memsim.device import DeviceSpec, GPUDevice, KernelLaunch
 from repro.memsim.kernels import (FLOAT_BYTES, cub_sort_launch,
@@ -102,7 +106,7 @@ def _baseline_apply_edges(layout: MemoryLayout, rt: BaselineRuntime,
         rows = (_interleave(rt.msg_dst, rt.msg_src) if operands == 2
                 else rt.msg_src)
         parts.insert(0, row_gather_trace(layout.base("nodes"), rows, row))
-    stores = sequential_trace(layout.base("edges"), rt.num_messages * row)
+    stores = layout.sweep("edges", rt.num_messages * row)
     flops = float(rt.num_messages * dim * (max(operands, 1) + 1))
     return KernelLaunch("dgl::scatter", flops,
                         loads=AccessTrace.concatenate(parts), stores=stores,
@@ -113,7 +117,7 @@ def _baseline_update_all(layout: MemoryLayout, rt: BaselineRuntime,
                          dim: int, with_src: bool) -> KernelLaunch:
     """update_all: edge values (× source rows) reduced onto dst nodes."""
     row = dim * FLOAT_BYTES
-    parts = [sequential_trace(layout.base("edges"), rt.num_messages * row)]
+    parts = [layout.sweep("edges", rt.num_messages * row)]
     if with_src:
         parts.append(row_gather_trace(layout.base("nodes"), rt.msg_src, row))
     loads = AccessTrace.concatenate(parts)
@@ -148,10 +152,9 @@ def _band_sweep_loads(layout: MemoryLayout, rt: MegaRuntime,
     """
     halo = 1.0 + 2.0 * rt.window / _BAND_TILE
     nbytes = int(rt.path_length * row * halo)
-    parts = [sequential_trace(layout.base("path"), nbytes)]
+    parts = [layout.sweep("path", nbytes)]
     if with_edges:
-        parts.append(sequential_trace(layout.base("edges"),
-                                      rt.num_messages * row))
+        parts.append(layout.sweep("edges", rt.num_messages * row))
     return AccessTrace.concatenate(parts)
 
 
@@ -160,7 +163,7 @@ def _mega_band_kernel(layout: MemoryLayout, rt: MegaRuntime, dim: int,
     """Banded edge computation over a tiled sequential path sweep."""
     row = dim * FLOAT_BYTES
     loads = _band_sweep_loads(layout, rt, row, with_edges=True)
-    stores = sequential_trace(layout.base("edges"), rt.num_messages * row)
+    stores = layout.sweep("edges", rt.num_messages * row)
     flops = _band_flops(rt, dim, per_slot=operands + 1)
     return KernelLaunch("mega::band", flops, loads=loads, stores=stores,
                         parallel_items=rt.path_length * dim)
@@ -175,9 +178,8 @@ def _mega_band_reduce(layout: MemoryLayout, rt: MegaRuntime, dim: int,
     """
     row = dim * FLOAT_BYTES
     loads = _band_sweep_loads(layout, rt, row, with_edges=True) if with_src \
-        else AccessTrace.concatenate(
-            [sequential_trace(layout.base("edges"), rt.num_messages * row)])
-    stores = sequential_trace(layout.base("path"), rt.path_length * row)
+        else layout.sweep("edges", rt.num_messages * row)
+    stores = layout.sweep("path", rt.path_length * row)
     flops = _band_flops(rt, dim, per_slot=3 if with_src else 2)
     return KernelLaunch("mega::band", flops, loads=loads, stores=stores,
                         parallel_items=rt.path_length * dim)
@@ -187,7 +189,7 @@ def _mega_sync(layout: MemoryLayout, rt: MegaRuntime,
                dim: int) -> KernelLaunch:
     """Position→node reduction synchronising repeated appearances."""
     row = dim * FLOAT_BYTES
-    loads = sequential_trace(layout.base("path"), rt.path_length * row)
+    loads = layout.sweep("path", rt.path_length * row)
     stores = row_gather_trace(layout.base("nodes"), rt.path, row)
     return KernelLaunch("mega::reduce", float(rt.path_length * dim * 2),
                         loads=loads, stores=stores,
@@ -203,14 +205,44 @@ _LAYERS = {"GCN": GatedGCNLayer, "GT": GraphTransformerLayer,
 _FOLDS = (Scatter(0), Pointwise("edges"))
 
 
-def _lower(decl: LayerOps, layout: MemoryLayout, rt: AggregationRuntime,
-           dim: int, node_rows: int, is_mega: bool,
+#: Stands for MEGA's position→node sync in a lowered layer.
+_SYNC = "sync"
+
+
+@functools.lru_cache(maxsize=None)
+def _layer_plan(model_name: str, is_mega: bool
+                ) -> Tuple[Tuple[object, ...], Tuple[int, ...]]:
+    """One layer's distinct ops and the order that launches them.
+
+    Depends on the declaration alone, so it is lowered once per model
+    and runtime kind (see the module doc); equal ops share one launch.
+    """
+    decl = _LAYERS[model_name].OPS
+    last_gather = max(i for i, op in enumerate(decl.ops)
+                      if isinstance(op, Gather))
+    index: Dict[object, int] = {}
+    order: List[int] = []
+    sweep = False
+    for i, op in enumerate(decl.ops):
+        if is_mega and sweep and op in _FOLDS:
+            continue        # folds into the open band sweep
+        if isinstance(op, (Scatter, Gather)):
+            sweep = isinstance(op, Scatter)
+        order.append(index.setdefault(op, len(index)))
+        if is_mega and i == last_gather:
+            order.append(index.setdefault(_SYNC, len(index)))
+    return tuple(index), tuple(order)
+
+
+def _lower(ops: Sequence[object], layout: MemoryLayout,
+           rt: AggregationRuntime, dim: int, node_rows: int, is_mega: bool,
            gemm: float) -> List[KernelLaunch]:
-    """One layer's launches, in declaration order (see the module doc)."""
+    """The launch of each of a layer's distinct ops, in order."""
     rows = {"nodes": node_rows, "edges": rt.num_messages}
 
-    @functools.cache    # equal ops share one launch
     def build(op) -> KernelLaunch:
+        if op is _SYNC:
+            return _mega_sync(layout, rt, dim)
         if isinstance(op, Project):
             return sgemm_launch(layout, rows[op.rows], op.width * dim, dim,
                                 gemm)
@@ -224,19 +256,7 @@ def _lower(decl: LayerOps, layout: MemoryLayout, rt: AggregationRuntime,
             return _mega_band_reduce(layout, rt, dim, op.with_src)
         return _baseline_update_all(layout, rt, dim, op.with_src)
 
-    last_gather = max(i for i, op in enumerate(decl.ops)
-                      if isinstance(op, Gather))
-    plan: List[KernelLaunch] = []
-    sweep = False
-    for i, op in enumerate(decl.ops):
-        if is_mega and sweep and op in _FOLDS:
-            continue        # folds into the open band sweep
-        if isinstance(op, (Scatter, Gather)):
-            sweep = isinstance(op, Scatter)
-        plan.append(build(op))
-        if is_mega and i == last_gather:
-            plan.append(_mega_sync(layout, rt, dim))
-    return plan
+    return [build(op) for op in ops]
 
 
 # ----------------------------------------------------------------------
@@ -249,16 +269,11 @@ def _node_rows(runtime: AggregationRuntime) -> int:
     return runtime.num_nodes
 
 
-def batch_launches(model_name: str, runtime: AggregationRuntime,
-                   spec: DeviceSpec, dim: int, num_layers: int
-                   ) -> List[KernelLaunch]:
-    """Every L2-touching kernel of one forward batch, in launch order.
-
-    ``model_name`` is ``"GCN"``, ``"GT"`` or ``"GAT"``.  The host-to-device
-    copy is not a launch: it never touches the L2.  The layers share one
-    plan's launch objects, so the batch's distinct traces do not grow
-    with ``num_layers``.
-    """
+def _batch_plan(model_name: str, runtime: AggregationRuntime,
+                spec: DeviceSpec, dim: int, num_layers: int
+                ) -> Tuple[List[KernelLaunch], List[int]]:
+    """A forward batch's distinct launches and the order that replays
+    them (see :func:`batch_launches`)."""
     if model_name not in _LAYERS:
         raise SimulationError(f"unknown model {model_name!r}")
     decl = _LAYERS[model_name].OPS
@@ -271,14 +286,33 @@ def batch_launches(model_name: str, runtime: AggregationRuntime,
 
     # DGL sorts edge indices per batch to fetch neighbours quickly.
     launches = [] if is_mega else [cub_sort_launch(layout, m)]
+    order = list(range(len(launches)))
     # Every layer launches the same plan.
     gemm = spec.gemm_efficiency
-    launches += _lower(decl, layout, runtime, dim, length, is_mega,
-                       gemm) * num_layers
+    ops, layer = _layer_plan(model_name, is_mega)
+    offset = len(launches)
+    launches += _lower(ops, layout, runtime, dim, length, is_mega, gemm)
+    order += [offset + i for i in layer] * num_layers
     # Readout + head.
     launches.append(sgemm_launch(layout, max(n // 4, 1), dim, dim, gemm))
     launches.append(elementwise_launch(layout, "nodes", n, dim))
-    return launches
+    order += [len(launches) - 2, len(launches) - 1]
+    return launches, order
+
+
+def batch_launches(model_name: str, runtime: AggregationRuntime,
+                   spec: DeviceSpec, dim: int, num_layers: int
+                   ) -> List[KernelLaunch]:
+    """Every L2-touching kernel of one forward batch, in launch order.
+
+    ``model_name`` is ``"GCN"``, ``"GT"`` or ``"GAT"``.  The host-to-device
+    copy is not a launch: it never touches the L2.  The layers share one
+    plan's launch objects, so the batch's distinct traces do not grow
+    with ``num_layers``.
+    """
+    launches, order = _batch_plan(model_name, runtime, spec, dim,
+                                  num_layers)
+    return [launches[i] for i in order]
 
 
 def simulate_batch(model_name: str, runtime: AggregationRuntime,
@@ -288,17 +322,18 @@ def simulate_batch(model_name: str, runtime: AggregationRuntime,
     """Replay one forward batch of ``model_name`` under ``runtime``.
 
     ``model_name`` is ``"GCN"``, ``"GT"`` or ``"GAT"``.  The batch's
-    kernels go to the device in one :meth:`GPUDevice.run_kernels` call:
-    one L2 pass over its distinct traces, then one pricing pass.
-    Returns the profiler with all kernel records appended.
+    distinct launches and the order that replays them go to the device
+    in one :meth:`GPUDevice.replay` call: one L2 pass over its distinct
+    traces, then one pricing pass.  Returns the profiler with all
+    kernel records appended.
     """
-    launches = batch_launches(model_name, runtime, device.spec, dim,
-                              num_layers)
+    launches, order = _batch_plan(model_name, runtime, device.spec, dim,
+                                  num_layers)
     profiler = profiler or Profiler()
     if include_h2d:
         # Features + topology (baseline) or path buffers (MEGA).
         m = runtime.num_messages
         nbytes = (_node_rows(runtime) + m) * dim * FLOAT_BYTES + m * 16
         profiler.record(device.memcpy(nbytes))
-    profiler.extend(device.run_kernels(launches))
+    profiler.extend(device.replay(launches, order))
     return profiler

@@ -8,8 +8,10 @@ from repro.memsim.access import (
     AccessTrace,
     MemoryLayout,
     row_gather_trace,
+    sector_lines,
     sequential_trace,
 )
+from repro.memsim.device import GPUDevice
 
 
 class TestMemoryLayout:
@@ -104,3 +106,65 @@ class TestTraceBuilders:
 
     def test_sequential_empty(self):
         assert sequential_trace(0, 0).num_accesses == 0
+
+
+class TestTypedBoundaries:
+    """Malformed traces fail with :class:`SimulationError` at the memsim
+    boundary instead of pricing as garbage."""
+
+    def test_negative_row_length_is_rejected_when_priced(self):
+        trace = AccessTrace(np.array([0]), np.array([-64]))
+        with pytest.raises(SimulationError, match="non-negative"):
+            GPUDevice().run_kernel("k", 0.0, loads=trace)
+
+    def test_float_addresses_are_rejected(self):
+        with pytest.raises(SimulationError, match="integers"):
+            AccessTrace(np.array([0.5]), np.array([4]))
+
+    def test_multidimensional_arrays_are_rejected(self):
+        with pytest.raises(SimulationError, match="1-D"):
+            AccessTrace(np.zeros((2, 2), dtype=np.int64),
+                        np.ones((2, 2), dtype=np.int64))
+
+    def test_zero_chunk_sweep_is_rejected(self):
+        with pytest.raises(SimulationError, match="chunk_bytes"):
+            sequential_trace(0, 100, chunk_bytes=0)
+
+    def test_negative_memcpy_is_rejected(self):
+        with pytest.raises(SimulationError, match="memcpy"):
+            GPUDevice().memcpy(-5)
+
+    def test_nan_memcpy_is_rejected(self):
+        with pytest.raises(SimulationError, match="memcpy"):
+            GPUDevice().memcpy(float("nan"))
+
+    def test_empty_float_arrays_are_an_empty_trace(self):
+        assert AccessTrace(np.array([]), np.array([])).num_accesses == 0
+
+
+class TestSweeps:
+    """A sweep holds no arrays, yet reads as the rows it streams."""
+
+    @pytest.mark.parametrize("base, nbytes, chunk", [
+        (0, 10000, 4096), (256, 4096, 4096), (100, 999, 64), (33, 7, 5)])
+    def test_sweep_expands_like_its_rows(self, base, nbytes, chunk):
+        sweep = sequential_trace(base, nbytes, chunk_bytes=chunk)
+        rows = AccessTrace(sweep.addresses, sweep.lengths)
+        assert sweep.addresses.tolist() == list(range(base, base + nbytes,
+                                                      chunk))
+        for sector in (32, 128):
+            assert (sweep.sector_addresses(sector).tolist()
+                    == rows.sector_addresses(sector).tolist())
+            assert (sweep.sector_counts(sector).tolist()
+                    == rows.sector_counts(sector).tolist())
+
+    def test_expansion_reports_each_trace(self):
+        traces = [sequential_trace(0, 1000), row_gather_trace(64, [3, 1], 50),
+                  AccessTrace.concatenate([sequential_trace(256, 300),
+                                           row_gather_trace(0, [0], 8)])]
+        lines, sectors, useful = sector_lines(traces, 128)
+        assert sectors.tolist() == [len(t.sector_addresses(128))
+                                    for t in traces]
+        assert useful.tolist() == [t.total_bytes for t in traces]
+        assert (lines * 128).tolist() == np.concatenate(
+            [t.sector_addresses(128) for t in traces]).tolist()

@@ -254,3 +254,16 @@ class TestKernelLibrary:
         stats = self._run(device, kernels.elementwise_launch(
             layout, "workspace", 10000, 128))
         assert stats.memory_stall_pct < 0.6
+
+
+class TestReplay:
+    def test_no_launches_price_nothing(self):
+        assert GPUDevice().run_kernels([]) == []
+        assert GPUDevice().replay([], []) == []
+
+    def test_replay_matches_the_expanded_launch_list(self, layout):
+        a = kernels.elementwise_launch(layout, "workspace", 100, 64)
+        b = kernels.sgemm_launch(layout, 64, 64, 64, 0.8)
+        order = [0, 1, 0, 0, 1]
+        assert (GPUDevice().replay([a, b], order)
+                == GPUDevice().run_kernels([[a, b][i] for i in order]))
