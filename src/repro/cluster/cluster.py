@@ -251,8 +251,7 @@ class Cluster:
             control_events: Optional[
                 Sequence[Tuple[float, Callable[[float], None]]]] = None,
             bind_request: Optional[
-                Callable[[InferenceRequest, float],
-                         Tuple[InferenceRequest, Optional[str]]]]
+                Callable[[InferenceRequest, float], InferenceRequest]]
             = None) -> ClusterResult:
         """Serve a request stream across the fleet to completion.
 
@@ -269,13 +268,10 @@ class Cluster:
         the cluster stays ignorant of what the callbacks do.
 
         ``bind_request`` rewrites a request at each dispatch instant
-        (arrivals, retries, failovers, hedges) and returns it with its
-        graph's content key, or with ``None`` when dispatch should hash
-        the graph itself.  The streaming layer uses it to resolve a
-        named graph to its current version, pin the epoch and hand over
-        the key its graph table already holds; requests already
-        admitted are untouched — their schedule was resolved at
-        admission.
+        (arrivals, retries, failovers, hedges).  The streaming layer
+        uses it to resolve a named graph to its current version and pin
+        the epoch; requests already admitted are untouched — their
+        schedule was resolved at admission.
 
         A run that :func:`~repro.serve.server.use_forward_worker`
         selects forks its forward worker when it starts and closes it
@@ -413,9 +409,8 @@ class Cluster:
                 crashed_at_s=last_crash_s[rid], recovered_at_s=now_s))
 
         def dispatch(request: InferenceRequest, now_s: float) -> None:
-            content_key = None
             if bind_request is not None:
-                request, content_key = bind_request(request, now_s)
+                request = bind_request(request, now_s)
             alive_ids = health.alive_ids()
             if not alive_ids:
                 fail(request, "no-replicas-alive", now_s)
@@ -432,17 +427,16 @@ class Cluster:
                     shed(request, hint, now_s)
                 return
             routable = health.routable_ids(now_s)
-            if content_key is None:
-                content_key = schedule_cache_key(request.graph,
-                                                 self.mega_config)
             loads = tuple((rid, engines[rid].load) for rid in routable)
-            rid = policy.choose(content_key, loads, ring)
+            rid = policy.choose(
+                schedule_cache_key(request.graph, self.mega_config),
+                loads, ring)
             engine = engines[rid]
             if (request.attempt == 0
                     and request.request_id not in hedged_ids):
                 engine.stats.received += 1
             try:
-                engine.admit(request, now_s, content_key)
+                engine.admit(request, now_s)
             except QueueFullError as exc:
                 if (retry_policy is not None
                         and request.attempt + 1 < retry_policy.max_attempts):

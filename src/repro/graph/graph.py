@@ -5,6 +5,11 @@ vertex pairs" (Section III-B).  :class:`Graph` follows that convention:
 ``src``/``dst`` index arrays over ``num_nodes`` vertices, plus optional
 node/edge feature matrices.  Undirected graphs store each edge once and
 expose symmetrised views where needed.
+
+The structure (``num_nodes``, ``src``, ``dst``, ``undirected``) is
+frozen at construction, which the cached adjacency, the memoised
+schedule cache key and every path bound to the graph rely on.
+Features and ``label`` stay settable; nothing structural reads them.
 """
 
 from __future__ import annotations
@@ -17,25 +22,31 @@ from repro.errors import GraphError
 
 
 def _endpoint_ids(values: Sequence[int], name: str) -> np.ndarray:
-    """``values`` as int64 node ids; an id the cast would change (a
-    fractional, NaN or non-numeric endpoint) is a :class:`GraphError`."""
+    """``values`` as read-only int64 node ids that alias no caller
+    memory; an id the cast would change (a fractional, NaN or
+    non-numeric endpoint) is a :class:`GraphError`."""
     raw = np.asarray(values)
     if raw.dtype.kind in "iu":
-        return raw.astype(np.int64, copy=False)
-    try:
-        with np.errstate(invalid="ignore"):
-            ids = raw.astype(np.int64)
-    except (TypeError, ValueError) as exc:
-        raise GraphError(f"{name} ids must be integers: {exc}") from exc
-    changed = ids != raw
-    if np.any(changed):
-        raise GraphError(
-            f"{name} ids must be integers, got {raw[changed][0]!r}")
+        ids = raw.astype(np.int64, copy=raw is values or raw.base is not None)
+    else:
+        try:
+            with np.errstate(invalid="ignore"):
+                ids = raw.astype(np.int64)
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"{name} ids must be integers: {exc}") from exc
+        changed = ids != raw
+        if np.any(changed):
+            raise GraphError(
+                f"{name} ids must be integers, got {raw[changed][0]!r}")
+    ids.flags.writeable = False
     return ids
 
 
 class Graph:
     """A graph in COO format with optional features.
+
+    Rebinding a structural attribute raises :class:`AttributeError`;
+    writing into ``src``/``dst`` raises numpy's read-only ``ValueError``.
 
     Parameters
     ----------
@@ -58,19 +69,19 @@ class Graph:
                  label: Optional[float] = None):
         if num_nodes < 0:
             raise GraphError(f"num_nodes must be non-negative, got {num_nodes}")
-        self.num_nodes = int(num_nodes)
-        self.src = _endpoint_ids(src, "src")
-        self.dst = _endpoint_ids(dst, "dst")
-        if self.src.shape != self.dst.shape or self.src.ndim != 1:
+        self._num_nodes = int(num_nodes)
+        self._src = _endpoint_ids(src, "src")
+        self._dst = _endpoint_ids(dst, "dst")
+        if self._src.shape != self._dst.shape or self._src.ndim != 1:
             raise GraphError("src and dst must be 1-D arrays of equal length")
-        if self.src.size:
-            lo = min(self.src.min(), self.dst.min())
-            hi = max(self.src.max(), self.dst.max())
+        if self._src.size:
+            lo = min(self._src.min(), self._dst.min())
+            hi = max(self._src.max(), self._dst.max())
             if lo < 0 or hi >= num_nodes:
                 raise GraphError(
                     f"edge endpoints out of range [0, {num_nodes}): "
                     f"found [{lo}, {hi}]")
-        self.undirected = bool(undirected)
+        self._undirected = bool(undirected)
         self.node_features = node_features
         self.edge_features = edge_features
         self.label = label
@@ -84,6 +95,11 @@ class Graph:
                 f"expected {self.num_edges}")
 
     # ------------------------------------------------------------------
+    num_nodes = property(lambda self: self._num_nodes)
+    src = property(lambda self: self._src)
+    dst = property(lambda self: self._dst)
+    undirected = property(lambda self: self._undirected)
+
     @property
     def num_edges(self) -> int:
         """Number of stored edge records (each undirected edge counted once)."""
@@ -169,7 +185,7 @@ class Graph:
 
     def copy(self) -> "Graph":
         return Graph(
-            self.num_nodes, self.src.copy(), self.dst.copy(),
+            self.num_nodes, self.src, self.dst,
             undirected=self.undirected,
             node_features=None if self.node_features is None
             else np.array(self.node_features),
@@ -186,16 +202,11 @@ class Graph:
 def from_edge_list(edges: Iterable[Tuple[int, int]], num_nodes: Optional[int] = None,
                    undirected: bool = True, **kwargs) -> Graph:
     """Build a :class:`Graph` from an iterable of (src, dst) pairs."""
-    edges = list(edges)
-    if edges:
-        src, dst = zip(*edges)
-    else:
-        src, dst = (), ()
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
     if num_nodes is None:
-        num_nodes = int(max(src.max(initial=-1), dst.max(initial=-1)) + 1)
-    return Graph(num_nodes, src, dst, undirected=undirected, **kwargs)
+        num_nodes = int(pairs.max(initial=-1)) + 1
+    return Graph(num_nodes, pairs[:, 0], pairs[:, 1], undirected=undirected,
+                 **kwargs)
 
 
 def complete_graph(num_nodes: int) -> Graph:

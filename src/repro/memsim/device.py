@@ -50,8 +50,6 @@ class DeviceSpec:
     l2_bytes: int = 2 * 1024 * 1024
     l2_associativity: int = 16
     sector_bytes: int = 128                 # transaction/line granularity
-    dram_latency_ns: float = 400.0
-    memory_concurrency: int = 2048          # in-flight lines device-wide
     kernel_launch_us: float = 4.0
     pcie_bandwidth_gbs: float = 12.0        # PCIe 3.0 x16 effective
     gemm_efficiency: float = 0.80           # achievable fraction of peak
@@ -59,8 +57,7 @@ class DeviceSpec:
     row_activation_lines: float = 6.0       # DRAM activation cost, in line-times
     l2_bandwidth_gbs: float = 1000.0        # L2-to-SM throughput
     l2_gap_penalty: float = 3.0             # transaction overhead, in line-times
-    scatter_gap_ns: float = 250.0           # stall per discontiguous run
-    scatter_parallelism: float = 32.0       # runs overlapped by warp scheduling
+    scatter_run_ns: float = 7.8125          # exposed stall per scattered run
     atomic_throughput_gops: float = 48.0    # device-wide atomic adds per second
     saturation_items: float = 32768.0       # parallel items to fill the device
 
@@ -98,12 +95,11 @@ class DeviceSpec:
 _POSITIVE_FIELDS = (
     "num_sms", "sm_clock_ghz", "flops_per_cycle_per_sm",
     "dram_bandwidth_gbs", "l2_bytes", "l2_associativity", "sector_bytes",
-    "memory_concurrency", "pcie_bandwidth_gbs", "gemm_efficiency",
-    "atomic_penalty", "l2_bandwidth_gbs", "scatter_parallelism",
-    "atomic_throughput_gops", "saturation_items")
+    "pcie_bandwidth_gbs", "gemm_efficiency", "atomic_penalty",
+    "l2_bandwidth_gbs", "atomic_throughput_gops", "saturation_items")
 _NON_NEGATIVE_FIELDS = (
-    "dram_latency_ns", "kernel_launch_us", "row_activation_lines",
-    "l2_gap_penalty", "scatter_gap_ns")
+    "kernel_launch_us", "row_activation_lines", "l2_gap_penalty",
+    "scatter_run_ns")
 
 GTX_1080 = DeviceSpec()
 
@@ -114,22 +110,19 @@ V100_LIKE = DeviceSpec(
     name="V100-sim", num_sms=80, sm_clock_ghz=1.4,
     dram_bandwidth_gbs=900.0, l2_bytes=6 * 1024 * 1024,
     l2_bandwidth_gbs=2500.0, pcie_bandwidth_gbs=14.0,
-    atomic_throughput_gops=120.0, memory_concurrency=4096,
-    saturation_items=163840.0)
+    atomic_throughput_gops=120.0, saturation_items=163840.0)
 
 A100_LIKE = DeviceSpec(
     name="A100-sim", num_sms=108, sm_clock_ghz=1.4,
     dram_bandwidth_gbs=1555.0, l2_bytes=40 * 1024 * 1024,
     l2_bandwidth_gbs=5000.0, pcie_bandwidth_gbs=25.0,
-    atomic_throughput_gops=250.0, memory_concurrency=8192,
-    saturation_items=221184.0)
+    atomic_throughput_gops=250.0, saturation_items=221184.0)
 
 OLD_MOBILE = DeviceSpec(
     name="mobile-sim", num_sms=8, sm_clock_ghz=1.0,
     dram_bandwidth_gbs=80.0, l2_bytes=512 * 1024,
     l2_bandwidth_gbs=250.0, pcie_bandwidth_gbs=4.0,
-    atomic_throughput_gops=12.0, memory_concurrency=512,
-    saturation_items=8192.0)
+    atomic_throughput_gops=12.0, saturation_items=8192.0)
 
 DEVICE_PRESETS = {
     "gtx1080": GTX_1080,
@@ -328,20 +321,18 @@ class GPUDevice:
         bw_scale = run_for_dram / (run_for_dram + spec.row_activation_lines)
         t_dram = dram_bytes / (spec.dram_bandwidth
                                * np.maximum(bw_scale, 1e-3))
-        t_latency = misses / max(spec.memory_concurrency, 1) \
-            * spec.dram_latency_ns * 1e-9
         # Every transaction (hit or miss) crosses the L2 interconnect;
         # scattered streams pay a per-transaction gap, streams do not.
         l2_eff = tx_avg_run / (tx_avg_run + spec.l2_gap_penalty)
         t_l2 = (effective_tx * spec.sector_bytes
                 / (spec.l2_bandwidth * np.maximum(l2_eff, 1e-3)))
         # Divergence stalls: each discontiguous run exposes latency the
-        # warp scheduler can only partially overlap.  Streams have ~one
-        # run and pay nothing; scattered row fetches pay per row.
-        t_gap = tx_runs * spec.scatter_gap_ns * 1e-9 / spec.scatter_parallelism
+        # warp scheduler can only partially overlap (``scatter_run_ns``
+        # is what stays exposed).  Streams have ~one run and pay
+        # nothing; scattered row fetches pay per row.
+        t_gap = tx_runs * spec.scatter_run_ns * 1e-9
         trace_time = np.where(
-            sectors > 0,
-            np.maximum(np.maximum(t_dram, t_latency), t_l2) + t_gap, 0.0)
+            sectors > 0, np.maximum(t_dram, t_l2) + t_gap, 0.0)
         useful = counts["useful"].astype(np.float64)
 
         # Per kernel: each distinct launch's columns, replayed.

@@ -15,11 +15,16 @@ exactly those three and nothing else:
 3. **Schedule code version** — :data:`SCHEDULE_CODE_VERSION`, bumped
    whenever the traversal changes behaviour, so stale schedules from
    older code can never be served.
+
+A graph's structure is frozen, so :func:`schedule_cache_key` memoises
+each graph object's digest here, weakly keyed by the graph; every
+layer asks it rather than handing a key on.
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -40,6 +45,9 @@ SCHEDULE_CODE_VERSION = 1
 #: ``.npz`` zip archives; either reads as a ``corrupt_payload`` miss
 #: and is overwritten.
 CACHE_FORMAT_VERSION = 3
+
+#: ``graph -> {config: key}``; an entry lives as long as its graph.
+_KEYS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def graph_fingerprint(graph: Graph) -> bytes:
@@ -66,14 +74,20 @@ def schedule_cache_key(graph: Graph, config: MegaConfig) -> str:
     """Hex digest addressing the schedule of ``(graph, config)``.
 
     Two graphs with identical structure share a key even if their
-    features differ — the traversal cannot tell them apart.
+    features differ — the traversal cannot tell them apart.  Memoised
+    per graph object and config value: configs that compare equal
+    address the same schedule, so they share the entry.
     """
-    h = hashlib.sha256()
-    h.update(f"mega-schedule:v{SCHEDULE_CODE_VERSION}:".encode())
-    h.update(config_fingerprint(config))
-    h.update(b"|")
-    h.update(graph_fingerprint(graph))
-    return h.hexdigest()
+    keys = _KEYS.setdefault(graph, {})
+    key = keys.get(config)
+    if key is None:
+        h = hashlib.sha256()
+        h.update(f"mega-schedule:v{SCHEDULE_CODE_VERSION}:".encode())
+        h.update(config_fingerprint(config))
+        h.update(b"|")
+        h.update(graph_fingerprint(graph))
+        key = keys[config] = h.hexdigest()
+    return key
 
 
 def file_checksum(data: bytes) -> str:

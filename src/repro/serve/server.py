@@ -79,6 +79,7 @@ from repro.memsim.device import GPUDevice, GTX_1080
 from repro.models.base import GNNModel
 from repro.models.kernel_plans import simulate_batch
 from repro.models.runtime import MegaRuntime
+from repro.pipeline.hashing import schedule_cache_key
 from repro.pipeline.parallel import compute_schedule
 from repro.pipeline.stats import CacheStats
 from repro.serve.batcher import BatchingPolicy, BatchPlan, MicroBatcher
@@ -93,10 +94,9 @@ from repro.errors import QueueFullError, ServeError
 from repro.tensor import no_grad
 from repro.train.clock import SimulatedClock
 
-# Not called here: the schedule store never hashes, and no tier in this
-# module binds a disk entry.  The benchmarks/perf tracer patches these
-# names in this module by attribute, so they must stay bound here.
-from repro.pipeline.hashing import schedule_cache_key
+# Not called here: no tier in this module binds a disk entry.  The
+# benchmarks/perf tracer patches this name in this module by
+# attribute, so it must stay bound here.
 from repro.pipeline.parallel import materialise
 
 #: Retry-after hint before any batch has executed (afterwards the hint
@@ -454,14 +454,10 @@ class ScheduleStore:
         return CacheStats(hits=sum(self.tier_hits), misses=self.misses,
                           puts=self.misses)
 
-    def resolve(self, graph: Graph, key: str
-                ) -> Tuple[PathRepresentation, bool]:
-        """Path representation for ``graph`` under its content ``key``.
-
-        True when a tier served it.  The caller computes ``key``
-        (:func:`~repro.pipeline.hashing.schedule_cache_key`) once per
-        dispatch; the resolver never hashes.
-        """
+    def resolve(self, graph: Graph) -> Tuple[PathRepresentation, bool]:
+        """Path representation for ``graph``, looked up under its content
+        key; True when a tier served it."""
+        key = schedule_cache_key(graph, self.config)
         for depth, tier in enumerate(self.tiers):
             rep = tier.lookup(key, graph)
             if rep is not None:
@@ -518,9 +514,7 @@ class ServerEngine:
 
     ``store`` is a :class:`ScheduleStore` (a cluster replica's
     two-tier view); ``forward`` is the run's :class:`ForwardExecutor`,
-    shared by all its engines.  The engine never hashes: :meth:`admit`
-    takes the graph's content key from its caller, which computed it
-    once for the whole dispatch.
+    shared by all its engines.
     """
 
     def __init__(self, model: GNNModel, config: ServerConfig, store,
@@ -555,12 +549,8 @@ class ServerEngine:
             return self.stats.batches[-1].service_s
         return RETRY_AFTER_DEFAULT_S
 
-    def admit(self, request: InferenceRequest, now_s: float,
-              key: str) -> None:
+    def admit(self, request: InferenceRequest, now_s: float) -> None:
         """Enqueue ``request`` or raise :class:`QueueFullError`.
-
-        ``key`` is the content key of ``request.graph``; the store
-        resolves the schedule under it.
 
         Every attempt samples the queue depth, then either admits or
         rejects.
@@ -573,7 +563,7 @@ class ServerEngine:
             raise QueueFullError(
                 f"queue at capacity ({self.queue.capacity})",
                 retry_after_s=self.retry_after())
-        path, hit = self.store.resolve(request.graph, key)
+        path, hit = self.store.resolve(request.graph)
         self.queue.admit(QueuedRequest(request=request, admitted_s=now_s,
                                        path=path, schedule_hit=hit))
         self.stats.admitted += 1

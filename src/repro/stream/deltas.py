@@ -150,23 +150,23 @@ def apply_delta_ops(graph: Graph, ops: Sequence[EdgeDelta]) -> Graph:
 
 @dataclass
 class NamedGraph:
-    """One named graph's current version: structure, epoch, content key."""
+    """One named graph's current version: structure and epoch."""
 
     graph: Graph
     epoch: int
-    key: str
 
 
 class GraphTable:
     """The server's named graphs, each with a monotone epoch.
 
-    Epoch 0 is the registered graph; every applied delta batch bumps
-    the epoch by one and re-derives the content key
-    (:func:`repro.pipeline.hashing.schedule_cache_key`) from the new
-    structure.  The table is the single source of truth the request
-    binder reads at dispatch time: bind = (current graph, current
-    epoch), which is what "new admissions see the repaired schedule"
-    means operationally.
+    Epoch 0 is the registered graph; every applied delta batch installs
+    a new :class:`Graph` and bumps the epoch by one.  A version's
+    content key is its graph's
+    (:func:`repro.pipeline.hashing.schedule_cache_key`), so epochs with
+    different structure keep distinct keys.  The table is the single
+    source of truth the request binder reads at dispatch time: bind =
+    (current graph, current epoch), which is what "new admissions see
+    the repaired schedule" means operationally.
     """
 
     def __init__(self, graphs: Mapping[str, Graph],
@@ -178,10 +178,7 @@ class GraphTable:
         for name in sorted(graphs):
             if not name:
                 raise StreamError("graph names must be non-empty")
-            graph = graphs[name]
-            self._states[name] = NamedGraph(
-                graph=graph, epoch=0,
-                key=schedule_cache_key(graph, self.config))
+            self._states[name] = NamedGraph(graph=graphs[name], epoch=0)
 
     def names(self) -> List[str]:
         """All registered names, sorted."""
@@ -204,7 +201,7 @@ class GraphTable:
 
     def key(self, name: str) -> str:
         """The current content key of ``name``."""
-        return self._state(name).key
+        return schedule_cache_key(self.graph(name), self.config)
 
     def epochs(self) -> Dict[str, int]:
         """``name -> epoch`` for every registered graph, sorted by name."""
@@ -217,9 +214,8 @@ class GraphTable:
         equal when a batch was entirely no-ops — the caller skips
         invalidation in that case (nothing structural changed).
         """
+        old_key = self.key(name)
         state = self._state(name)
-        old_key = state.key
         state.graph = graph
         state.epoch += 1
-        state.key = schedule_cache_key(graph, self.config)
-        return old_key, state.key, state.epoch
+        return old_key, self.key(name), state.epoch

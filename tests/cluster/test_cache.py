@@ -45,7 +45,7 @@ class TestTieredResolve:
     def test_first_lookup_misses_and_feeds_both_tiers(self, pool):
         tiered = TieredScheduleCache(MegaConfig())
         view = tiered.view(0)
-        path, hit = view.resolve(pool[0], key(pool[0]))
+        path, hit = view.resolve(pool[0])
         assert not hit
         assert view.tier.as_dict() == {"l1_hits": 0, "l2_hits": 0,
                                        "misses": 1, "l2_puts": 1,
@@ -57,8 +57,8 @@ class TestTieredResolve:
     def test_repeat_on_same_replica_hits_l1(self, pool):
         tiered = TieredScheduleCache(MegaConfig())
         view = tiered.view(0)
-        view.resolve(pool[0], key(pool[0]))
-        path, hit = view.resolve(pool[0], key(pool[0]))
+        view.resolve(pool[0])
+        path, hit = view.resolve(pool[0])
         assert hit
         assert view.tier.l1_hits == 1 and view.tier.l2_hits == 0
         assert view.stats.hits == 1
@@ -66,20 +66,20 @@ class TestTieredResolve:
     def test_cross_replica_lookup_hits_shared_l2(self, pool):
         tiered = TieredScheduleCache(MegaConfig())
         first, second = tiered.view(0), tiered.view(1)
-        first.resolve(pool[0], key(pool[0]))
-        path, hit = second.resolve(pool[0], key(pool[0]))
+        first.resolve(pool[0])
+        path, hit = second.resolve(pool[0])
         assert hit
         assert second.tier.l2_hits == 1 and second.tier.l1_hits == 0
         # Promotion: the next lookup on replica 1 is replica-local.
-        _, hit = second.resolve(pool[0], key(pool[0]))
+        _, hit = second.resolve(pool[0])
         assert hit and second.tier.l1_hits == 1
 
     def test_global_tier_aggregates_views(self, pool):
         tiered = TieredScheduleCache(MegaConfig())
         a, b = tiered.view(0), tiered.view(1)
-        a.resolve(pool[0], key(pool[0]))  # miss
-        a.resolve(pool[0], key(pool[0]))  # L1 hit
-        b.resolve(pool[0], key(pool[0]))  # L2 hit
+        a.resolve(pool[0])  # miss
+        a.resolve(pool[0])  # L1 hit
+        b.resolve(pool[0])  # L2 hit
         assert tiered.tier.as_dict() == {"l1_hits": 1, "l2_hits": 1,
                                          "misses": 1, "l2_puts": 1,
                                          "l1_invalidations": 0,
@@ -90,9 +90,9 @@ class TestTieredResolve:
     def test_resolved_paths_identical_across_tiers(self, pool):
         tiered = TieredScheduleCache(MegaConfig())
         a, b = tiered.view(0), tiered.view(1)
-        p_miss, _ = a.resolve(pool[0], key(pool[0]))
-        p_l1, _ = a.resolve(pool[0], key(pool[0]))
-        p_l2, _ = b.resolve(pool[0], key(pool[0]))
+        p_miss, _ = a.resolve(pool[0])
+        p_l1, _ = a.resolve(pool[0])
+        p_l2, _ = b.resolve(pool[0])
         np.testing.assert_array_equal(p_miss.path, p_l1.path)
         np.testing.assert_array_equal(p_miss.path, p_l2.path)
 
@@ -101,18 +101,18 @@ class TestDiskBacking:
     def test_misses_write_through_to_disk(self, pool, tmp_path):
         disk = ScheduleCache(tmp_path / "l2")
         tiered = TieredScheduleCache(MegaConfig(), backing=disk)
-        tiered.view(0).resolve(pool[0], key(pool[0]))
+        tiered.view(0).resolve(pool[0])
         assert len(disk) == 1
 
     def test_warm_disk_serves_as_l2(self, pool, tmp_path):
         disk = ScheduleCache(tmp_path / "l2")
         TieredScheduleCache(MegaConfig(), backing=disk) \
-            .view(0).resolve(pool[0], key(pool[0]))
+            .view(0).resolve(pool[0])
         # A fresh cluster (fresh L1s, fresh in-memory L2) still hits.
         warm = TieredScheduleCache(MegaConfig(),
                                    backing=ScheduleCache(tmp_path / "l2"))
         view = warm.view(0)
-        _, hit = view.resolve(pool[0], key(pool[0]))
+        _, hit = view.resolve(pool[0])
         assert hit and view.tier.l2_hits == 1
 
 
@@ -220,7 +220,7 @@ class TestResolverDifferential:
                 index = op[1] % len(fleet.views)
                 graph, k, _, want = schedules[op[2]]
                 m = fleet.model[index]
-                path, hit = fleet.views[index].resolve(graph, k)
+                path, hit = fleet.views[index].resolve(graph)
                 if k in m.l1:
                     if m.first_l1_hit < 0:
                         m.first_l1_hit = m.lookups
@@ -279,7 +279,7 @@ class TestResolverDifferential:
         first_hit = -1
         for index in graphs:
             graph, k, _, want = schedules[index]
-            path, hit = store.resolve(graph, k)
+            path, hit = store.resolve(graph)
             assert hit == (k in seen)
             assert np.array_equal(path.path, want)
             if k in seen:

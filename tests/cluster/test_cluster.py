@@ -718,3 +718,25 @@ class TestConfigValidation:
             ClusterConfig(brownout_watermark=1.5)
         with pytest.raises(ClusterError, match="shed_retry_after_s"):
             ClusterConfig(shed_retry_after_s=-0.01)
+
+
+class TestContentKeys:
+    def test_a_run_hashes_each_graph_object_once(self, make_cluster, pool,
+                                                 monkeypatch):
+        """Routing and admission both ask for a request's content key and
+        nothing hands it on; the memo answers every call after a graph
+        object's first.  (Dispatch used to hash once per attempt.)"""
+        from repro.pipeline import hashing
+
+        hashed = []
+        fingerprint = hashing.graph_fingerprint
+        monkeypatch.setattr(hashing, "graph_fingerprint",
+                            lambda g: hashed.append(g) or fingerprint(g))
+        graphs = [g.copy() for g in pool]
+        requests = generate_requests(
+            graphs, 48, ArrivalProcess(kind="poisson", rate_rps=400.0,
+                                       seed=0))
+        result = make_cluster().run(requests, retry_policy=RETRY)
+        assert len(result.responses) == 48
+        used = {id(r.graph) for r in requests}
+        assert sorted(id(g) for g in hashed) == sorted(used)

@@ -1,31 +1,29 @@
 """Property test: the incremental tracker stays valid under random
 update streams (hypothesis)."""
 
-import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import MegaConfig
 from repro.core.incremental import IncrementalPath
 from repro.core.path import PathRepresentation
-from repro.graph.generators import erdos_renyi
 from tests.strategies import graphs
 
 
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 200), num_ops=st.integers(1, 40),
-       n=st.integers(6, 25))
-def test_random_update_stream_keeps_invariants(seed, num_ops, n):
-    rng = np.random.default_rng(seed)
-    g = erdos_renyi(rng, n, 0.2)
-    tracker = IncrementalPath(g, MegaConfig(window=2))
-    for _ in range(num_ops):
-        u, v = sorted(rng.integers(0, n, size=2).tolist())
+@settings(max_examples=60, deadline=None)
+@given(graph=graphs(max_nodes=25), data=st.data())
+def test_random_update_stream_keeps_invariants(graph, data):
+    tracker = IncrementalPath(graph, MegaConfig(window=2))
+    n = graph.num_nodes
+    ops = (data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.booleans()), max_size=40)) if n else [])
+    for a, b, drop in ops:
+        u, v = sorted((a, b))
         if u == v:
             continue
         if (u, v) in tracker._edges:
-            if rng.random() < 0.4:
+            if drop:
                 tracker.remove(u, v)
         else:
             tracker.insert(u, v)
@@ -45,14 +43,13 @@ def test_random_update_stream_keeps_invariants(seed, num_ops, n):
     assert rep.coverage == 1.0
 
 
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 100))
-def test_insert_remove_insert_roundtrip(seed):
-    rng = np.random.default_rng(seed)
-    g = erdos_renyi(rng, 15, 0.25)
-    tracker = IncrementalPath(g, MegaConfig(window=2))
+@settings(max_examples=40, deadline=None)
+@given(graph=graphs(), data=st.data())
+def test_insert_remove_insert_roundtrip(graph, data):
+    assume(graph.num_edges > 0)
+    tracker = IncrementalPath(graph, MegaConfig(window=2))
     edges_before = set(tracker._edges)
-    target = next(iter(edges_before))
+    target = data.draw(st.sampled_from(sorted(edges_before)))
     tracker.remove(*target)
     tracker.insert(*target)
     assert set(tracker._edges) == edges_before

@@ -59,10 +59,51 @@ class TestConstruction:
             Graph(3, [0], [1], edge_features=np.zeros(2))
 
     def test_copy_is_independent(self):
-        g = from_edge_list([(0, 1)], node_features=np.zeros(2))
+        """A copy shares no memory with the original."""
+        g = from_edge_list([(0, 1)], node_features=np.zeros(2),
+                           edge_features=np.zeros(1))
         h = g.copy()
-        h.src[0] = 1
-        assert g.src[0] == 0
+        for name in ("src", "dst", "node_features", "edge_features"):
+            assert not np.shares_memory(getattr(g, name), getattr(h, name))
+        assert h.edge_set() == g.edge_set()
+
+
+class TestFrozenStructure:
+    """Regression: a graph's structure was plain mutable attributes and
+    writable arrays, although its adjacency cache, its memoised
+    schedule cache key and every path bound to it assume it never
+    changes."""
+
+    @pytest.fixture
+    def graph(self):
+        return Graph(3, [0, 1], [1, 2], node_features=np.zeros(3))
+
+    @pytest.mark.parametrize("name", ["num_nodes", "src", "dst",
+                                      "undirected"])
+    def test_rebinding_structure_raises(self, graph, name):
+        with pytest.raises(AttributeError):
+            setattr(graph, name, getattr(graph, name))
+
+    @pytest.mark.parametrize("name", ["src", "dst"])
+    def test_writing_endpoints_raises(self, graph, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(graph, name)[0] = 0
+        assert graph.src.tolist() == [0, 1]
+        assert graph.dst.tolist() == [1, 2]
+
+    def test_caller_arrays_are_not_aliased(self):
+        src = np.array([0, 1], dtype=np.int64)
+        dst = np.array([1, 2], dtype=np.int64)
+        g = Graph(3, src, dst)
+        src[0] = 2
+        dst[1:] = 0
+        assert g.src.tolist() == [0, 1] and g.dst.tolist() == [1, 2]
+        assert src.flags.writeable
+
+    def test_features_and_label_stay_settable(self, graph):
+        graph.node_features = np.ones(3)
+        graph.label = 1.5
+        assert graph.label == 1.5 and graph.node_features.sum() == 3
 
 
 class TestDerivedQuantities:

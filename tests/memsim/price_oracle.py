@@ -55,16 +55,14 @@ def price_trace(spec: DeviceSpec, counts: Optional[Tuple[int, ...]],
         run_for_dram = misses / miss_runs if misses else 1.0
     bw_scale = run_for_dram / (run_for_dram + spec.row_activation_lines)
     t_dram = dram_bytes / (spec.dram_bandwidth * max(bw_scale, 1e-3))
-    t_latency = (misses / max(spec.memory_concurrency, 1)) \
-        * spec.dram_latency_ns * 1e-9
     l2_eff = tx_avg_run / (tx_avg_run + spec.l2_gap_penalty)
     t_l2 = (effective_tx * spec.sector_bytes
             / (spec.l2_bandwidth * max(l2_eff, 1e-3)))
-    t_gap = tx_runs * spec.scatter_gap_ns * 1e-9 / spec.scatter_parallelism
+    t_gap = tx_runs * spec.scatter_run_ns * 1e-9
     return {"tx": sectors, "hits": hits, "misses": misses,
             "useful": float(useful_bytes),
             "dram": float(dram_bytes),
-            "time": max(t_dram, t_latency, t_l2) + t_gap}
+            "time": max(t_dram, t_l2) + t_gap}
 
 
 def price_kernel(spec: DeviceSpec, launch: KernelLaunch,

@@ -47,16 +47,16 @@ class TestSpec:
     @pytest.mark.parametrize("field", [
         "dram_bandwidth_gbs", "l2_bandwidth_gbs", "pcie_bandwidth_gbs",
         "sm_clock_ghz", "num_sms", "flops_per_cycle_per_sm",
-        "memory_concurrency", "saturation_items", "scatter_parallelism",
-        "atomic_throughput_gops", "gemm_efficiency", "l2_bytes"])
+        "saturation_items", "atomic_throughput_gops", "gemm_efficiency",
+        "l2_bytes"])
     @pytest.mark.parametrize("value", [0, -1, float("nan")])
     def test_non_positive_spec_field_rejected(self, field, value):
         with pytest.raises(SimulationError, match=field):
             DeviceSpec(**{field: value})
 
     @pytest.mark.parametrize("field", [
-        "dram_latency_ns", "kernel_launch_us", "row_activation_lines",
-        "l2_gap_penalty", "scatter_gap_ns"])
+        "kernel_launch_us", "row_activation_lines", "l2_gap_penalty",
+        "scatter_run_ns"])
     def test_negative_spec_field_rejected(self, field):
         with pytest.raises(SimulationError, match=field):
             DeviceSpec(**{field: -1.0})

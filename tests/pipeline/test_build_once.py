@@ -19,7 +19,6 @@ from repro.pipeline import (
     ScheduleCache,
     materialise,
     precompute_paths,
-    schedule_cache_key,
 )
 from tests.strategies import graphs
 
@@ -130,12 +129,11 @@ class TestTierHitsRebind:
     def test_single_node_memo(self, twins):
         config = MegaConfig()
         store = TieredScheduleCache(config).view(0)
-        key = schedule_cache_key(twins[0], config)
-        first, hit = store.resolve(twins[0], key)
+        first, hit = store.resolve(twins[0])
         assert not hit and first.graph is twins[0]
-        again, hit = store.resolve(twins[0], key)
+        again, hit = store.resolve(twins[0])
         assert hit and again is first
-        other, hit = store.resolve(twins[1], key)
+        other, hit = store.resolve(twins[1])
         assert hit and other.graph is twins[1]
         assert other.band is first.band
         assert_same_representation(
@@ -145,9 +143,8 @@ class TestTierHitsRebind:
         config = MegaConfig()
         store = TieredScheduleCache(
             config, backing=ScheduleCache(tmp_path)).view(0)
-        key = schedule_cache_key(twins[0], config)
-        first, _ = store.resolve(twins[0], key)
-        other, hit = store.resolve(twins[1], key)
+        first, _ = store.resolve(twins[0])
+        other, hit = store.resolve(twins[1])
         assert hit and other.graph is twins[1]
         assert_same_representation(other, first)
 
@@ -157,10 +154,9 @@ class TestTierHitsRebind:
         tiered = TieredScheduleCache(
             config, backing=ScheduleCache(tmp_path) if backed else None)
         views = [tiered.view(0), tiered.view(1)]
-        key = schedule_cache_key(twins[0], config)
-        first, _ = views[0].resolve(twins[0], key)
-        l2_hit, _ = views[1].resolve(twins[1], key)
-        l1_hit, _ = views[1].resolve(twins[2], key)
+        first, _ = views[0].resolve(twins[0])
+        l2_hit, _ = views[1].resolve(twins[1])
+        l1_hit, _ = views[1].resolve(twins[2])
         assert [v.tier_hits for v in views] == [[0, 0], [1, 1]]
         assert l2_hit.graph is twins[1] and l1_hit.graph is twins[2]
         for rep in (l2_hit, l1_hit):
@@ -170,14 +166,13 @@ class TestTierHitsRebind:
     def test_disk_backed_l2_binds_its_first_read_once(self, twins,
                                                       tmp_path):
         config = MegaConfig()
-        key = schedule_cache_key(twins[0], config)
         TieredScheduleCache(config, backing=ScheduleCache(tmp_path)) \
-            .view(0).resolve(twins[0], key)
+            .view(0).resolve(twins[0])
         restarted = TieredScheduleCache(config,
                                         backing=ScheduleCache(tmp_path))
-        from_disk, hit = restarted.view(0).resolve(twins[1], key)
+        from_disk, hit = restarted.view(0).resolve(twins[1])
         assert hit and from_disk.graph is twins[1]
-        memo_hit, hit = restarted.view(1).resolve(twins[2], key)
+        memo_hit, hit = restarted.view(1).resolve(twins[2])
         assert hit and memo_hit.graph is twins[2]
         assert memo_hit.band is from_disk.band
         assert restarted.backing.stats.hits == 1

@@ -148,20 +148,19 @@ class TestVersionOnePayload:
 
     def test_serving_store_recomputes_and_rewrites(self, v1_dir, graphs):
         config = MegaConfig()
-        key = schedule_cache_key(graphs[0], config)
         cache = ScheduleCache(v1_dir)
         store = TieredScheduleCache(config, backing=cache).view(0)
-        _, hit = store.resolve(graphs[0], key)
+        _, hit = store.resolve(graphs[0])
         assert not hit
         assert (cache.stats.misses, cache.stats.corrupt_payload,
                 cache.stats.puts) == (1, 1, 1)
         # The repeat is an in-process hit; a restarted store reads the
         # rewritten entry back from disk.
-        _, hit = store.resolve(graphs[0], key)
+        _, hit = store.resolve(graphs[0])
         assert hit and cache.stats.hits == 0
         reopened = ScheduleCache(v1_dir)
         _, hit = TieredScheduleCache(config, backing=reopened) \
-            .view(0).resolve(graphs[0], key)
+            .view(0).resolve(graphs[0])
         assert hit and reopened.stats.hits == 1
 
 
@@ -327,6 +326,34 @@ class TestKeySensitivity:
     def test_empty_graph_has_key(self):
         key = schedule_cache_key(Graph(0, [], []), MegaConfig())
         assert isinstance(key, str) and len(key) == 64
+
+
+class TestKeyMemo:
+    def test_one_digest_per_graph_object_and_config(self, monkeypatch):
+        from repro.pipeline import hashing
+
+        hashed = []
+        fingerprint = hashing.graph_fingerprint
+        monkeypatch.setattr(hashing, "graph_fingerprint",
+                            lambda g: hashed.append(g) or fingerprint(g))
+        g = from_edge_list([(0, 1), (1, 2)], num_nodes=3)
+        twin = g.copy()
+        base = schedule_cache_key(g, MegaConfig())
+        assert schedule_cache_key(g, MegaConfig()) == base
+        assert schedule_cache_key(twin, MegaConfig()) == base
+        assert schedule_cache_key(g, MegaConfig(window=2)) != base
+        assert hashed == [g, twin, g]
+
+    def test_memo_does_not_keep_graphs_alive(self):
+        import gc
+        import weakref
+
+        g = from_edge_list([(0, 1), (1, 2)], num_nodes=3)
+        schedule_cache_key(g, MegaConfig())
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
 
 
 class TestCorruption:

@@ -29,7 +29,6 @@ from repro.errors import QueueFullError, ServeError
 from repro.graph.graph import Graph
 from repro.models.base import GNNModel
 from repro.pipeline.cache import ScheduleCache
-from repro.pipeline.hashing import schedule_cache_key
 from repro.pipeline.parallel import materialise
 from repro.resilience import RetryPolicy
 from repro.serve.batcher import BatchPlan
@@ -129,9 +128,8 @@ class InferenceServer:
             loop.arrive(request)
 
         def admit(request: InferenceRequest, now_s: float) -> None:
-            key = schedule_cache_key(request.graph, self.mega_config)
             try:
-                engine.admit(request, now_s, key)
+                engine.admit(request, now_s)
             except QueueFullError as exc:
                 if (retry_policy is not None
                         and request.attempt + 1 < retry_policy.max_attempts):

@@ -78,26 +78,26 @@ class TestVersionedKeyProtocol:
     def test_invalidates_old_key_and_seeds_new(self):
         table, tiered, repairer = _setup()
         view = tiered.view(0)
-        view.resolve(table.graph("a"), table.key("a"))  # miss: feeds L1, L2
-        view.resolve(table.graph("b"), table.key("b"))
+        view.resolve(table.graph("a"))  # miss: feeds L1, L2
+        view.resolve(table.graph("b"))
         record = repairer.apply(_batch(), now_s=1.0)
         assert record.seeded
         assert (record.invalidated_l1, record.invalidated_l2,
                 record.invalidated_disk) == (1, 1, 0)
         # The untouched graph's entry survives: next lookup is an L1 hit.
-        _, hit = view.resolve(table.graph("b"), table.key("b"))
+        _, hit = view.resolve(table.graph("b"))
         assert hit
         # The new key was seeded into L2: first post-delta admission
         # promotes instead of recomputing.
         before_l2 = view.tier.l2_hits
-        _, hit = view.resolve(table.graph("a"), table.key("a"))
+        _, hit = view.resolve(table.graph("a"))
         assert hit and view.tier.l2_hits == before_l2 + 1
         assert view.tier.misses == 2  # only the two cold lookups
 
     def test_disk_backing_invalidated_too(self, tmp_path):
         backing = ScheduleCache(tmp_path)
         table, tiered, repairer = _setup(backing=backing)
-        tiered.view(0).resolve(table.graph("a"), table.key("a"))
+        tiered.view(0).resolve(table.graph("a"))
         old_key = table.key("a")
         assert old_key in backing
         record = repairer.apply(_batch(), now_s=1.0)
