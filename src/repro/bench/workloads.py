@@ -21,7 +21,7 @@ import hashlib
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
 from repro.bench.ledger import AREAS, LedgerEntry
 from repro.core.config import MegaConfig
@@ -130,6 +130,16 @@ def run_pipeline_workload(seed: int) -> LedgerEntry:
 # serve: single-node serving (a one-replica cluster) under seeded load
 # ---------------------------------------------------------------------------
 
+#: The latency metrics every serve and cluster ledger entry carries.
+_LATENCY_METRICS = ("p50_latency_s", "p95_latency_s", "p99_latency_s",
+                    "sim_duration_s")
+
+
+def _read(stats, *names: str) -> Dict[str, float]:
+    """``{name: stats.name}``: ledger metrics named as the stats read."""
+    return {name: getattr(stats, name) for name in names}
+
+
 def _serving_setup(kind: str, seed: int):
     """What the serve, cluster and stream workloads share.
 
@@ -165,25 +175,13 @@ def _serve_entry(name: str, kind: str, seed: int) -> LedgerEntry:
     result = cluster.run(requests,
                          retry_policy=RetryPolicy(max_attempts=3))
     stats = result.stats.single_node()
-    metrics = {
-        "received": stats.received,
-        "served": stats.served,
-        "rejected": stats.rejected,
-        "retried": stats.retried,
-        "dropped": stats.dropped,
-        "num_batches": len(stats.batches),
-        "max_queue_depth": stats.max_queue_depth,
-        "mean_queue_depth": stats.mean_queue_depth,
-        "mean_batch_occupancy": stats.mean_batch_occupancy,
-        "mean_padding_waste": stats.mean_padding_waste,
-        "p50_latency_s": stats.p50_latency_s,
-        "p95_latency_s": stats.p95_latency_s,
-        "p99_latency_s": stats.p99_latency_s,
-        "throughput_rps": stats.throughput_rps,
-        "sim_duration_s": stats.sim_duration_s,
-        "schedule_hits": stats.cache.hits,
-        "schedule_misses": stats.cache.misses,
-    }
+    metrics = _read(stats, "received", "served", "rejected", "retried",
+                    "dropped", "max_queue_depth", "mean_queue_depth",
+                    "mean_batch_occupancy", "mean_padding_waste",
+                    *_LATENCY_METRICS, "throughput_rps")
+    metrics.update(num_batches=len(stats.batches),
+                   schedule_hits=stats.cache.hits,
+                   schedule_misses=stats.cache.misses)
     return LedgerEntry(
         workload=name, seed=seed,
         fingerprint=workload_fingerprint(pool, MegaConfig(), name),
@@ -236,32 +234,14 @@ def _cluster_entry(name: str, policy: str, seed: int,
     result = cluster.run(requests,
                          retry_policy=RetryPolicy(max_attempts=3))
     stats = result.stats
-    metrics = {
-        "received": stats.received,
-        "served": stats.served,
-        "failed": stats.failed,
-        "shed": stats.shed,
-        "shed_events": stats.shed_events,
-        "rejected": stats.rejected,
-        "retried": stats.retried,
-        "failovers": stats.failovers,
-        "hedges": stats.hedges,
-        "crashed_replicas": stats.crashed_replicas,
-        "recovered_replicas": stats.recovered_replicas,
-        "breaker_trips": stats.breaker_trips,
-        "rebalanced_arcs": stats.rebalanced_arcs,
-        "num_batches": stats.num_batches,
-        "p50_latency_s": stats.p50_latency_s,
-        "p95_latency_s": stats.p95_latency_s,
-        "p99_latency_s": stats.p99_latency_s,
-        "throughput_rps": stats.throughput_rps,
-        "sim_duration_s": stats.sim_duration_s,
-        "l1_hits": stats.tier.l1_hits,
-        "l2_hits": stats.tier.l2_hits,
-        "schedule_misses": stats.tier.misses,
-        "l1_hit_rate": stats.tier.l1_hit_rate,
-        "l2_hit_rate": stats.tier.l2_hit_rate,
-    }
+    metrics = _read(stats, "received", "served", "failed", "shed",
+                    "shed_events", "rejected", "retried", "failovers",
+                    "hedges", "crashed_replicas", "recovered_replicas",
+                    "breaker_trips", "rebalanced_arcs", "num_batches",
+                    *_LATENCY_METRICS, "throughput_rps")
+    metrics.update(_read(stats.tier, "l1_hits", "l2_hits", "l1_hit_rate",
+                         "l2_hit_rate"),
+                   schedule_misses=stats.tier.misses)
     if extra_metrics is not None:
         metrics.update(extra_metrics(stats))
     config = {"dataset": "ZINC", "scale": SMALL_SCALE, "model": "GCN",
@@ -484,35 +464,19 @@ def _stream_entry(name: str, seed: int, fault_plan=None,
                  if name_of[resp.request_id] in untouched]
         return (sum(flags) / len(flags)) if flags else 0.0
 
-    metrics = {
-        "num_graphs": stats.num_graphs,
-        "num_deltas": stats.num_deltas,
-        "repairs": stats.repairs,
-        "recomputes": stats.recomputes,
-        "repair_work_units": stats.repair_work_units,
-        "recompute_work_units": stats.recompute_work_units,
-        "invalidated_keys": stats.invalidated_keys,
-        "invalidated_l1": stats.invalidated_l1,
-        "invalidated_l2": stats.invalidated_l2,
-        "noop_batches": stats.noop_batches,
-        "seeded_keys": fleet.tier.seeds,
-        "max_epoch": max(stats.epochs.values()),
-        "received": fleet.received,
-        "served": fleet.served,
-        "failed": fleet.failed,
-        "shed": fleet.shed,
-        "retried": fleet.retried,
-        "failovers": fleet.failovers,
-        "crashed_replicas": fleet.crashed_replicas,
-        "num_batches": fleet.num_batches,
-        "p50_latency_s": fleet.p50_latency_s,
-        "p99_latency_s": fleet.p99_latency_s,
-        "sim_duration_s": fleet.sim_duration_s,
-        "l1_hits": fleet.tier.l1_hits,
-        "l2_hits": fleet.tier.l2_hits,
-        "schedule_misses": fleet.tier.misses,
-        "untouched_hit_rate": untouched_hit_rate(result.responses),
-    }
+    metrics = _read(stats, "num_graphs", "num_deltas", "repairs",
+                    "recomputes", "repair_work_units",
+                    "recompute_work_units", "invalidated_keys",
+                    "invalidated_l1", "invalidated_l2", "noop_batches")
+    metrics.update(_read(fleet, "received", "served", "failed", "shed",
+                         "retried", "failovers", "crashed_replicas",
+                         "num_batches", "p50_latency_s", "p99_latency_s",
+                         "sim_duration_s"),
+                   **_read(fleet.tier, "l1_hits", "l2_hits"),
+                   seeded_keys=fleet.tier.seeds,
+                   max_epoch=max(stats.epochs.values()),
+                   schedule_misses=fleet.tier.misses,
+                   untouched_hit_rate=untouched_hit_rate(result.responses))
     if with_control:
         control = build_server().run(
             list(requests), [], retry_policy=RetryPolicy(max_attempts=3))

@@ -58,8 +58,6 @@ class TierStats(Counters):
         L1 misses served from the shared tier (and promoted into L1).
     misses:
         Lookups that recomputed Algorithm 1 (then fed both tiers).
-    l2_puts:
-        Entries written to the shared tier (one per miss).
     l1_invalidations / l2_invalidations:
         Entries evicted by keyed invalidation
         (:meth:`TieredScheduleCache.invalidate`) from the replica-local
@@ -70,15 +68,22 @@ class TierStats(Counters):
         repaired schedule pre-warmed under its new content key, so the
         first post-delta admission is an L2 hit instead of a full
         Algorithm 1 miss.
+
+    ``l2_puts``, the shared-tier writes, is ``misses`` (one each).
     """
+
+    DERIVED = ("l2_puts",)
 
     l1_hits: int = 0
     l2_hits: int = 0
     misses: int = 0
-    l2_puts: int = 0
     l1_invalidations: int = 0
     l2_invalidations: int = 0
     seeds: int = 0
+
+    @property
+    def l2_puts(self) -> int:
+        return self.misses
 
     @property
     def lookups(self) -> int:
@@ -216,5 +221,5 @@ class ReplicaScheduleView(ScheduleStore):
         """This view's live counters as a :class:`TierStats`."""
         l1_hits, l2_hits = self.tier_hits
         return TierStats(l1_hits=l1_hits, l2_hits=l2_hits,
-                         misses=self.misses, l2_puts=self.misses,
+                         misses=self.misses,
                          l1_invalidations=self.l1_invalidations)

@@ -73,7 +73,7 @@ import functools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.config import MegaConfig
+from repro.core.config import MegaConfig, require_finite, require_int
 from repro.cluster.cache import (
     ReplicaScheduleView,
     TieredScheduleCache,
@@ -158,27 +158,22 @@ class ClusterConfig:
     shed_retry_after_s: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.num_replicas < 1:
-            raise ClusterError(
-                f"num_replicas must be >= 1, got {self.num_replicas}")
-        if self.vnodes < 1:
-            raise ClusterError(f"vnodes must be >= 1, got {self.vnodes}")
-        if self.breaker_threshold < 0:
-            raise ClusterError(
-                f"breaker_threshold must be >= 0, "
-                f"got {self.breaker_threshold}")
-        if self.breaker_cooldown_s < 0.0:
-            raise ClusterError(
-                f"breaker_cooldown_s must be >= 0, "
-                f"got {self.breaker_cooldown_s}")
-        if not 0.0 <= self.brownout_watermark <= 1.0:
+        for name, minimum in (("num_replicas", 1), ("vnodes", 1),
+                              ("breaker_threshold", 0)):
+            require_int(name, getattr(self, name), ClusterError, minimum)
+        for name in ("breaker_cooldown_s", "brownout_watermark",
+                     "shed_retry_after_s"):
+            require_finite(name, getattr(self, name), ClusterError, 0)
+        if self.brownout_watermark > 1.0:
             raise ClusterError(
                 f"brownout_watermark must be in [0, 1], "
                 f"got {self.brownout_watermark}")
-        if self.shed_retry_after_s < 0.0:
+        if not isinstance(self.policy, str):
             raise ClusterError(
-                f"shed_retry_after_s must be >= 0, "
-                f"got {self.shed_retry_after_s}")
+                f"policy must be a policy name, got {self.policy!r}")
+        if not isinstance(self.server, ServerConfig):
+            raise ClusterError(
+                f"server must be a ServerConfig, got {self.server!r}")
         # Fail on an unknown policy at configuration time, not mid-run.
         make_policy(self.policy)
 
@@ -335,7 +330,6 @@ class Cluster:
                 raise ClusterError(
                     f"unknown failure reason {reason!r}; the closed "
                     f"vocabulary is {FAILURE_REASONS}")
-            stats.failed += 1
             stats.failures.append(FailedRequest(
                 request_id=request.request_id,
                 attempts=request.attempt + 1,
@@ -343,7 +337,6 @@ class Cluster:
 
         def shed(request: InferenceRequest, hint_s: float,
                  now_s: float) -> None:
-            stats.shed += 1
             stats.sheds.append(ShedRequest(
                 request_id=request.request_id,
                 attempts=request.attempt + 1,
@@ -352,35 +345,15 @@ class Cluster:
         def seal_incarnation(rid: int, crashed: bool,
                              crashed_at_s: float) -> None:
             """Retire the current engine+view into a ReplicaRecord."""
-            h = health.of(rid)
-            view = views[rid]
-            replica_stats = engines[rid].finish()
-            stats.attempts += replica_stats.attempts
-            stats.admitted += replica_stats.admitted
-            stats.rejected += replica_stats.rejected
             stats.replicas.append(ReplicaRecord(
-                replica_id=rid, incarnation=h.incarnation,
+                replica_id=rid, incarnation=health.of(rid).incarnation,
                 crashed=crashed, crashed_at_s=crashed_at_s,
-                stats=replica_stats, view=view))
-            if h.incarnation > 0:
-                # Fill this incarnation's warm-up trajectory into its
-                # recovery record: the view started with a cold L1.
-                tier = view.tier
-                for record in health.recoveries:
-                    if (record.replica_id == rid
-                            and record.incarnation == h.incarnation):
-                        record.warmup_lookups = tier.lookups
-                        record.warmup_l1_hits = tier.l1_hits
-                        record.warmup_l2_hits = tier.l2_hits
-                        record.warmup_misses = tier.misses
-                        record.lookups_to_first_l1_hit = \
-                            view.lookups_to_first_l1_hit
+                stats=engines[rid].finish(), view=views[rid]))
 
         def crash_replica(rid: int, now_s: float) -> None:
             seal_incarnation(rid, crashed=True, crashed_at_s=now_s)
             health.of(rid).mark_crashed(now_s)
             last_crash_s[rid] = now_s
-            stats.crashed_replicas += 1
             stats.rebalanced_arcs += ring.remove(rid)
             for request in engines[rid].evacuate():
                 if (retry_policy is not None
@@ -399,14 +372,14 @@ class Cluster:
             """Rejoin: fresh engine, cold L1 view, ring arcs reclaimed."""
             h = health.of(rid)
             h.mark_recovering(now_s)
-            stats.recovered_replicas += 1
             stats.rebalanced_arcs -= ring.add(rid)
             views[rid] = self.tiered.view(rid)
             engines[rid] = ServerEngine(self.model, cfg.server, views[rid],
                                         forward)
             health.recoveries.append(RecoveryRecord(
                 replica_id=rid, incarnation=h.incarnation,
-                crashed_at_s=last_crash_s[rid], recovered_at_s=now_s))
+                crashed_at_s=last_crash_s[rid], recovered_at_s=now_s,
+                view=views[rid]))
 
         def dispatch(request: InferenceRequest, now_s: float) -> None:
             if bind_request is not None:
@@ -472,15 +445,11 @@ class Cluster:
                      now_s: float) -> None:
             rid, launched, slow = payload
             engine = engines[rid]
-            latencies = engine.complete(launched, now_s)
-            stats.served += len(latencies)
-            stats.latencies_s.extend(latencies)
-            stats.sim_duration_s = max(stats.sim_duration_s, now_s)
+            stats.latencies_s.extend(engine.complete(launched, now_s))
             h = health.of(rid)
             if h.state == "recovering":
                 h.mark_alive(now_s)
             if health.breaker(rid).record_completion(slow, now_s):
-                stats.breaker_trips += 1
                 # Hedge: do not leave queued work behind a replica we
                 # just declared slow.  Hedged requests keep their
                 # attempt count — straggling is the fleet's fault, not

@@ -37,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.cluster.cache import ReplicaScheduleView
+from repro.core.config import require_finite, require_int
 from repro.errors import ClusterError
 
 #: Legal state-machine moves; anything else is a cluster bug.
@@ -59,25 +61,40 @@ class HealthTransition:
                 "at_s": self.at_s}
 
 
+def _entries(transitions: List[HealthTransition], state: str) -> int:
+    """How many of ``transitions`` entered ``state``."""
+    return sum(1 for t in transitions if t.to_state == state)
+
+
 class ReplicaHealth:
     """The ``alive -> crashed -> recovering -> alive`` machine.
 
     ``incarnation`` counts rejoins (0 for the original engine);
-    ``crashes`` and ``recoveries`` count edge traversals.  A
-    ``recovering`` replica is already routable — it rejoined the ring
-    with a cold L1 — and is promoted back to ``alive`` when its first
-    post-rejoin batch completes (it proved it can serve).  Illegal
-    transitions raise :class:`~repro.errors.ClusterError` rather than
-    corrupting the replay surface.
+    ``crashes`` and ``recoveries`` count edge traversals (all three
+    read off the transition log).  A ``recovering`` replica is already
+    routable — it rejoined the ring with a cold L1 — and is promoted
+    back to ``alive`` when its first post-rejoin batch completes (it
+    proved it can serve).  Illegal transitions raise
+    :class:`~repro.errors.ClusterError` rather than corrupting the
+    replay surface.
     """
 
     def __init__(self, replica_id: int):
         self.replica_id = replica_id
         self.state = "alive"
-        self.incarnation = 0
-        self.crashes = 0
-        self.recoveries = 0
         self.transitions: List[HealthTransition] = []
+
+    @property
+    def incarnation(self) -> int:
+        return _entries(self.transitions, "recovering")
+
+    @property
+    def crashes(self) -> int:
+        return _entries(self.transitions, "crashed")
+
+    @property
+    def recoveries(self) -> int:
+        return _entries(self.transitions, "alive")
 
     def _move(self, to_state: str, at_s: float) -> None:
         if (self.state, to_state) not in _LEGAL_TRANSITIONS:
@@ -90,17 +107,14 @@ class ReplicaHealth:
 
     def mark_crashed(self, at_s: float) -> None:
         self._move("crashed", at_s)
-        self.crashes += 1
 
     def mark_recovering(self, at_s: float) -> None:
         """The replica rejoins: fresh engine, cold L1, back on the ring."""
         self._move("recovering", at_s)
-        self.incarnation += 1
 
     def mark_alive(self, at_s: float) -> None:
         """First post-rejoin completion: the replica is healed."""
         self._move("alive", at_s)
-        self.recoveries += 1
 
     @property
     def routable(self) -> bool:
@@ -127,27 +141,31 @@ class CircuitBreaker:
     attached — the breaker goes half-open and the next completed batch
     is the probe: healthy closes it, slow re-opens it.  ``threshold``
     of 0 disables the breaker entirely (every query answers
-    "routable").
+    "routable").  ``trips`` (entries into ``open``) and ``probes``
+    (exits from ``half-open``) are read off the transition log.
     """
 
     def __init__(self, replica_id: int, threshold: int,
                  cooldown_s: float, fault_plan=None):
-        if threshold < 0:
-            raise ClusterError(
-                f"breaker threshold must be >= 0, got {threshold}")
-        if cooldown_s < 0.0:
-            raise ClusterError(
-                f"breaker cooldown_s must be >= 0, got {cooldown_s}")
+        require_int("breaker threshold", threshold, ClusterError, 0)
+        require_finite("breaker cooldown_s", cooldown_s, ClusterError, 0)
         self.replica_id = replica_id
         self.threshold = threshold
         self.cooldown_s = cooldown_s
         self.fault_plan = fault_plan
         self.state = "closed"
         self.consecutive_slow = 0
-        self.trips = 0
-        self.probes = 0
         self.open_until_s = 0.0
         self.transitions: List[HealthTransition] = []
+
+    @property
+    def trips(self) -> int:
+        return _entries(self.transitions, "open")
+
+    @property
+    def probes(self) -> int:
+        return sum(1 for t in self.transitions
+                   if t.from_state == "half-open")
 
     @property
     def enabled(self) -> bool:
@@ -168,9 +186,9 @@ class CircuitBreaker:
         return base
 
     def _trip(self, at_s: float) -> None:
-        self.trips += 1
-        self.open_until_s = at_s + self._cooldown()
+        # Open first: the cooldown is priced on this trip's index.
         self._move("open", at_s)
+        self.open_until_s = at_s + self._cooldown()
 
     def advance(self, now_s: float) -> None:
         """Open -> half-open once the cooldown has elapsed."""
@@ -199,7 +217,6 @@ class CircuitBreaker:
         if not self.enabled:
             return False
         if self.state == "half-open":
-            self.probes += 1
             if slow:
                 self._trip(now_s)
                 return True
@@ -246,13 +263,12 @@ class BrownoutController:
     """
 
     def __init__(self, watermark: float, base_retry_after_s: float):
-        if not 0.0 <= watermark <= 1.0:
+        require_finite("brownout watermark", watermark, ClusterError, 0)
+        if watermark > 1.0:
             raise ClusterError(
                 f"brownout watermark must be in [0, 1], got {watermark}")
-        if base_retry_after_s < 0.0:
-            raise ClusterError(
-                f"base_retry_after_s must be >= 0, "
-                f"got {base_retry_after_s}")
+        require_finite("base_retry_after_s", base_retry_after_s,
+                       ClusterError, 0)
         self.watermark = watermark
         self.base_retry_after_s = base_retry_after_s
         self.credits = 0.0
@@ -295,27 +311,43 @@ class BrownoutController:
                 "shed_events": self.shed_events}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecoveryRecord:
     """One replica rejoin, with its cold-L1 warm-up trajectory.
 
-    The warm-up counters are the recovered incarnation's
-    :class:`~repro.cluster.cache.TierStats` — by construction every
-    lookup after the rejoin starts from an empty L1, so ``l2_hits``
-    are the promotions that re-warm it and ``lookups_to_first_l1_hit``
-    measures how quickly routing locality re-establishes (-1 when the
-    incarnation never hit its L1).
+    The warm-up counters are read from the recovered incarnation's
+    ``view`` (its :class:`~repro.cluster.cache.TierStats`) — by
+    construction every lookup after the rejoin starts from an empty L1,
+    so ``l2_hits`` are the promotions that re-warm it and
+    ``lookups_to_first_l1_hit`` measures how quickly routing locality
+    re-establishes (-1 when the incarnation never hit its L1).
     """
 
     replica_id: int
     incarnation: int
     crashed_at_s: float
     recovered_at_s: float
-    warmup_lookups: int = 0
-    warmup_l1_hits: int = 0
-    warmup_l2_hits: int = 0
-    warmup_misses: int = 0
-    lookups_to_first_l1_hit: int = -1
+    view: ReplicaScheduleView
+
+    @property
+    def warmup_lookups(self) -> int:
+        return self.view.tier.lookups
+
+    @property
+    def warmup_l1_hits(self) -> int:
+        return self.view.tier.l1_hits
+
+    @property
+    def warmup_l2_hits(self) -> int:
+        return self.view.tier.l2_hits
+
+    @property
+    def warmup_misses(self) -> int:
+        return self.view.tier.misses
+
+    @property
+    def lookups_to_first_l1_hit(self) -> int:
+        return self.view.lookups_to_first_l1_hit
 
     @property
     def warmup_l1_hit_rate(self) -> float:

@@ -9,7 +9,8 @@ throughput, per-tier cache hit rates, failover and rebalance counts.
 serve and bench: simulated time and integer counters only, wall-clock
 never appears (enforced by megalint MEGA011).
 
-Counter identities (asserted by the failover and brownout tests)::
+Counter identities, which hold by construction: each counter that a
+record determines is a read-only fold over that record::
 
     received == served + failed + shed   # no silent drops
     attempts == admitted + rejected      # summed over replicas
@@ -24,11 +25,12 @@ hint the client was given; both resolve to a typed
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List
 
 from repro.cluster.cache import ReplicaScheduleView, TierStats
 from repro.cluster.health import RecoveryRecord
+from repro.core.serialize import record_dict
 from repro.errors import ClusterError
 from repro.serve.stats import LatencyFold, ServerStats
 
@@ -109,14 +111,15 @@ class ReplicaRecord:
 class ClusterStats(LatencyFold):
     """Everything observable about one clustered serving run.
 
+    The fields are what the run recorded; the fleet counters are
+    properties folded from them, which ``as_dict`` lists too.
+
     Attributes
     ----------
     policy / num_replicas / vnodes:
         The routing configuration the run used.
     received:
         Distinct requests submitted to the router.
-    attempts / admitted / rejected:
-        Admission counters summed over replicas (retries included).
     retried:
         Client re-submissions after queue-full rejections.
     failovers:
@@ -125,24 +128,12 @@ class ClusterStats(LatencyFold):
         Requests hedged away from a straggling replica when its
         circuit breaker tripped (re-routed without consuming retry
         budget — the request did not fail, its replica was slow).
-    failed:
-        Requests that ended as a :class:`FailedRequest`.
-    shed / shed_events:
-        Requests terminally shed by brownout admission, and total
-        brownout rejections including ones the client retried.
-    served:
-        Requests completed with a prediction.
-    crashed_replicas / recovered_replicas:
-        Crash and rejoin events during the run (one replica may
-        contribute several of each).
-    breaker_trips:
-        Circuit-breaker open transitions across the fleet.
+    shed_events:
+        Total brownout rejections, including ones the client retried.
     rebalanced_arcs:
         Hash-ring arcs handed to successors across all failovers;
         recoveries reclaim arcs and subtract their count, so a fully
         healed ring reads 0.
-    sim_duration_s:
-        Simulated time of the last completion (0 when nothing served).
     latencies_s:
         Per-request latency in *global* completion order — the fleet
         percentile surface.
@@ -168,21 +159,11 @@ class ClusterStats(LatencyFold):
     num_replicas: int = 0
     vnodes: int = 0
     received: int = 0
-    attempts: int = 0
-    admitted: int = 0
-    rejected: int = 0
     retried: int = 0
     failovers: int = 0
     hedges: int = 0
-    failed: int = 0
-    shed: int = 0
     shed_events: int = 0
-    served: int = 0
-    crashed_replicas: int = 0
-    recovered_replicas: int = 0
-    breaker_trips: int = 0
     rebalanced_arcs: int = 0
-    sim_duration_s: float = 0.0
     latencies_s: List[float] = field(default_factory=list)
     failures: List[FailedRequest] = field(default_factory=list)
     sheds: List[ShedRequest] = field(default_factory=list)
@@ -190,6 +171,50 @@ class ClusterStats(LatencyFold):
     replicas: List[ReplicaRecord] = field(default_factory=list)
     health: Dict = field(default_factory=dict)
     tier: TierStats = field(default_factory=TierStats)
+
+    @property
+    def failed(self) -> int:
+        """Requests that ended as a :class:`FailedRequest`."""
+        return len(self.failures)
+
+    @property
+    def shed(self) -> int:
+        """Requests terminally shed by brownout admission."""
+        return len(self.sheds)
+
+    @property
+    def attempts(self) -> int:
+        """Admission attempts over the replica records (retries included)."""
+        return sum(r.stats.attempts for r in self.replicas)
+
+    @property
+    def admitted(self) -> int:
+        return sum(r.stats.admitted for r in self.replicas)
+
+    @property
+    def rejected(self) -> int:
+        return sum(r.stats.rejected for r in self.replicas)
+
+    @property
+    def sim_duration_s(self) -> float:
+        """Simulated time of the last completion (0 when nothing served)."""
+        return max((r.stats.sim_duration_s for r in self.replicas),
+                   default=0.0)
+
+    @property
+    def crashed_replicas(self) -> int:
+        """Crash events (one replica may contribute several)."""
+        return sum(1 for r in self.replicas if r.crashed)
+
+    @property
+    def recovered_replicas(self) -> int:
+        """Rejoin events, one per recovery record."""
+        return len(self.recoveries)
+
+    @property
+    def breaker_trips(self) -> int:
+        """Circuit-breaker open transitions across the fleet."""
+        return sum(b["trips"] for b in self.health.get("breakers", ()))
 
     @property
     def num_batches(self) -> int:
@@ -229,34 +254,10 @@ class ClusterStats(LatencyFold):
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict:
         """Plain-type dict (JSON-ready); the replay gate's byte surface."""
-        return {
-            "policy": self.policy,
-            "num_replicas": self.num_replicas,
-            "vnodes": self.vnodes,
-            "received": self.received,
-            "attempts": self.attempts,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "retried": self.retried,
-            "failovers": self.failovers,
-            "hedges": self.hedges,
-            "failed": self.failed,
-            "shed": self.shed,
-            "shed_events": self.shed_events,
-            "served": self.served,
-            "crashed_replicas": self.crashed_replicas,
-            "recovered_replicas": self.recovered_replicas,
-            "breaker_trips": self.breaker_trips,
-            "rebalanced_arcs": self.rebalanced_arcs,
-            "sim_duration_s": self.sim_duration_s,
-            "latencies_s": list(self.latencies_s),
-            "failures": [asdict(f) for f in self.failures],
-            "sheds": [asdict(s) for s in self.sheds],
-            "recoveries": [r.as_dict() for r in self.recoveries],
-            "replicas": [r.as_dict() for r in self.replicas],
-            "health": self.health,
-            "tier": self.tier.as_dict(),
-        }
+        return record_dict(self, "attempts", "admitted", "rejected",
+                           "failed", "shed", "served", "crashed_replicas",
+                           "recovered_replicas", "breaker_trips",
+                           "sim_duration_s")
 
     def summary_line(self) -> str:
         """One-line report for CLI output."""

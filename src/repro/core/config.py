@@ -1,11 +1,41 @@
-"""Configuration for the MEGA preprocessing stage."""
+"""Configuration for the MEGA preprocessing stage.
+
+Every config constructor (this one, the serving and cluster configs)
+checks its numeric fields with :func:`require_int`/:func:`require_finite`.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import math
+import numbers
+from dataclasses import dataclass
+from typing import Optional, Type
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
+
+
+def require_int(name: str, value, error: Type[ReproError] = ConfigError,
+                minimum: Optional[int] = None) -> None:
+    """Raise ``error`` unless ``value`` is an integer (numpy's too, not
+    ``bool``) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    _require_minimum(name, value, error, minimum)
+
+
+def require_finite(name: str, value, error: Type[ReproError] = ConfigError,
+                   minimum: Optional[float] = None) -> None:
+    """Raise ``error`` unless ``value`` is a finite real number of at
+    least ``minimum``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    _require_minimum(name, value, error, minimum)
+
+
+def _require_minimum(name: str, value, error, minimum) -> None:
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -49,14 +79,16 @@ class MegaConfig:
     symmetric_reuse: bool = True
 
     def __post_init__(self) -> None:
-        if self.window is not None and self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
+        if self.window is not None:
+            require_int("window", self.window, minimum=1)
+        require_int("max_window", self.max_window, minimum=1)
+        require_int("seed", self.seed)
+        require_finite("coverage", self.coverage)
+        require_finite("edge_drop", self.edge_drop)
         if not 0.0 < self.coverage <= 1.0:
             raise ConfigError(f"coverage must be in (0, 1], got {self.coverage}")
         if not 0.0 <= self.edge_drop < 1.0:
             raise ConfigError(f"edge_drop must be in [0, 1), got {self.edge_drop}")
-        if self.max_window < 1:
-            raise ConfigError(f"max_window must be >= 1, got {self.max_window}")
         if isinstance(self.start, str):
             if self.start not in ("max_degree", "min_degree", "peripheral", "zero"):
                 raise ConfigError(f"unknown start policy {self.start!r}")

@@ -37,6 +37,7 @@ import numpy as np
 from repro.core.config import MegaConfig
 from repro.core.path import PathRepresentation
 from repro.core.schedule import TraversalResult
+from repro.core.serialize import record_dict
 from repro.errors import GraphError, ScheduleError
 from repro.graph.graph import Graph
 
@@ -100,15 +101,7 @@ class RepairCostEstimate:
 
     def as_dict(self) -> dict:
         """Plain-type view for ledgers and replay surfaces."""
-        return {"inserts": self.inserts, "deletes": self.deletes,
-                "noops": self.noops, "adoptions": self.adoptions,
-                "patches": self.patches,
-                "probe_units": self.probe_units,
-                "patch_units": self.patch_units,
-                "projected_length": self.projected_length,
-                "triggers_rebuild": self.triggers_rebuild,
-                "rebuild_cost": self.rebuild_cost,
-                "repair_cost": self.repair_cost}
+        return record_dict(self, "repair_cost")
 
 
 class IncrementalPath:

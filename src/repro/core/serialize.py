@@ -1,15 +1,19 @@
-"""Serialisation of traversal schedules.
+"""Plain-dict forms: traversal schedules and stats records.
 
 Preprocessing is the expensive CPU stage of MEGA; a production pipeline
 computes schedules once and ships them with the dataset.  These helpers
 store :class:`TraversalResult` schedules in one ``.npz`` archive
 (``repro preprocess --output``) and read them back.
+
+:func:`record_dict` generates the stats records' ``as_dict`` replay
+surfaces.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Dict, Union
+from typing import Any, Dict, Union
 
 import numpy as np
 
@@ -29,6 +33,29 @@ def traversal_to_dict(result: TraversalResult) -> dict:
         "total_edges": int(result.total_edges),
         "num_jumps": int(result.num_jumps),
     }
+
+
+def record_dict(record: Any, *derived: str) -> dict:
+    """Plain-dict form of a dataclass record: its fields, then the
+    ``derived`` names (properties), each value made :func:`_plain`."""
+    out = {f.name: _plain(getattr(record, f.name)) for f in fields(record)}
+    for name in derived:
+        out[name] = _plain(getattr(record, name))
+    return out
+
+
+def _plain(value: Any) -> Any:
+    """A value with ``as_dict`` → its output; another dataclass → a
+    dict of its fields; a list or dict → a plain copy."""
+    if hasattr(value, "as_dict"):
+        return value.as_dict()
+    if is_dataclass(value):
+        return record_dict(value)
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
 
 
 def save_schedules_npz(schedules: Dict[str, TraversalResult],

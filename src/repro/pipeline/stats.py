@@ -9,15 +9,20 @@ distinguishable without profiling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import List
+from typing import List, Tuple
+
+from repro.core.serialize import record_dict
 
 
 class Counters:
     """``merge`` and ``as_dict`` for a dataclass of integer counters.
 
     Both are generated from the dataclass fields, in field order, so
-    adding a counter is a one-line change.
+    adding a counter is a one-line change.  ``as_dict`` also lists the
+    ``DERIVED`` properties (counters the fields determine).
     """
+
+    DERIVED: Tuple[str, ...] = ()
 
     def merge(self, other):
         """Elementwise sum (accumulating across splits, runs or replicas)."""
@@ -25,7 +30,7 @@ class Counters:
                              + getattr(other, f.name) for f in fields(self)})
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return record_dict(self, *self.DERIVED)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.batching import padding_waste
-from repro.errors import ConfigError
+from repro.core.config import require_finite, require_int
 from repro.serve.queueing import QueuedRequest
 
 
@@ -49,15 +49,9 @@ class BatchingPolicy:
     bucket_width: int = 16
 
     def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ConfigError(
-                f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_wait_s < 0.0:
-            raise ConfigError(
-                f"max_wait_s must be >= 0, got {self.max_wait_s}")
-        if self.bucket_width < 1:
-            raise ConfigError(
-                f"bucket_width must be >= 1, got {self.bucket_width}")
+        require_int("max_batch_size", self.max_batch_size, minimum=1)
+        require_finite("max_wait_s", self.max_wait_s, minimum=0)
+        require_int("bucket_width", self.bucket_width, minimum=1)
 
     def bucket_of(self, length: int) -> int:
         """Bucket id of a path length."""

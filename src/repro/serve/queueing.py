@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.config import require_int
 from repro.core.path import PathRepresentation
 from repro.errors import ConfigError, QueueFullError
 from repro.graph.graph import Graph
@@ -128,8 +129,7 @@ class BoundedRequestQueue:
     """FIFO admission queue with a hard capacity and depth accounting."""
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ConfigError(f"queue capacity must be >= 1, got {capacity}")
+        require_int("queue capacity", capacity, minimum=1)
         self.capacity = capacity
         self._entries: List[QueuedRequest] = []
         self.max_depth = 0

@@ -71,7 +71,7 @@ from typing import (Callable, Deque, Dict, Iterator, List, Mapping,
 
 import numpy as np
 
-from repro.core.config import MegaConfig
+from repro.core.config import MegaConfig, require_int
 from repro.core.path import PathRepresentation
 from repro.graph.batch import GraphBatch
 from repro.graph.graph import Graph
@@ -120,9 +120,10 @@ class ServerConfig:
     policy: BatchingPolicy = field(default_factory=BatchingPolicy)
 
     def __post_init__(self) -> None:
-        if self.queue_capacity < 1:
+        require_int("queue_capacity", self.queue_capacity, ServeError, 1)
+        if not isinstance(self.policy, BatchingPolicy):
             raise ServeError(
-                f"queue_capacity must be >= 1, got {self.queue_capacity}")
+                f"policy must be a BatchingPolicy, got {self.policy!r}")
 
 
 #: A run forks a forward worker only when it serves at least this many
@@ -555,9 +556,7 @@ class ServerEngine:
         Every attempt samples the queue depth, then either admits or
         rejects.
         """
-        self.stats.attempts += 1
         self.stats.queue_depth_sum += self.queue.depth
-        self.stats.queue_depth_samples += 1
         if self.queue.full:
             self.stats.rejected += 1
             raise QueueFullError(
@@ -634,7 +633,6 @@ class ServerEngine:
                      for e in launched.entries]
         self.busy = False
         self.in_flight = 0
-        self.stats.served += len(latencies)
         self.stats.latencies_s.extend(latencies)
         self.stats.sim_duration_s = max(self.stats.sim_duration_s, now_s)
         self.forward.retire(launched)

@@ -15,11 +15,12 @@ completion order.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List
 
 import numpy as np
 
+from repro.core.serialize import record_dict
 from repro.pipeline.stats import CacheStats
 
 
@@ -64,9 +65,13 @@ class LatencyFold:
 
     Shared by :class:`ServerStats` and
     :class:`repro.cluster.stats.ClusterStats`, which both carry
-    ``latencies_s`` (completion order), ``served`` and
-    ``sim_duration_s``.
+    ``latencies_s`` (completion order) and ``sim_duration_s``.
     """
+
+    @property
+    def served(self) -> int:
+        """Requests completed with a prediction (one latency each)."""
+        return len(self.latencies_s)
 
     def latency_percentile(self, q: float) -> float:
         """Latency percentile ``q`` in [0, 100]; 0.0 with no completions."""
@@ -104,12 +109,14 @@ class ServerStats(LatencyFold):
         attempts  == admitted + rejected
         admitted  == received + retried_admissions
 
+    The second holds by construction: ``attempts`` (and
+    ``queue_depth_samples``, one per attempt) is a read-only sum, and
+    ``served`` counts ``latencies_s``.
+
     Attributes
     ----------
     received:
         Distinct requests the client submitted (excluding re-tries).
-    attempts:
-        Admission attempts including client-side retries.
     admitted:
         Attempts accepted into the bounded queue.
     rejected:
@@ -118,11 +125,9 @@ class ServerStats(LatencyFold):
         Re-submissions scheduled by the client's retry policy.
     dropped:
         Requests abandoned after the retry policy was exhausted.
-    served:
-        Requests completed with a prediction.
     max_queue_depth:
         High-water mark of the bounded queue (never exceeds capacity).
-    queue_depth_sum / queue_depth_samples:
+    queue_depth_sum:
         Depth accumulated at every admission decision, for the mean.
     sim_duration_s:
         Simulated time of the last completion (0 when nothing served).
@@ -136,19 +141,25 @@ class ServerStats(LatencyFold):
     """
 
     received: int = 0
-    attempts: int = 0
     admitted: int = 0
     rejected: int = 0
     retried: int = 0
     dropped: int = 0
-    served: int = 0
     max_queue_depth: int = 0
     queue_depth_sum: int = 0
-    queue_depth_samples: int = 0
     sim_duration_s: float = 0.0
     latencies_s: List[float] = field(default_factory=list)
     batches: List[BatchRecord] = field(default_factory=list)
     cache: CacheStats = field(default_factory=CacheStats)
+
+    @property
+    def attempts(self) -> int:
+        """Admission attempts including client-side retries."""
+        return self.admitted + self.rejected
+
+    @property
+    def queue_depth_samples(self) -> int:
+        return self.attempts
 
     @property
     def mean_queue_depth(self) -> float:
@@ -177,22 +188,8 @@ class ServerStats(LatencyFold):
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict:
         """Plain-type dict (JSON-ready); the replay gate's byte surface."""
-        return {
-            "received": self.received,
-            "attempts": self.attempts,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "retried": self.retried,
-            "dropped": self.dropped,
-            "served": self.served,
-            "max_queue_depth": self.max_queue_depth,
-            "queue_depth_sum": self.queue_depth_sum,
-            "queue_depth_samples": self.queue_depth_samples,
-            "sim_duration_s": self.sim_duration_s,
-            "latencies_s": list(self.latencies_s),
-            "batches": [asdict(b) for b in self.batches],
-            "cache": self.cache.as_dict(),
-        }
+        return record_dict(self, "attempts", "served",
+                           "queue_depth_samples")
 
     def summary_line(self) -> str:
         """One-line report for CLI output."""

@@ -30,6 +30,7 @@ from typing import Dict, Optional
 
 from repro.core.config import MegaConfig
 from repro.core.incremental import IncrementalPath, RepairCostEstimate
+from repro.core.serialize import record_dict
 from repro.cluster.cache import TieredScheduleCache
 from repro.errors import StreamError
 from repro.pipeline.parallel import compute_schedule
@@ -100,22 +101,7 @@ class RepairRecord:
 
     def as_dict(self) -> dict:
         """Plain-type view for the stream replay surface."""
-        return {"delta_id": self.delta_id,
-                "graph_name": self.graph_name,
-                "epoch": self.epoch,
-                "applied_s": self.applied_s,
-                "mode": self.mode,
-                "estimate": self.estimate.as_dict(),
-                "work_units": self.work_units,
-                "applied_inserts": self.applied_inserts,
-                "applied_deletes": self.applied_deletes,
-                "applied_noops": self.applied_noops,
-                "old_key": self.old_key,
-                "new_key": self.new_key,
-                "invalidated_l1": self.invalidated_l1,
-                "invalidated_l2": self.invalidated_l2,
-                "invalidated_disk": self.invalidated_disk,
-                "seeded": self.seeded}
+        return record_dict(self)
 
 
 class ScheduleRepairer:

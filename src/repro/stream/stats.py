@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.cluster.stats import ClusterStats
+from repro.core.serialize import record_dict
 from repro.stream.repair import RepairRecord
 
 
@@ -100,22 +101,11 @@ class StreamStats:
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict:
         """Plain-type dict (JSON-ready); the replay gate's byte surface."""
-        return {
-            "num_graphs": self.num_graphs,
-            "num_deltas": self.num_deltas,
-            "repairs": self.repairs,
-            "recomputes": self.recomputes,
-            "repair_work_units": self.repair_work_units,
-            "recompute_work_units": self.recompute_work_units,
-            "invalidated_keys": self.invalidated_keys,
-            "invalidated_l1": self.invalidated_l1,
-            "invalidated_l2": self.invalidated_l2,
-            "invalidated_disk": self.invalidated_disk,
-            "noop_batches": self.noop_batches,
-            "epochs": dict(self.epochs),
-            "records": [r.as_dict() for r in self.records],
-            "cluster": self.cluster.as_dict(),
-        }
+        return record_dict(self, "repairs", "recomputes",
+                           "repair_work_units", "recompute_work_units",
+                           "invalidated_keys", "invalidated_l1",
+                           "invalidated_l2", "invalidated_disk",
+                           "noop_batches")
 
     def summary_line(self) -> str:
         """One-line report for CLI output."""

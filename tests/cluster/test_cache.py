@@ -20,7 +20,7 @@ def key(graph):
 
 class TestTierStats:
     def test_rates(self):
-        tier = TierStats(l1_hits=6, l2_hits=2, misses=2, l2_puts=2)
+        tier = TierStats(l1_hits=6, l2_hits=2, misses=2)
         assert tier.lookups == 10
         assert tier.l1_hit_rate == 0.6
         assert tier.l2_hit_rate == 0.2
@@ -32,8 +32,8 @@ class TestTierStats:
         assert tier.hit_rate == 0.0
 
     def test_merge_is_elementwise(self):
-        a = TierStats(l1_hits=1, l2_hits=2, misses=3, l2_puts=3)
-        b = TierStats(l1_hits=10, l2_hits=0, misses=1, l2_puts=1)
+        a = TierStats(l1_hits=1, l2_hits=2, misses=3)
+        b = TierStats(l1_hits=10, l2_hits=0, misses=1)
         merged = a.merge(b)
         assert merged.as_dict() == {"l1_hits": 11, "l2_hits": 2,
                                     "misses": 4, "l2_puts": 4,

@@ -82,3 +82,15 @@ def batches(draw, max_graphs: int = 4, max_nodes: int = 10):
         st.one_of(graphs(max_nodes=max_nodes),
                   graphs(max_nodes=max_nodes, shapes=("empty", "single"))),
         min_size=1, max_size=max_graphs))
+
+
+def config_values():
+    """A value a config field might be handed: in range or out, of the
+    right type or not (numpy integers, nan, inf, strings, ``None``)."""
+    return st.one_of(
+        st.integers(-2, 40),
+        st.integers(-2, 40).map(np.int64),
+        st.floats(-2.0, 40.0),
+        st.sampled_from([float("nan"), float("inf"), -float("inf"), None,
+                         True, "x", "3", [1], 2.5]),
+    )
